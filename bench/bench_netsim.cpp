@@ -1,5 +1,5 @@
-// Netsim hot-path benchmark: measures raw packet throughput along the
-// repo's two recorded fast paths.
+// Netsim hot-path benchmark: nine A/B workloads, each measuring one
+// fast path against its baseline on the same traffic.
 //
 // Route-cache workloads (Network route cache disabled vs. enabled):
 //
@@ -8,22 +8,13 @@
 //  * mixed anycast — half the targets are anycast groups, exercising
 //    the nearest-PoP resolution path (public resolvers à la 8.8.8.8).
 //
-// Scheduler-stress workloads (legacy closure event engine vs. the
-// typed event pool, docs/event-engine.md; route cache enabled in both):
-//
-//  * sched burst — whole campaigns injected back-to-back at one
-//    timestamp, so delivery legs land in huge same-time batches;
-//  * sched timer mix — half the probes fire from long-horizon timers
-//    spread over seconds of simulated time, keeping the heap deep
-//    while bursts pile onto the near edge.
-//
 // Besides timing, every workload is re-run with a packet-trace tap in
 // both modes and the traces, counters, and router-hop sequences are
 // required to be byte-identical — a fast path must never change a
 // decision, only the cost of making it. Results are recorded at the
 // repo root as BENCH_netsim.json (see docs/benchmarks.md).
 //
-// Sharded workloads (1-shard typed engine vs. N-shard ShardPool run,
+// Sharded workloads (1-shard run vs. N-shard ShardPool run,
 // docs/architecture.md "Sharded execution"):
 //
 //  * sharded census scan — paced probes to per-AS DNS responders that
@@ -44,6 +35,9 @@
 // containers where wall-clock cannot parallelize; the wall-clock
 // throughput of the sharded run is recorded alongside. Determinism is
 // checked with the canonical (shard-count-invariant) trace digest.
+//
+// Arena codec serving (heap vs. arena DNS codec, outside the
+// simulator): the arena path must emit the exact same wire bytes.
 //
 // Million-host census (docs/architecture.md "Internet-scale worlds &
 // streaming correlation"):
@@ -68,22 +62,24 @@
 //                     [--seed=N] [--shards=N] [--json=FILE]
 //                     [--min-speedup=F] [--census-scale=F]
 //
-// Exits 1 on a determinism violation, 2 when any workload's speedup
+// Exits 64 on a malformed or out-of-range flag value, 1 on a
+// determinism violation, 2 when any workload's speedup
 // falls below --min-speedup (CI's loud perf-regression gate), 3 when
 // the full-scale census world misses its ≥10⁶-host / ≥10⁴-AS floors,
 // 4 when a recorded peak RSS exceeds --max-rss-regression kB (CI's
 // loud memory-regression gate).
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
-#include <thread>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "classify/analysis.hpp"
@@ -110,6 +106,21 @@ using netsim::Simulator;
 using util::Ipv4;
 using util::Prefix;
 
+/// Parses all of `text` as a T, or exits 64: a value that reads as 0 by
+/// accident (`--min-speedup=abc`) would silently disable a gate.
+template <typename T>
+T parse_value(const std::string& flag, const char* text) {
+  T value{};
+  const char* end = text + std::strlen(text);
+  const auto [ptr, ec] = std::from_chars(text, end, value);
+  if (text == end || ec != std::errc{} || ptr != end) {
+    std::cerr << "bench_netsim: malformed value for " << flag << ": '"
+              << text << "'\n";
+    std::exit(64);
+  }
+  return value;
+}
+
 struct Opts {
   std::uint64_t packets = 200000;
   std::uint32_t ases = 64;
@@ -134,33 +145,28 @@ struct Opts {
     Opts o;
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
-      auto val = [&](const char* prefix) -> const char* {
-        return arg.c_str() + std::strlen(prefix);
-      };
-      if (arg.rfind("--packets=", 0) == 0) {
-        o.packets = std::strtoull(val("--packets="), nullptr, 10);
-      } else if (arg.rfind("--ases=", 0) == 0) {
-        o.ases = static_cast<std::uint32_t>(
-            std::strtoul(val("--ases="), nullptr, 10));
-      } else if (arg.rfind("--hops=", 0) == 0) {
-        o.hops = std::atoi(val("--hops="));
-      } else if (arg.rfind("--dests=", 0) == 0) {
-        o.dests = static_cast<std::uint32_t>(
-            std::strtoul(val("--dests="), nullptr, 10));
-      } else if (arg.rfind("--seed=", 0) == 0) {
-        o.seed = std::strtoull(val("--seed="), nullptr, 10);
-      } else if (arg.rfind("--shards=", 0) == 0) {
-        o.shards = static_cast<std::uint32_t>(
-            std::strtoul(val("--shards="), nullptr, 10));
-      } else if (arg.rfind("--json=", 0) == 0) {
-        o.json_path = val("--json=");
-      } else if (arg.rfind("--min-speedup=", 0) == 0) {
-        o.min_speedup = std::atof(val("--min-speedup="));
-      } else if (arg.rfind("--max-rss-regression=", 0) == 0) {
-        o.max_rss_regression_kb =
-            std::strtoull(val("--max-rss-regression="), nullptr, 10);
-      } else if (arg.rfind("--census-scale=", 0) == 0) {
-        o.census_scale = std::atof(val("--census-scale="));
+      const std::string flag = arg.substr(0, arg.find('=') + 1);
+      const char* val = arg.c_str() + flag.size();
+      if (flag == "--packets=") {
+        o.packets = parse_value<std::uint64_t>(flag, val);
+      } else if (flag == "--ases=") {
+        o.ases = parse_value<std::uint32_t>(flag, val);
+      } else if (flag == "--hops=") {
+        o.hops = parse_value<int>(flag, val);
+      } else if (flag == "--dests=") {
+        o.dests = parse_value<std::uint32_t>(flag, val);
+      } else if (flag == "--seed=") {
+        o.seed = parse_value<std::uint64_t>(flag, val);
+      } else if (flag == "--shards=") {
+        o.shards = parse_value<std::uint32_t>(flag, val);
+      } else if (flag == "--json=") {
+        o.json_path = val;
+      } else if (flag == "--min-speedup=") {
+        o.min_speedup = parse_value<double>(flag, val);
+      } else if (flag == "--max-rss-regression=") {
+        o.max_rss_regression_kb = parse_value<std::uint64_t>(flag, val);
+      } else if (flag == "--census-scale=") {
+        o.census_scale = parse_value<double>(flag, val);
       } else {
         std::cout << "usage: bench_netsim [--packets=N] [--ases=N] "
                      "[--hops=N] [--dests=N] [--seed=N] [--shards=N] "
@@ -169,9 +175,10 @@ struct Opts {
         std::exit(arg == "--help" ? 0 : 64);
       }
     }
-    if (o.ases < 4 || o.dests == 0 || o.hops < 1 || o.shards < 2) {
-      std::cerr << "bench_netsim: need --ases>=4, --dests>=1, --hops>=1, "
-                   "--shards>=2\n";
+    if (o.packets == 0 || o.ases < 4 || o.dests == 0 || o.hops < 1 ||
+        o.shards < 2 || !(o.census_scale > 0.0)) {
+      std::cerr << "bench_netsim: need --packets>=1, --ases>=4, --dests>=1, "
+                   "--hops>=1, --shards>=2, --census-scale>0\n";
       std::exit(64);
     }
     return o;
@@ -311,125 +318,6 @@ RunResult run_workload(const Opts& opts, bool anycast, bool cached,
   return r;
 }
 
-/// Address-plane lookup surface (the per-delivery addr→host step): a
-/// dense 2^17-host population spread over the ring, resolved in a
-/// strided (cache-hostile, packet-stream-like) order. The A/B flips
-/// Network's lookup structure — flat sorted table vs. the legacy
-/// unordered_map — on the same interned address pool; owners must be
-/// identical element for element (hashed into the determinism check).
-RunResult run_addr_plane_workload(const Opts& opts, bool flat, bool /*traced*/,
-                                  std::uint64_t lookups) {
-  constexpr std::uint32_t kLookupHosts = 1u << 17;
-  World w = build_world(opts, /*anycast=*/false);
-  auto& net = w.sim->net();
-  std::vector<Ipv4> addrs;
-  addrs.reserve(kLookupHosts);
-  for (std::uint32_t i = 0; i < kLookupHosts; ++i) {
-    // 172.16/12 private space: disjoint from build_world's 10/8 hosts
-    // and the 100.64/10 router pool.
-    const Ipv4 addr{(172u << 24) | (16u << 20) | i};
-    (void)net.add_host(2 + i % (opts.ases - 1), {addr});
-    addrs.push_back(addr);
-  }
-  net.set_flat_addr_plane_enabled(flat);
-  net.freeze_addr_plane();
-
-  RunResult r;
-  std::uint64_t h = kFnvBasis;
-  std::size_t idx = 0;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t p = 0; p < lookups; ++p) {
-    idx += 48271;  // co-prime stride: successive probes never adjacent
-    if (idx >= kLookupHosts) idx -= kLookupHosts;
-    const HostId owner = net.resolve_destination(
-        addrs[idx], static_cast<Asn>(2 + p % (opts.ases - 1)));
-    h = fnv1a64(h, owner);
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.trace_hash = h;
-  r.route_hash = h;
-  return r;
-}
-
-/// Fires one probe per timer event — the long-horizon half of the
-/// scheduler-stress mix (in legacy mode the engine wraps these in
-/// closures, reproducing the pre-pool timer cost).
-class ProbeTimer : public netsim::TimerTarget {
- public:
-  ProbeTimer(Simulator& sim, const World& w) : sim_(&sim), w_(&w) {}
-  void on_timer(std::uint64_t target_idx, std::uint64_t src_port) override {
-    netsim::SendOptions send;
-    send.dst = w_->targets[target_idx];
-    send.src_port = static_cast<std::uint16_t>(src_port);
-    send.dst_port = 53;
-    send.ttl = 255;
-    sim_->send_udp(w_->scanner, std::move(send));
-  }
-
- private:
-  Simulator* sim_;
-  const World* w_;
-};
-
-/// Scheduler-stress workloads. Both shapes keep the event heap loaded
-/// with the whole campaign so per-event scheduling cost dominates;
-/// `typed` selects the pooled engine vs. the legacy closure engine.
-///
-/// Burst (timer_mix=false): every probe is injected back-to-back at
-/// one instant and a single drain executes the campaign — delivery
-/// legs land in huge same-timestamp batches.
-///
-/// Timer mix (timer_mix=true): probes are paced in 1 ms slots, and
-/// every probe arms a timeout timer at slot + 3 s that fires a retry
-/// probe — the exact shape the transactional scanner and resolver put
-/// on the scheduler (long-horizon timers inheriting the pacing's
-/// clustering). Deliveries stay pending across slots, so the heap
-/// holds bursts, deliveries, and a 3-second timer horizon at once.
-RunResult run_sched_workload(const Opts& opts, bool timer_mix, bool typed,
-                             bool traced, std::uint64_t packets) {
-  World w = build_world(opts, /*anycast=*/false);
-  auto& sim = *w.sim;
-  sim.set_typed_events_enabled(typed);
-  RunResult r;
-  if (traced) attach_trace_tap(sim, r);
-  ProbeTimer timer(sim, w);
-  const auto t0 = std::chrono::steady_clock::now();
-  auto send_probe = [&](std::uint64_t p) {
-    netsim::SendOptions send;
-    send.dst = w.targets[p % w.targets.size()];
-    send.src_port = static_cast<std::uint16_t>(40000 + (p & 0xFFF));
-    send.dst_port = 53;
-    send.ttl = 255;
-    sim.send_udp(w.scanner, std::move(send));
-  };
-  if (timer_mix) {
-    constexpr std::uint64_t kSlotBurst = 4096;
-    const std::uint64_t direct = packets / 2;  // the rest are retries
-    for (std::uint64_t sent = 0; sent < direct;) {
-      const std::uint64_t n = std::min(kSlotBurst, direct - sent);
-      for (std::uint64_t i = 0; i < n; ++i) {
-        const std::uint64_t p = sent + i;
-        send_probe(p);
-        sim.schedule_timer(util::Duration::seconds(3), &timer,
-                           p % w.targets.size(), 40000 + (p & 0xFFF));
-      }
-      sent += n;
-      // Advance one pacing slot without draining the in-flight
-      // deliveries (they are 1.5–50 ms out) or the timer horizon.
-      sim.run_until(sim.now() + util::Duration::millis(1));
-    }
-  } else {
-    for (std::uint64_t p = 0; p < packets; ++p) send_probe(p);
-  }
-  sim.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.counters = sim.counters();
-  hash_routes(sim, w.targets, r);
-  return r;
-}
-
 // --- sharded census-style workloads ---------------------------------
 
 /// Authoritative-style responder: decodes the query, answers with two
@@ -465,62 +353,6 @@ class DnsResponder : public netsim::App {
  private:
   Simulator* sim_;
   HostId host_;
-};
-
-/// Arena-codec counterpart of DnsResponder with a batch entry point:
-/// one cohort of queries is served through decode_into → view-built
-/// mirror answer → encode_into, arenas reset per message — the
-/// zero-allocation serving loop (docs/architecture.md,
-/// "Zero-allocation wire path"). Responses are byte-identical to
-/// DnsResponder's, so the scalar-vs-batched A/B can require identical
-/// traces and counters.
-class ArenaDnsResponder : public netsim::App {
- public:
-  ArenaDnsResponder(Simulator& sim, HostId host) : sim_(&sim), host_(host) {}
-
-  void on_datagram(const netsim::Datagram& dgram) override { serve(dgram); }
-
-  void on_batch(std::span<const netsim::Datagram> batch) override {
-    for (const auto& dgram : batch) serve(dgram);
-  }
-
- private:
-  void serve(const netsim::Datagram& dgram) {
-    rx_.reset();
-    tx_.reset();
-    auto parsed = dnswire::decode_into(
-        rx_, std::span<const std::uint8_t>(*dgram.payload));
-    if (!parsed.ok()) return;
-    const dnswire::MessageView& msg = parsed.value();
-    if (msg.header.qr || msg.questions.empty()) return;
-    auto answers = tx_.alloc_array<dnswire::RecordView>(2);
-    answers[0].name = msg.questions.front().name;
-    answers[0].type = dnswire::RrType::a;
-    answers[0].ttl = 60;
-    answers[0].rdata.tag = dnswire::RdataView::Tag::a;
-    answers[0].rdata.a_addr = dgram.src;
-    answers[1] = answers[0];
-    answers[1].rdata.a_addr = Ipv4{203, 0, 113, 9};
-    dnswire::MessageView resp;
-    resp.header.id = msg.header.id;
-    resp.header.qr = true;
-    resp.header.rd = msg.header.rd;
-    resp.header.ra = true;
-    resp.questions = msg.questions;
-    resp.answers = answers;
-    const auto wire = dnswire::encode_into(tx_, resp);
-    netsim::SendOptions out;
-    out.dst = dgram.src;
-    out.src_port = dgram.dst_port;
-    out.dst_port = dgram.src_port;
-    out.payload.assign(wire.begin(), wire.end());
-    sim_->send_udp(host_, std::move(out));
-  }
-
-  Simulator* sim_;
-  HostId host_;
-  dnswire::WireArena rx_;
-  dnswire::WireArena tx_;
 };
 
 /// Sends one pacing slot's worth of pre-encoded probes per timer fire
@@ -687,18 +519,9 @@ ShardedRun run_sharded_workload(const Opts& opts, bool relay,
   return r;
 }
 
-bool counters_equal(const netsim::SimCounters& a,
-                    const netsim::SimCounters& b) {
-  return a.sent == b.sent && a.delivered == b.delivered &&
-         a.dropped_sav == b.dropped_sav && a.dropped_loss == b.dropped_loss &&
-         a.dropped_no_route == b.dropped_no_route &&
-         a.ttl_expired == b.ttl_expired &&
-         a.icmp_generated == b.icmp_generated && a.redirected == b.redirected;
-}
-
 /// One A/B row. The labels name the two modes being compared so the
 /// JSON keys stay self-describing: "uncached"/"cached" for the route-
-/// cache rows, "closure"/"typed" for the scheduler rows.
+/// cache rows, "heap"/"arena" for the codec row.
 struct WorkloadReport {
   std::string name;
   std::string baseline_label;
@@ -779,10 +602,10 @@ WorkloadReport ab_workload(const Opts& opts, const std::string& name,
   const std::uint64_t vpackets = std::min<std::uint64_t>(opts.packets, 50000);
   const auto vb = run(false, true, vpackets);
   const auto vf = run(true, true, vpackets);
-  rep.identical = counters_equal(vb.counters, vf.counters) &&
+  rep.identical = vb.counters == vf.counters &&
                   vb.trace_hash == vf.trace_hash &&
                   vb.route_hash == vf.route_hash &&
-                  counters_equal(baseline.counters, fast.counters) &&
+                  baseline.counters == fast.counters &&
                   baseline.route_hash == fast.route_hash;
   rep.cache_hits = fast.cache_stats.hits;
   rep.cache_misses = fast.cache_stats.misses;
@@ -800,25 +623,7 @@ WorkloadReport bench_workload(const Opts& opts, const std::string& name,
   return rep;
 }
 
-WorkloadReport bench_addr_plane_workload(const Opts& opts) {
-  return ab_workload(
-      opts, "addr_plane_lookup", "hash_map", "flat_table",
-      [&](bool fast, bool traced, std::uint64_t packets) {
-        return run_addr_plane_workload(opts, /*flat=*/fast, traced, packets);
-      });
-}
-
-WorkloadReport bench_sched_workload(const Opts& opts, const std::string& name,
-                                    bool timer_mix) {
-  return ab_workload(
-      opts, name, "closure", "typed",
-      [&](bool fast, bool traced, std::uint64_t packets) {
-        return run_sched_workload(opts, timer_mix, /*typed=*/fast, traced,
-                                  packets);
-      });
-}
-
-/// Sharded A/B: the 1-shard typed engine vs. the N-shard run on the
+/// Sharded A/B: the 1-shard run vs. the N-shard run on the
 /// *same* workload. The sharded side's throughput is the parallel
 /// critical path (packets / max per-shard busy seconds); wall-clock is
 /// recorded alongside. Determinism compares summed counters, the
@@ -865,11 +670,11 @@ WorkloadReport bench_sharded_workload(const Opts& opts,
   const auto vf =
       run_sharded_workload(opts, relay, opts.shards, true, vpackets);
   rep.identical =
-      counters_equal(vb.base.counters, vf.base.counters) &&
+      vb.base.counters == vf.base.counters &&
       vb.base.trace_hash == vf.base.trace_hash &&
       vb.base.route_hash == vf.base.route_hash &&
-      counters_equal(baseline.base.counters, fast.base.counters) &&
-      counters_equal(fast.base.counters, fast_threaded.base.counters) &&
+      baseline.base.counters == fast.base.counters &&
+      fast.base.counters == fast_threaded.base.counters &&
       baseline.base.route_hash == fast.base.route_hash;
   return rep;
 }
@@ -1058,12 +863,11 @@ WorkloadReport bench_multi_vantage_workload(const Opts& opts) {
   const auto vb = run_vantage_workload(opts, false, 1, true, vpackets);
   const auto vf =
       run_vantage_workload(opts, true, kVantageShards, true, vpackets);
-  rep.identical = counters_equal(vb.base.counters, vf.base.counters) &&
+  rep.identical = vb.base.counters == vf.base.counters &&
                   vb.base.trace_hash == vf.base.trace_hash &&
                   vb.base.route_hash == vf.base.route_hash &&
-                  counters_equal(baseline.base.counters, fast.base.counters) &&
-                  counters_equal(fast.base.counters,
-                                 fast_threaded.base.counters) &&
+                  baseline.base.counters == fast.base.counters &&
+                  fast.base.counters == fast_threaded.base.counters &&
                   baseline.base.route_hash == fast.base.route_hash;
   return rep;
 }
@@ -1145,7 +949,7 @@ ShardedRun run_amplification_workload(const Opts& opts, std::uint32_t shards,
   return r;
 }
 
-/// The amplification_reflection row: 1-shard typed engine vs. the
+/// The amplification_reflection row: 1-shard run vs. the
 /// N-shard run of the same campaign, critical-path measured like the
 /// other sharded rows. Identity covers counters, the canonical trace,
 /// router hops, AND the merged reflection log.
@@ -1187,121 +991,14 @@ WorkloadReport bench_amplification_workload(const Opts& opts) {
   const auto vf =
       run_amplification_workload(opts, opts.shards, true, vpackets);
   rep.identical =
-      counters_equal(vb.base.counters, vf.base.counters) &&
+      vb.base.counters == vf.base.counters &&
       vb.base.trace_hash == vf.base.trace_hash &&
       vb.base.route_hash == vf.base.route_hash &&
-      counters_equal(baseline.base.counters, fast.base.counters) &&
-      counters_equal(fast.base.counters, fast_threaded.base.counters) &&
+      baseline.base.counters == fast.base.counters &&
+      fast.base.counters == fast_threaded.base.counters &&
       baseline.base.route_hash == fast.base.route_hash &&
       fast.base.route_hash == fast_threaded.base.route_hash;
   return rep;
-}
-
-// --- batch delivery cohort workload ---------------------------------
-
-/// World for the batch_delivery_cohort row: ring topology, one DNS
-/// responder per non-vantage AS answering the two-record mirror shape.
-/// `fast` selects batched delivery + the arena serving path; the
-/// baseline is scalar delivery + the heap codec. Responses are
-/// byte-identical either way, so the A/B requires identical counters
-/// and canonical traces.
-struct BatchWorld {
-  std::unique_ptr<Simulator> sim;
-  HostId scanner = netsim::kInvalidHost;
-  std::vector<Ipv4> targets;
-  std::vector<std::unique_ptr<netsim::App>> responders;
-  NullSink sink;
-};
-
-BatchWorld build_batch_world(const Opts& opts, bool fast) {
-  BatchWorld w;
-  netsim::SimConfig cfg;
-  cfg.seed = opts.seed;
-  cfg.batch_delivery = fast;
-  w.sim = std::make_unique<Simulator>(cfg);
-  auto& net = w.sim->net();
-  for (std::uint32_t i = 1; i <= opts.ases; ++i) {
-    netsim::AsConfig as;
-    as.asn = i;
-    as.internal_hops = opts.hops;
-    net.add_as(as);
-    net.announce(i, Prefix{Ipv4{10, static_cast<std::uint8_t>(i % 250), 0, 0},
-                           16});
-  }
-  for (std::uint32_t i = 1; i <= opts.ases; ++i) {
-    net.link(i, i % opts.ases + 1);  // ring
-    if (i % 7 == 0 && i + opts.ases / 3 <= opts.ases) {
-      net.link(i, i + opts.ases / 3);  // chord
-    }
-  }
-  auto host_addr = [&](std::uint32_t asn, std::uint8_t lo) {
-    return Ipv4{10, static_cast<std::uint8_t>(asn % 250),
-                static_cast<std::uint8_t>(asn / 250), lo};
-  };
-  w.scanner = net.add_host(1, {host_addr(1, 1)});
-  w.sim->bind_udp_wildcard(w.scanner, &w.sink);
-  for (std::uint32_t asn = 2; asn <= opts.ases; ++asn) {
-    const Ipv4 addr = host_addr(asn, 53);
-    const auto host = net.add_host(asn, {addr});
-    if (fast) {
-      w.responders.push_back(
-          std::make_unique<ArenaDnsResponder>(*w.sim, host));
-    } else {
-      w.responders.push_back(std::make_unique<DnsResponder>(*w.sim, host));
-    }
-    w.sim->bind_udp(host, 53, w.responders.back().get());
-    w.targets.push_back(addr);
-  }
-  return w;
-}
-
-/// Destination-major injection: per drain, each responder receives a
-/// back-to-back run of same-destination probes — the amplification /
-/// retransmission-wave shape that lands whole delivery cohorts in one
-/// timestamp bucket, which is exactly what the batch plane packs into
-/// on_batch calls. The timed section covers injection + routing +
-/// delivery + DNS serving + the response leg.
-RunResult run_batch_workload(const Opts& opts, bool fast, bool traced,
-                             std::uint64_t packets) {
-  BatchWorld w = build_batch_world(opts, fast);
-  auto& sim = *w.sim;
-  if (traced) sim.set_packet_trace_enabled(true);
-  const auto query = dnswire::encode(dnswire::make_query(
-      0x777, *dnswire::Name::parse("scan.odns-study.net"),
-      dnswire::RrType::a));
-  RunResult r;
-  constexpr std::uint64_t kRun = 64;  // per-destination run per drain
-  const auto t0 = std::chrono::steady_clock::now();
-  std::uint64_t p = 0;
-  while (p < packets) {
-    for (const auto dst : w.targets) {
-      for (std::uint64_t i = 0; i < kRun && p < packets; ++i, ++p) {
-        netsim::SendOptions send;
-        send.dst = dst;
-        send.src_port = static_cast<std::uint16_t>(40000 + (p & 0xFFF));
-        send.dst_port = 53;
-        send.ttl = 255;
-        send.payload = query;
-        sim.send_udp(w.scanner, std::move(send));
-      }
-      if (p >= packets) break;
-    }
-    sim.run();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.counters = sim.counters();
-  if (traced) r.trace_hash = sim.canonical_trace_digest();
-  hash_routes(sim, w.targets, r);
-  return r;
-}
-
-WorkloadReport bench_batch_workload(const Opts& opts) {
-  return ab_workload(
-      opts, "batch_delivery_cohort", "scalar_heap", "batched_arena",
-      [&](bool fast, bool traced, std::uint64_t packets) {
-        return run_batch_workload(opts, fast, traced, packets);
-      });
 }
 
 // --- arena codec serving row ----------------------------------------
@@ -1510,7 +1207,7 @@ WorkloadReport bench_million_host_workload(const Opts& opts) {
   rep.census_hash = fast.census_hash;
   rep.identical = baseline.census_hash == fast.census_hash &&
                   baseline.hosts == fast.hosts &&
-                  counters_equal(baseline.counters, fast.counters);
+                  baseline.counters == fast.counters;
   if (opts.census_scale >= 0.5 &&
       (rep.census_hosts < 1000000 || rep.census_ases < 10000)) {
     std::cerr << "FAIL: million_host_census world too small at full scale: "
@@ -1617,9 +1314,6 @@ WorkloadReport bench_fault_plane_workload(const Opts& opts) {
   rep.responses_duplicate = fast.degradation.scan.responses_duplicate;
   rep.responses_corrupt = fast.degradation.scan.responses_corrupt;
   rep.ases_degraded = fast.degradation.ases_degraded;
-  // SimCounters::operator== covers the fault counters (jittered,
-  // reordered, duplicated, corrupted, outage drops) the legacy
-  // counters_equal predates.
   rep.identical = baseline.census_hash == fast.census_hash &&
                   baseline.hosts == fast.hosts &&
                   baseline.counters == fast.counters &&
@@ -1750,7 +1444,7 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
 
 int main(int argc, char** argv) {
   const Opts opts = Opts::parse(argc, argv);
-  std::cout << "bench_netsim: route-cache + event-engine fast paths (ases="
+  std::cout << "bench_netsim: packet-plane fast paths (ases="
             << opts.ases << " hops=" << opts.hops << " dests=" << opts.dests
             << " packets=" << opts.packets << " seed=" << opts.seed << ")\n\n";
 
@@ -1758,11 +1452,6 @@ int main(int argc, char** argv) {
   reps.push_back(bench_workload(opts, "repeated_destination_scan",
                                 /*anycast=*/false));
   reps.push_back(bench_workload(opts, "mixed_anycast", /*anycast=*/true));
-  reps.push_back(bench_addr_plane_workload(opts));
-  reps.push_back(bench_sched_workload(opts, "sched_burst_same_timestamp",
-                                      /*timer_mix=*/false));
-  reps.push_back(bench_sched_workload(opts, "sched_long_horizon_timer_mix",
-                                      /*timer_mix=*/true));
   reps.push_back(bench_sharded_workload(opts, "sharded_census_scan",
                                         /*relay=*/false));
   reps.push_back(bench_sharded_workload(opts, "sharded_cross_shard_relay",
@@ -1770,7 +1459,6 @@ int main(int argc, char** argv) {
   reps.push_back(bench_multi_vantage_workload(opts));
   reps.push_back(bench_amplification_workload(opts));
   reps.push_back(bench_codec_workload(opts));
-  reps.push_back(bench_batch_workload(opts));
   reps.push_back(bench_million_host_workload(opts));
   reps.push_back(bench_fault_plane_workload(opts));
   for (const auto& r : reps) print_report(r);

@@ -1,6 +1,7 @@
 #include "netsim/event_queue.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 namespace odns::netsim {
@@ -63,25 +64,24 @@ EventQueue::PacketEvent& EventQueue::acquire_packet(util::SimTime at,
   }
   buckets_[bucket_for(at.nanos())].items.push_back(pack_item(kind, slot));
   ++next_seq_;
-  ++pending_;
   return packet_pool_[slot];
 }
 
-EventQueue::MiscEvent& EventQueue::acquire_misc(util::SimTime at, Kind kind) {
+EventQueue::TimerEvent& EventQueue::acquire_timer(util::SimTime at) {
   at = clamp(at);
   std::uint32_t slot;
-  if (misc_free_head_ != kNilIndex) {
-    slot = misc_free_head_;
-    misc_free_head_ = misc_pool_[slot].next_free;
+  if (timer_free_head_ != kNilIndex) {
+    slot = timer_free_head_;
+    timer_free_head_ = timer_pool_[slot].next_free;
     --free_count_;
   } else {
-    slot = static_cast<std::uint32_t>(misc_pool_.size());
-    misc_pool_.emplace_back();
+    slot = static_cast<std::uint32_t>(timer_pool_.size());
+    timer_pool_.emplace_back();
   }
-  buckets_[bucket_for(at.nanos())].items.push_back(pack_item(kind, slot));
+  buckets_[bucket_for(at.nanos())].items.push_back(
+      pack_item(Kind::timer, slot));
   ++next_seq_;
-  ++pending_;
-  return misc_pool_[slot];
+  return timer_pool_[slot];
 }
 
 void EventQueue::release_packet(std::uint32_t slot) {
@@ -90,11 +90,11 @@ void EventQueue::release_packet(std::uint32_t slot) {
   ++free_count_;
 }
 
-void EventQueue::release_misc(std::uint32_t slot) {
-  MiscEvent& ev = misc_pool_[slot];
+void EventQueue::release_timer(std::uint32_t slot) {
+  TimerEvent& ev = timer_pool_[slot];
   ev.timer = nullptr;
-  ev.next_free = misc_free_head_;
-  misc_free_head_ = slot;
+  ev.next_free = timer_free_head_;
+  timer_free_head_ = slot;
   ++free_count_;
 }
 
@@ -102,15 +102,6 @@ void EventQueue::release_misc(std::uint32_t slot) {
 
 void EventQueue::schedule_deliver(util::SimTime at, Packet&& pkt,
                                   HostId host) {
-  if (legacy_mode_) {
-    // Pre-pool cost model: the whole Packet is captured in a
-    // heap-allocating std::function — the A/B baseline bench_netsim
-    // measures the typed path against.
-    schedule_at(at, [this, pkt = std::move(pkt), host]() mutable {
-      sink_->deliver_event(std::move(pkt), host);
-    });
-    return;
-  }
   PacketEvent& ev = acquire_packet(at, Kind::deliver);
   ev.pkt = std::move(pkt);
   ev.dst_host = host;
@@ -119,13 +110,6 @@ void EventQueue::schedule_deliver(util::SimTime at, Packet&& pkt,
 void EventQueue::schedule_icmp(util::SimTime at, IcmpType type,
                                Packet&& offender, util::Ipv4 router,
                                Asn origin_as) {
-  if (legacy_mode_) {
-    schedule_at(at, [this, type, offender = std::move(offender), router,
-                     origin_as]() mutable {
-      sink_->icmp_event(type, std::move(offender), router, origin_as);
-    });
-    return;
-  }
   PacketEvent& ev = acquire_packet(at, Kind::icmp);
   ev.icmp_type = type;
   ev.pkt = std::move(offender);
@@ -135,119 +119,62 @@ void EventQueue::schedule_icmp(util::SimTime at, IcmpType type,
 
 void EventQueue::schedule_timer(util::SimTime at, TimerTarget* target,
                                 std::uint64_t a, std::uint64_t b) {
-  assert(target != nullptr);
-  if (legacy_mode_) {
-    schedule_at(at, [target, a, b]() { target->on_timer(a, b); });
-    return;
+  if (target == nullptr) {
+    throw std::invalid_argument("schedule_timer: null target");
   }
-  MiscEvent& ev = acquire_misc(at, Kind::timer);
+  TimerEvent& ev = acquire_timer(at);
   ev.timer = target;
   ev.arg_a = a;
   ev.arg_b = b;
 }
 
-void EventQueue::schedule_at(util::SimTime at, Action action) {
-  if (legacy_mode_) {
-    legacy_heap_.push(LegacyEntry{clamp(at), next_seq_++, std::move(action)});
-    return;
-  }
-  MiscEvent& ev = acquire_misc(at, Kind::closure);
-  ev.closure = std::move(action);
-}
-
 // --- execution -------------------------------------------------------
 
-void EventQueue::dispatch(std::uint32_t item) {
-  // Move the payload out and free the slot BEFORE invoking the handler:
-  // handlers schedule new events, which may grow the pool and would
-  // invalidate any reference still held into it.
-  const auto kind = static_cast<Kind>(item >> 30);
-  const std::uint32_t slot = item & 0x3FFFFFFFu;
-  switch (kind) {
-    case Kind::deliver: {
-      PacketEvent& ev = packet_pool_[slot];
-      Packet pkt = std::move(ev.pkt);
-      const HostId host = ev.dst_host;
-      release_packet(slot);
-      sink_->deliver_event(std::move(pkt), host);
-      return;
-    }
-    case Kind::icmp: {
-      PacketEvent& ev = packet_pool_[slot];
-      Packet offender = std::move(ev.pkt);
-      const IcmpType type = ev.icmp_type;
-      const util::Ipv4 router = ev.router;
-      const Asn origin_as = ev.origin_as;
-      release_packet(slot);
-      sink_->icmp_event(type, std::move(offender), router, origin_as);
-      return;
-    }
-    case Kind::timer: {
-      MiscEvent& ev = misc_pool_[slot];
-      TimerTarget* target = ev.timer;
-      const auto a = ev.arg_a;
-      const auto b = ev.arg_b;
-      release_misc(slot);
-      target->on_timer(a, b);
-      return;
-    }
-    case Kind::closure: {
-      MiscEvent& ev = misc_pool_[slot];
-      Action action = std::move(ev.closure);
-      ev.closure = nullptr;  // drop captures before the slot is reused
-      release_misc(slot);
-      action();
-      return;
-    }
-  }
-}
-
 void EventQueue::step() {
-  assert(!empty());
-  if (legacy_mode_) {
-    // priority_queue::top() is const; move out via const_cast on the
-    // action only — the entry is popped immediately after.
-    auto& top = const_cast<LegacyEntry&>(legacy_heap_.top());
-    now_ = top.at;
-    Action action = std::move(top.action);
-    legacy_heap_.pop();
-    ++executed_;
-    action();
-    return;
-  }
   const TimeRef top = time_heap_.front();
   Bucket& b = buckets_[top.bucket];
-  const std::uint32_t slot = b.items[b.head++];
+  const std::uint32_t item = b.items[b.head++];
   now_ = util::SimTime::from_nanos(top.at);
   // Retire the bucket before dispatch: the handler may schedule at
   // this same timestamp, which then starts a fresh bucket (correctly
   // ordered after everything the old one held).
   if (b.head == b.items.size()) retire_top_bucket();
-  --pending_;
   ++executed_;
-  dispatch(slot);
+  // Move the payload out and free the slot BEFORE invoking the handler:
+  // handlers schedule new events, which may grow the pool and would
+  // invalidate any reference still held into it.
+  const std::uint32_t slot = item & 0x3FFFFFFFu;
+  if (static_cast<Kind>(item >> 30) == Kind::icmp) {
+    PacketEvent& ev = packet_pool_[slot];
+    Packet offender = std::move(ev.pkt);
+    const IcmpType type = ev.icmp_type;
+    const util::Ipv4 router = ev.router;
+    const Asn origin_as = ev.origin_as;
+    release_packet(slot);
+    sink_->icmp_event(type, std::move(offender), router, origin_as);
+    return;
+  }
+  TimerEvent& ev = timer_pool_[slot];
+  TimerTarget* target = ev.timer;
+  const auto arg_a = ev.arg_a;
+  const auto arg_b = ev.arg_b;
+  release_timer(slot);
+  target->on_timer(arg_a, arg_b);
 }
 
 std::size_t EventQueue::step_batch() {
-  assert(!empty());
+  if (empty()) return 0;
   const util::SimTime at = peek_at();
   std::size_t n = 0;
   // Handlers that schedule at the batch timestamp (zero-delay sends
   // clamp to it) extend the batch; bucket append order keeps them
   // after everything already pending, so the total order is unchanged.
-  if (legacy_mode_ || !batch_enabled_) {
-    while (!empty() && peek_at() == at) {
-      step();
-      ++n;
-    }
-    return n;
-  }
-  // Batch extraction: maximal runs of consecutive delivery events are
-  // pulled out of the head bucket *before* dispatch and handed to the
-  // sink as one span — same events, same sequence order, one virtual
-  // call. Anything the run's handlers schedule at this timestamp lands
-  // in a bucket ordered after the extracted run, exactly where the
-  // scalar loop would have executed it.
+  //
+  // Maximal runs of consecutive delivery events are pulled out of the
+  // head bucket *before* dispatch and handed to the sink as one span —
+  // same events, same sequence order, one virtual call. Anything the
+  // run's handlers schedule at this timestamp lands in a bucket
+  // ordered after the extracted run.
   while (!empty() && peek_at() == at) {
     const TimeRef top = time_heap_.front();
     Bucket& b = buckets_[top.bucket];
@@ -268,7 +195,6 @@ std::size_t EventQueue::step_batch() {
       ++b.head;
     }
     const std::size_t run = batch_scratch_.size();
-    pending_ -= run;
     executed_ += run;
     n += run;
     // Retire before dispatch, like step(): a handler scheduling at this

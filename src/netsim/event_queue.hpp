@@ -1,27 +1,22 @@
 #pragma once
 // Discrete-event core: an allocation-free typed event engine. Events
 // live in kind-segregated slabs with freelist recycling (packet events
-// never touch closure storage) and are ordered by a
+// never touch timer storage) and are ordered by a
 // bucketed calendar-style queue: a binary min-heap over *bucket* refs
 // (one per pending timestamp cohort), each owning a FIFO vector of
 // event slots. A small direct-mapped timestamp cache coalesces events
 // scheduled for the same instant into a shared bucket, so
 // same-timestamp bursts cost O(1) per event instead of O(log n);
 // timestamps that never repeat cost one 24-byte heap entry — no worse
-// than a plain indexed min-heap. The engine preserves the exact
-// (time, sequence) total order of the classic heap, and the per-event
-// hot path performs no heap allocation (event slots and bucket
-// vectors are slab-recycled).
+// than a plain indexed min-heap. Events execute in exact (time,
+// sequence) order, and the per-event hot path performs no heap
+// allocation (event slots and bucket vectors are slab-recycled).
 //
 // The full scheduler contract (total order, tie-breaking, determinism
-// guarantees, pool lifetime rules) and the migration guide from the
-// legacy closure API to typed events live in docs/event-engine.md.
+// guarantees, pool lifetime rules) lives in docs/event-engine.md.
 
 #include <array>
-#include <cassert>
 #include <cstdint>
-#include <functional>
-#include <queue>
 #include <span>
 #include <vector>
 
@@ -53,26 +48,20 @@ class TimerTarget {
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
-  virtual void deliver_event(Packet&& pkt, HostId host) = 0;
   virtual void icmp_event(IcmpType type, Packet&& offender,
                           util::Ipv4 router, Asn origin_as) = 0;
-  /// Batch entry point: a maximal run of consecutive delivery events
-  /// from one same-timestamp cohort, in sequence order. The default
-  /// replays the scalar path, so custom sinks keep their semantics;
-  /// the Simulator overrides it to amortize route-memo and node
-  /// dispatch across the run (docs/event-engine.md, "Batch delivery").
-  virtual void deliver_batch_event(std::span<DeliverItem> batch) {
-    for (auto& item : batch) deliver_event(std::move(item.pkt), item.host);
-  }
+  /// A maximal run of consecutive delivery events from one same-
+  /// timestamp cohort, in sequence order (a single delivery is a run
+  /// of one). The Simulator amortizes route-memo and node dispatch
+  /// across the run (docs/event-engine.md, "Batch delivery").
+  virtual void deliver_batch_event(std::span<DeliverItem> batch) = 0;
 };
 
 class EventQueue {
  public:
-  using Action = std::function<void()>;
-
   /// Wires the packet-plane dispatch target. Must be called before any
   /// schedule_deliver/schedule_icmp event fires (the Simulator does
-  /// this in its constructor); closure and timer events need no sink.
+  /// this in its constructor); timer events need no sink.
   void bind_sink(PacketSink* sink) { sink_ = sink; }
 
   // --- typed, allocation-free scheduling -----------------------------
@@ -84,67 +73,30 @@ class EventQueue {
   /// `origin_as`.
   void schedule_icmp(util::SimTime at, IcmpType type, Packet&& offender,
                      util::Ipv4 router, Asn origin_as);
-  /// Schedules `target->on_timer(a, b)` at absolute time `at`.
+  /// Schedules `target->on_timer(a, b)` at absolute time `at`. Throws
+  /// std::invalid_argument on a null target.
   void schedule_timer(util::SimTime at, TimerTarget* target, std::uint64_t a,
                       std::uint64_t b);
 
-  /// Legacy closure shim: schedules `action` at absolute time `at`.
-  /// Kept for tests, examples, and cold paths; allocates whenever the
-  /// callable outgrows std::function's small-buffer optimisation.
-  void schedule_at(util::SimTime at, Action action);
-
-  /// Switches to the pre-pool closure engine (a priority_queue of
-  /// (time, seq, std::function) entries): every typed schedule_* call
-  /// is wrapped in a heap-allocating closure, reproducing the legacy
-  /// per-event cost model. This is bench_netsim's A/B baseline and the
-  /// determinism suite's reference ordering; both modes execute the
-  /// exact same (time, seq) total order. Only valid on an empty queue:
-  /// switching with events pending would strand them in the inactive
-  /// structure, so the request is refused outright (cold path — the
-  /// unconditional check is free).
-  void set_legacy_mode(bool on) {
-    if (!time_heap_.empty() || !legacy_heap_.empty()) {
-      assert(false && "set_legacy_mode with events pending");
-      return;
-    }
-    legacy_mode_ = on;
-  }
-  [[nodiscard]] bool legacy_mode() const { return legacy_mode_; }
-
-  /// Toggles batch extraction of delivery runs in step_batch(). Both
-  /// modes execute the identical (time, seq) total order — batching
-  /// only changes how many events one sink call covers — so the switch
-  /// is safe at any point and is the equivalence tests' A/B lever
-  /// (tests/batch_plane_test.cpp).
-  void set_batch_delivery(bool on) { batch_enabled_ = on; }
-  [[nodiscard]] bool batch_delivery() const { return batch_enabled_; }
-
-  [[nodiscard]] bool empty() const {
-    return legacy_mode_ ? legacy_heap_.empty() : time_heap_.empty();
-  }
-  [[nodiscard]] std::size_t size() const {
-    return legacy_mode_ ? legacy_heap_.size() : pending_;
-  }
+  [[nodiscard]] bool empty() const { return time_heap_.empty(); }
   [[nodiscard]] util::SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Pool introspection (tests): total slots ever allocated (across
-  /// the packet and misc slabs) and how many of them are currently
+  /// the packet and timer slabs) and how many of them are currently
   /// free. live events = pool_slots() - free_slots(); a drained queue
   /// recycles all slots, so steady-state workloads keep pool_slots()
   /// at their high-water mark.
   [[nodiscard]] std::size_t pool_slots() const {
-    return packet_pool_.size() + misc_pool_.size();
+    return packet_pool_.size() + timer_pool_.size();
   }
   [[nodiscard]] std::size_t free_slots() const { return free_count_; }
 
-  /// Runs the earliest event; advances the clock. Pre: !empty().
-  void step();
-
-  /// Batch delivery: drains every event at the earliest pending
-  /// timestamp in one pass — including events that handlers schedule
-  /// at that same (clamped) timestamp, which join the batch in
-  /// sequence order. Returns the number executed. Pre: !empty().
+  /// Drains every event at the earliest pending timestamp in one pass —
+  /// including events that handlers schedule at that same (clamped)
+  /// timestamp, which join the batch in sequence order. Consecutive
+  /// deliveries reach the sink as one run. Returns the number executed
+  /// (0 on an empty queue).
   std::size_t step_batch();
 
   /// Runs events batch-wise until the queue drains or `deadline` is
@@ -161,13 +113,10 @@ class EventQueue {
   [[nodiscard]] util::SimTime next_at() const { return peek_at(); }
 
  private:
-  enum class Kind : std::uint32_t { deliver = 0, icmp = 1, timer = 2,
-                                    closure = 3 };
+  enum class Kind : std::uint32_t { deliver = 0, icmp = 1, timer = 2 };
 
   /// Packet-carrying pooled event (delivery or deferred ICMP). Kept in
-  /// its own slab so the hot scan path never touches closure storage:
-  /// the slot is ~2.5× smaller than a combined layout, which matters
-  /// when a whole campaign is pending at once.
+  /// its own slab so the hot scan path never touches timer storage.
   struct PacketEvent {
     Packet pkt;
     HostId dst_host = kInvalidHost;
@@ -177,9 +126,7 @@ class EventQueue {
     std::uint32_t next_free = kNilIndex;
   };
 
-  /// Timer or legacy-closure pooled event.
-  struct MiscEvent {
-    Action closure;
+  struct TimerEvent {
     TimerTarget* timer = nullptr;
     std::uint64_t arg_a = 0;
     std::uint64_t arg_b = 0;
@@ -215,18 +162,6 @@ class EventQueue {
     }
   };
 
-  struct LegacyEntry {
-    util::SimTime at;
-    std::uint64_t seq;
-    Action action;
-  };
-  struct LegacyLater {
-    bool operator()(const LegacyEntry& a, const LegacyEntry& b) const {
-      if (a.at != b.at) return a.at > b.at;
-      return a.seq > b.seq;
-    }
-  };
-
   static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
   /// Cache empty-slot marker; unreachable as a timestamp because
   /// schedule clamps to now() >= 0.
@@ -247,8 +182,7 @@ class EventQueue {
     return at < now_ ? now_ : at;
   }
   [[nodiscard]] util::SimTime peek_at() const {
-    return legacy_mode_ ? legacy_heap_.top().at
-                        : util::SimTime::from_nanos(time_heap_.front().at);
+    return util::SimTime::from_nanos(time_heap_.front().at);
   }
   [[nodiscard]] static std::size_t cache_slot(std::int64_t at) {
     return static_cast<std::size_t>(
@@ -260,30 +194,27 @@ class EventQueue {
   }
   std::uint32_t bucket_for(std::int64_t at_nanos);
   PacketEvent& acquire_packet(util::SimTime at, Kind kind);
-  MiscEvent& acquire_misc(util::SimTime at, Kind kind);
+  TimerEvent& acquire_timer(util::SimTime at);
   void release_packet(std::uint32_t slot);
-  void release_misc(std::uint32_t slot);
-  void dispatch(std::uint32_t item);
+  void release_timer(std::uint32_t slot);
+  /// Runs the earliest event, which is not a delivery (step_batch
+  /// extracts those as runs); advances the clock.
+  void step();
   void retire_top_bucket();
 
   std::vector<PacketEvent> packet_pool_;
   std::uint32_t packet_free_head_ = kNilIndex;
-  std::vector<MiscEvent> misc_pool_;
-  std::uint32_t misc_free_head_ = kNilIndex;
+  std::vector<TimerEvent> timer_pool_;
+  std::uint32_t timer_free_head_ = kNilIndex;
   std::size_t free_count_ = 0;
 
   std::vector<Bucket> buckets_;
   std::uint32_t free_bucket_head_ = kNilIndex;
   std::vector<TimeRef> time_heap_;  // via std::push_heap/pop_heap
   std::array<CacheEntry, kCacheSize> tcache_{};
-  std::size_t pending_ = 0;
 
-  std::priority_queue<LegacyEntry, std::vector<LegacyEntry>, LegacyLater>
-      legacy_heap_;
   std::vector<DeliverItem> batch_scratch_;  // reused across cohorts
   PacketSink* sink_ = nullptr;
-  bool legacy_mode_ = false;
-  bool batch_enabled_ = true;
   util::SimTime now_ = util::SimTime::origin();
   std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;

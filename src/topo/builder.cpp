@@ -516,7 +516,6 @@ std::unique_ptr<Deployment> TopologyBuilder::build(const TopologyConfig& cfg) {
   netsim::SimConfig sim_cfg = cfg.sim;
   sim_cfg.seed = cfg.seed ^ 0xD1B54A32D192ED03ull;
   d->sim_ = std::make_unique<netsim::Simulator>(sim_cfg);
-  d->sim_->net().set_flat_addr_plane_enabled(cfg.flat_addr_plane);
 
   BuildState st;
   st.d = d.get();

@@ -55,11 +55,6 @@ struct TopologyConfig {
   /// scale exponent). Internet-scale worlds use it to push the AS
   /// count to O(10^4) while `scale` controls the host population.
   double eyeball_as_multiplier = 1.0;
-  /// A/B toggle for the netsim address-plane lookup structure: ON
-  /// (default) uses the flat sorted table, OFF the legacy hash map.
-  /// Every observable output is identical either way — the map path
-  /// exists so tests can differentially prove that contract.
-  bool flat_addr_plane = true;
 };
 
 class Deployment {

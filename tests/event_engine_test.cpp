@@ -1,33 +1,30 @@
-// Determinism regression suite for the typed event engine
-// (docs/event-engine.md): the legacy closure engine and the typed
-// pooled engine must execute the exact same (time, seq) total order —
-// same seed ⇒ identical traces — including same-timestamp bursts and
-// pool slot reuse.
+// Contract suite for the typed event engine (docs/event-engine.md):
+// events execute in exact (time, seq) order across every kind —
+// deliveries, deferred ICMP and timers — including same-timestamp
+// bursts, handler reschedules and pool slot reuse. The Simulator-level
+// scenario this order feeds is pinned in tests/golden_test.cpp.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <tuple>
+#include <functional>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "netsim/event_queue.hpp"
-#include "netsim/sim.hpp"
-#include "netsim/stream.hpp"
 
 namespace odns::netsim {
 namespace {
 
 using util::Duration;
 using util::Ipv4;
-using util::Prefix;
 using util::SimTime;
 
-// ---------------------------------------------------------------------
-// EventQueue-level contract
-// ---------------------------------------------------------------------
-
-/// Records every pooled packet event the queue dispatches.
-class RecordingSink : public PacketSink {
+/// Records every event the queue dispatches, in dispatch order: packet
+/// events through the sink, timers through the target. `hook` lets a
+/// timer handler schedule further events.
+class Recorder : public PacketSink, public TimerTarget {
  public:
   struct Delivery {
     Ipv4 src, dst;
@@ -39,92 +36,102 @@ class RecordingSink : public PacketSink {
     Ipv4 router;
     Asn origin_as;
   };
-  void deliver_event(Packet&& pkt, HostId host) override {
-    deliveries.push_back(
-        Delivery{pkt.src, pkt.dst, host, std::move(pkt.payload)});
+  void deliver_batch_event(std::span<DeliverItem> batch) override {
+    batch_sizes.push_back(batch.size());
+    for (auto& item : batch) {
+      order.push_back("deliver:" + std::to_string(item.host));
+      deliveries.push_back(Delivery{item.pkt.src, item.pkt.dst, item.host,
+                                    std::move(item.pkt.payload)});
+    }
   }
   void icmp_event(IcmpType type, Packet&&, Ipv4 router, Asn origin) override {
+    order.push_back("icmp:" + std::to_string(origin));
     icmps.push_back(Icmp{type, router, origin});
   }
+  void on_timer(std::uint64_t a, std::uint64_t b) override {
+    order.push_back("timer:" + std::to_string(a));
+    fired.emplace_back(a, b);
+    if (hook) hook(a);
+  }
+
+  std::vector<std::string> order;
+  std::vector<std::size_t> batch_sizes;
   std::vector<Delivery> deliveries;
   std::vector<Icmp> icmps;
-};
-
-class CountingTimer : public TimerTarget {
- public:
-  void on_timer(std::uint64_t a, std::uint64_t b) override {
-    fired.emplace_back(a, b);
-  }
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fired;
+  std::function<void(std::uint64_t)> hook;
 };
 
 TEST(EventEngineTest, FarFutureNamesTheDrainSentinel) {
   EXPECT_EQ(SimTime::far_future().nanos(), std::int64_t{1} << 62);
   EventQueue q;
-  bool ran = false;
-  q.schedule_at(SimTime::from_nanos(42), [&] { ran = true; });
+  Recorder rec;
+  q.schedule_timer(SimTime::from_nanos(42), &rec, 1, 0);
   q.run();  // default deadline = far_future(): drain, don't advance past
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(rec.fired.size(), 1u);
   EXPECT_EQ(q.now(), SimTime::from_nanos(42));
 }
 
-TEST(EventEngineTest, TypedKindsInterleaveWithClosuresBySequence) {
+TEST(EventEngineTest, KindsInterleaveBySequence) {
   EventQueue q;
-  RecordingSink sink;
-  q.bind_sink(&sink);
-  CountingTimer timer;
-  std::vector<int> order;
+  Recorder rec;
+  q.bind_sink(&rec);
 
-  // All four kinds at the same timestamp: execution must follow
-  // scheduling order exactly (the seq tie-break).
+  // Every kind at the same timestamp: execution must follow scheduling
+  // order exactly (the seq tie-break), with the two consecutive
+  // deliveries reaching the sink as one run.
   const auto at = SimTime::from_nanos(100);
-  q.schedule_at(at, [&] { order.push_back(0); });
-  q.schedule_timer(at, &timer, 7, 9);
+  q.schedule_timer(at, &rec, 0, 0);
+  q.schedule_timer(at, &rec, 7, 9);
   Packet pkt;
   pkt.src = Ipv4{10, 0, 0, 1};
   pkt.dst = Ipv4{10, 0, 0, 2};
   pkt.payload = {1, 2, 3};
   q.schedule_deliver(at, std::move(pkt), HostId{5});
+  q.schedule_deliver(at, Packet{}, HostId{6});
   Packet off;
   off.src = Ipv4{10, 0, 0, 3};
   q.schedule_icmp(at, IcmpType::ttl_exceeded, std::move(off), Ipv4{9, 9, 9, 9},
                   Asn{42});
-  q.schedule_at(at, [&] { order.push_back(1); });
+  q.schedule_timer(at, &rec, 1, 0);
 
-  EXPECT_EQ(q.step_batch(), 5u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1}));
-  ASSERT_EQ(timer.fired.size(), 1u);
-  EXPECT_EQ(timer.fired[0], (std::pair<std::uint64_t, std::uint64_t>{7, 9}));
-  ASSERT_EQ(sink.deliveries.size(), 1u);
-  EXPECT_EQ(sink.deliveries[0].host, HostId{5});
-  EXPECT_EQ(sink.deliveries[0].payload, (std::vector<std::uint8_t>{1, 2, 3}));
-  ASSERT_EQ(sink.icmps.size(), 1u);
-  EXPECT_EQ(sink.icmps[0].router, (Ipv4{9, 9, 9, 9}));
-  EXPECT_EQ(sink.icmps[0].origin_as, Asn{42});
+  EXPECT_EQ(q.step_batch(), 6u);
+  EXPECT_EQ(rec.order,
+            (std::vector<std::string>{"timer:0", "timer:7", "deliver:5",
+                                      "deliver:6", "icmp:42", "timer:1"}));
+  EXPECT_EQ(rec.batch_sizes, (std::vector<std::size_t>{2}));
+  EXPECT_EQ(rec.fired[1], (std::pair<std::uint64_t, std::uint64_t>{7, 9}));
+  ASSERT_EQ(rec.deliveries.size(), 2u);
+  EXPECT_EQ(rec.deliveries[0].payload, (std::vector<std::uint8_t>{1, 2, 3}));
+  ASSERT_EQ(rec.icmps.size(), 1u);
+  EXPECT_EQ(rec.icmps[0].router, (Ipv4{9, 9, 9, 9}));
   EXPECT_TRUE(q.empty());
 }
 
 TEST(EventEngineTest, BatchAbsorbsSameTimestampReschedules) {
   EventQueue q;
-  std::vector<int> order;
-  // The first handler schedules two more events "in the past" — they
-  // clamp to the batch timestamp and must run after everything already
-  // pending there, in scheduling order.
-  q.schedule_at(SimTime::from_nanos(50), [&] {
-    order.push_back(0);
-    q.schedule_at(SimTime::from_nanos(10), [&] { order.push_back(2); });
-    q.schedule_at(SimTime::from_nanos(50), [&] { order.push_back(3); });
-  });
-  q.schedule_at(SimTime::from_nanos(50), [&] { order.push_back(1); });
+  Recorder rec;
+  // The first handler schedules two more events, one "in the past" —
+  // both clamp to the batch timestamp and must run after everything
+  // already pending there, in scheduling order.
+  rec.hook = [&](std::uint64_t a) {
+    if (a != 0) return;
+    q.schedule_timer(SimTime::from_nanos(10), &rec, 2, 0);
+    q.schedule_timer(SimTime::from_nanos(50), &rec, 3, 0);
+  };
+  q.schedule_timer(SimTime::from_nanos(50), &rec, 0, 0);
+  q.schedule_timer(SimTime::from_nanos(50), &rec, 1, 0);
   EXPECT_EQ(q.step_batch(), 4u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+  EXPECT_EQ(rec.order, (std::vector<std::string>{"timer:0", "timer:1",
+                                                 "timer:2", "timer:3"}));
   EXPECT_EQ(q.now(), SimTime::from_nanos(50));
+  EXPECT_EQ(q.step_batch(), 0u);  // empty queue: nothing to run
 }
 
 TEST(EventEngineTest, PoolSlotsAreRecycled) {
   EventQueue q;
-  RecordingSink sink;
-  q.bind_sink(&sink);
+  Recorder rec;
+  q.bind_sink(&rec);
   constexpr std::size_t kWave = 64;
   std::size_t high_water = 0;
   for (int cycle = 0; cycle < 10; ++cycle) {
@@ -143,199 +150,42 @@ TEST(EventEngineTest, PoolSlotsAreRecycled) {
   EXPECT_EQ(q.pool_slots(), high_water);
   EXPECT_LE(high_water, kWave);
   EXPECT_EQ(q.free_slots(), q.pool_slots());
-  EXPECT_EQ(sink.deliveries.size(), kWave * 10);
+  EXPECT_EQ(rec.deliveries.size(), kWave * 10);
 }
 
-TEST(EventEngineTest, LegacyModeExecutesTypedSchedulesIdentically) {
-  // The same mixed schedule, run through both engines, must produce
-  // the same execution order and the same clock.
-  auto record = [](bool typed) {
-    EventQueue q;
-    RecordingSink sink;
-    q.bind_sink(&sink);
-    q.set_legacy_mode(!typed);
-    CountingTimer timer;
-    std::vector<std::uint64_t> order;
-    for (std::uint64_t i = 0; i < 16; ++i) {
-      const auto at = SimTime::from_nanos(static_cast<std::int64_t>(
-          (i * 37) % 5));  // clustered timestamps force tie-breaks
-      if (i % 3 == 0) {
-        q.schedule_at(at, [&order, i] { order.push_back(i); });
-      } else if (i % 3 == 1) {
-        q.schedule_timer(at, &timer, i, 0);
-      } else {
-        Packet pkt;
-        pkt.dst = Ipv4{static_cast<std::uint32_t>(i)};
-        q.schedule_deliver(at, std::move(pkt), HostId{1});
-      }
+TEST(EventEngineTest, HandMixedScheduleRunsInTimeThenSequenceOrder) {
+  // Timers and deliveries on clustered timestamps (i * 37 mod 5), so
+  // every timestamp holds a tie: execution is by time, then by
+  // scheduling order, whatever the kind.
+  EventQueue q;
+  Recorder rec;
+  q.bind_sink(&rec);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    const auto at = SimTime::from_nanos(static_cast<std::int64_t>(
+        (i * 37) % 5));
+    if (i % 3 == 2) {
+      q.schedule_deliver(at, Packet{}, static_cast<HostId>(i));
+    } else {
+      q.schedule_timer(at, &rec, i, 0);
     }
-    q.run();
-    for (const auto& [a, b] : timer.fired) order.push_back(a + 1000);
-    for (const auto& d : sink.deliveries) order.push_back(d.dst.value() + 2000);
-    order.push_back(q.now().nanos());
-    order.push_back(q.executed());
-    return order;
-  };
-  EXPECT_EQ(record(/*typed=*/true), record(/*typed=*/false));
-}
-
-// ---------------------------------------------------------------------
-// Simulator-level determinism: typed engine vs legacy closures
-// ---------------------------------------------------------------------
-
-struct TraceRecord {
-  TapEvent ev;
-  std::uint32_t src, dst;
-  int ttl;
-  std::uint16_t sport, dport;
-  auto operator<=>(const TraceRecord&) const = default;
-};
-
-class EchoApp : public App {
- public:
-  explicit EchoApp(Simulator& sim, HostId host) : sim_(&sim), host_(host) {}
-  void on_datagram(const Datagram& dgram) override {
-    SendOptions reply;
-    reply.dst = dgram.src;
-    reply.src_port = dgram.dst_port;
-    reply.dst_port = dgram.src_port;
-    reply.payload = *dgram.payload;
-    sim_->send_udp(host_, std::move(reply));
   }
-
- private:
-  Simulator* sim_;
-  HostId host_;
-};
-
-class NullApp : public App {
- public:
-  void on_datagram(const Datagram&) override {}
-};
-
-struct ScenarioResult {
-  std::vector<TraceRecord> trace;
-  SimCounters counters;
-  std::uint64_t events_executed = 0;
-  std::uint64_t handshakes_rejected = 0;
-  std::int64_t end_nanos = 0;
-};
-
-/// A world exercising every event kind: transparent redirects
-/// (re-injection), low-TTL probes (deferred ICMP), same-timestamp
-/// bursts, echo replies, stream handshake timers, and loss.
-ScenarioResult run_scenario(bool typed_events) {
-  SimConfig cfg;
-  cfg.seed = 99;
-  cfg.loss_rate = 0.02;  // exercises the RNG-coupled drop path
-  // Engine A/B only: the legacy closure engine is scalar-only, so both
-  // runs compare under scalar delivery. Batch-vs-scalar equivalence
-  // (canonical trace digests) is tests/batch_plane_test.cpp's job.
-  cfg.batch_delivery = false;
-  Simulator sim(cfg);
-  sim.set_typed_events_enabled(typed_events);
-  auto& net = sim.net();
-
-  auto add_as = [&](Asn asn, int hops, bool sav) {
-    AsConfig as;
-    as.asn = asn;
-    as.internal_hops = hops;
-    as.source_address_validation = sav;
-    net.add_as(as);
-  };
-  add_as(1, 1, true);
-  add_as(2, 2, true);
-  add_as(3, 1, false);  // forwarder AS: SAV-free, as deployed TFs are
-  add_as(4, 3, true);
-  net.link(1, 2);
-  net.link(2, 3);
-  net.link(2, 4);
-  net.announce(1, Prefix{Ipv4{10, 1, 0, 0}, 16});
-  net.announce(3, Prefix{Ipv4{10, 3, 0, 0}, 16});
-  net.announce(4, Prefix{Ipv4{10, 4, 0, 0}, 16});
-
-  const HostId scanner = net.add_host(1, {Ipv4{10, 1, 0, 1}});
-  const HostId fwd = net.add_host(3, {Ipv4{10, 3, 0, 1}});
-  const HostId resolver = net.add_host(4, {Ipv4{10, 4, 0, 1}});
-  const HostId server = net.add_host(4, {Ipv4{10, 4, 0, 2}});
-
-  NullApp scanner_app;
-  sim.bind_udp_wildcard(scanner, &scanner_app);
-  EchoApp resolver_app(sim, resolver);
-  sim.bind_udp(resolver, 53, &resolver_app);
-  // Transparent forwarder: relays port-53 arrivals to the resolver.
-  sim.add_port_redirect(fwd, 53, Ipv4{10, 4, 0, 1});
-
-  ScenarioResult r;
-  sim.add_tap([&r](TapEvent ev, const Packet& p) {
-    r.trace.push_back(TraceRecord{ev, p.src.value(), p.dst.value(), p.ttl,
-                                  p.src_port, p.dst_port});
-  });
-
-  // Stream handshakes: one accepted (direct), one timed out (through
-  // the forwarder — the §6 property), both driven by typed timers.
-  StreamCallbacks client_cbs;
-  StreamEndpoint client(sim, scanner, client_cbs);
-  StreamCallbacks server_cbs;
-  StreamEndpoint dot(sim, server, server_cbs);
-  dot.listen(853);
-  client.connect(Ipv4{10, 4, 0, 2}, 853);   // direct: completes
-  client.connect(Ipv4{10, 3, 0, 1}, 53);    // via TF: must time out
-
-  // Same-timestamp probe bursts, mixed TTLs (some expire mid-path).
-  for (int burst = 0; burst < 4; ++burst) {
-    for (int i = 0; i < 32; ++i) {
-      SendOptions probe;
-      probe.dst = (i % 2 == 0) ? Ipv4{10, 3, 0, 1} : Ipv4{10, 4, 0, 1};
-      probe.src_port = static_cast<std::uint16_t>(30000 + i);
-      probe.dst_port = 53;
-      probe.ttl = (i % 5 == 0) ? 2 : 64;  // TTL 2 dies on the path
-      probe.payload = {0xAB, static_cast<std::uint8_t>(i)};
-      sim.send_udp(scanner, std::move(probe));
-    }
-    sim.run_for(Duration::millis(5));
-  }
-  sim.run();
-  sim.run_until(sim.now() + Duration::seconds(5));  // fire the timeouts
-  sim.run();
-
-  r.counters = sim.counters();
-  r.events_executed = sim.events_executed();
-  r.handshakes_rejected = client.handshakes_rejected();
-  r.end_nanos = sim.now().nanos();
-  return r;
+  q.run();
+  EXPECT_EQ(rec.order,
+            (std::vector<std::string>{
+                "timer:0", "deliver:5", "timer:10", "timer:15",  // t = 0
+                "timer:3", "deliver:8", "timer:13",              // t = 1
+                "timer:1", "timer:6", "deliver:11",              // t = 2
+                "timer:4", "timer:9", "deliver:14",              // t = 3
+                "deliver:2", "timer:7", "timer:12"}));           // t = 4
+  EXPECT_EQ(q.now(), SimTime::from_nanos(4));
+  EXPECT_EQ(q.executed(), 16u);
 }
 
-TEST(EventEngineDeterminismTest, TypedMatchesLegacyByteForByte) {
-  const ScenarioResult typed = run_scenario(true);
-  const ScenarioResult legacy = run_scenario(false);
-
-  EXPECT_FALSE(typed.trace.empty());
-  EXPECT_EQ(typed.trace, legacy.trace);
-  EXPECT_EQ(typed.events_executed, legacy.events_executed);
-  EXPECT_EQ(typed.end_nanos, legacy.end_nanos);
-  EXPECT_EQ(typed.handshakes_rejected, legacy.handshakes_rejected);
-  EXPECT_EQ(typed.handshakes_rejected, 1u);
-
-  EXPECT_EQ(typed.counters.sent, legacy.counters.sent);
-  EXPECT_EQ(typed.counters.delivered, legacy.counters.delivered);
-  EXPECT_EQ(typed.counters.dropped_sav, legacy.counters.dropped_sav);
-  EXPECT_EQ(typed.counters.dropped_loss, legacy.counters.dropped_loss);
-  EXPECT_EQ(typed.counters.dropped_no_route, legacy.counters.dropped_no_route);
-  EXPECT_EQ(typed.counters.ttl_expired, legacy.counters.ttl_expired);
-  EXPECT_EQ(typed.counters.icmp_generated, legacy.counters.icmp_generated);
-  EXPECT_EQ(typed.counters.redirected, legacy.counters.redirected);
-  // The scenario must actually exercise the interesting paths.
-  EXPECT_GT(typed.counters.redirected, 0u);
-  EXPECT_GT(typed.counters.ttl_expired, 0u);
-  EXPECT_GT(typed.counters.icmp_generated, 0u);
-}
-
-TEST(EventEngineDeterminismTest, SameSeedSameTraceOnTypedEngine) {
-  const ScenarioResult a = run_scenario(true);
-  const ScenarioResult b = run_scenario(true);
-  EXPECT_EQ(a.trace, b.trace);
-  EXPECT_EQ(a.events_executed, b.events_executed);
+TEST(EventEngineTest, NullTimerTargetIsRejected) {
+  EventQueue q;
+  EXPECT_THROW(q.schedule_timer(SimTime::from_nanos(1), nullptr, 0, 0),
+               std::invalid_argument);
+  EXPECT_TRUE(q.empty());
 }
 
 }  // namespace

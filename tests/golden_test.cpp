@@ -13,6 +13,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -68,21 +69,15 @@ class Fnv {
     for (const char c : s) add(static_cast<std::uint8_t>(c));
     return *this;
   }
+  Fnv& add(std::initializer_list<std::uint64_t> values) {
+    for (const std::uint64_t v : values) add(v);
+    return *this;
+  }
   Fnv& add(const SimCounters& c) {
-    return add(c.sent)
-        .add(c.delivered)
-        .add(c.dropped_sav)
-        .add(c.dropped_loss)
-        .add(c.dropped_no_route)
-        .add(c.ttl_expired)
-        .add(c.icmp_generated)
-        .add(c.redirected)
-        .add(c.dropped_outage)
-        .add(c.jittered)
-        .add(c.reordered)
-        .add(c.duplicated)
-        .add(c.corrupted)
-        .add(c.icmp_unreachable_suppressed);
+    return add({c.sent, c.delivered, c.dropped_sav, c.dropped_loss,
+                c.dropped_no_route, c.ttl_expired, c.icmp_generated,
+                c.redirected, c.dropped_outage, c.jittered, c.reordered,
+                c.duplicated, c.corrupted, c.icmp_unreachable_suppressed});
   }
   [[nodiscard]] std::string hex() const { return odns::hex(h_); }
 
@@ -95,21 +90,11 @@ class Fnv {
 std::string report_digest(const core::DegradationReport& r) {
   const scan::ScannerStats& s = r.scan;
   return Fnv()
-      .add(r.targets_probed)
-      .add(r.targets_answered)
-      .add(r.ases_probed)
-      .add(r.ases_degraded)
-      .add(r.ases_dark)
-      .add(s.probes_sent)
-      .add(s.probes_retried)
-      .add(s.responses_received)
-      .add(s.responses_unmatched)
-      .add(s.responses_duplicate)
-      .add(s.responses_late)
-      .add(s.parse_errors)
-      .add(s.responses_corrupt)
-      .add(s.icmp_errors)
-      .add(r.trace_dropped)
+      .add({r.targets_probed, r.targets_answered, r.ases_probed,
+            r.ases_degraded, r.ases_dark, s.probes_sent, s.probes_retried,
+            s.responses_received, s.responses_unmatched,
+            s.responses_duplicate, s.responses_late, s.parse_errors,
+            s.responses_corrupt, s.icmp_errors, r.trace_dropped})
       .add(r.net)
       .hex();
 }
@@ -215,10 +200,9 @@ std::string path_digest(const std::vector<dnsroute::TracePath>& paths) {
     for (const auto& hop : p.hops) {
       d.add(hop.responded ? 1 : 0).add(hop.addr.value());
     }
-    d.add(static_cast<std::uint64_t>(p.target_distance))
-        .add(p.got_answer ? 1 : 0)
-        .add(p.resolver.value())
-        .add(static_cast<std::uint64_t>(p.answer_ttl));
+    d.add({static_cast<std::uint64_t>(p.target_distance),
+           p.got_answer ? 1u : 0u, p.resolver.value(),
+           static_cast<std::uint64_t>(p.answer_ttl)});
   }
   return d.hex();
 }
@@ -362,8 +346,8 @@ SimFingerprint run_event_scenario() {
   fp.trace = hex(sim.canonical_trace_digest());
   fp.outputs = Fnv()
                    .add(sim.counters())
-                   .add(client.handshakes_rejected())
-                   .add(static_cast<std::uint64_t>(sim.now().nanos()))
+                   .add({client.handshakes_rejected(),
+                         static_cast<std::uint64_t>(sim.now().nanos())})
                    .hex();
   fp.events = sim.events_executed();
   return fp;
@@ -415,11 +399,10 @@ SimFingerprint run_mini_scan(const SimConfig& cfg) {
   Fnv outputs;
   outputs.add(world.sim.counters());
   for (const auto& t : scanner.correlate()) {
-    outputs.add(t.target.value())
-        .add(t.answered ? 1 : 0)
-        .add(t.response_src.value())
-        .add(static_cast<std::uint64_t>(t.rtt.count_nanos()))
-        .add(static_cast<std::uint64_t>(t.rcode));
+    outputs.add({t.target.value(), t.answered ? 1u : 0u,
+                 t.response_src.value(),
+                 static_cast<std::uint64_t>(t.rtt.count_nanos()),
+                 static_cast<std::uint64_t>(t.rcode)});
     for (const auto a : t.answer_addrs) outputs.add(a.value());
   }
   SimFingerprint fp;
@@ -456,7 +439,7 @@ TEST(GoldenNetsim, MiniScanMatchesTheRecordedRowOnOneAndEightShards) {
 }
 
 std::vector<std::string> txt_filler(std::size_t bytes) {
-  static constexpr char kPattern[] = "batch-plane-test-filler/";
+  static constexpr char kPattern[] = "golden-amplification-txt/";
   std::vector<std::string> strings;
   std::string chunk;
   for (std::size_t i = 0; i < bytes; ++i) {
@@ -515,27 +498,18 @@ SimFingerprint run_amplification(const SimConfig& cfg, bool rrl_on) {
   Fnv outputs;
   outputs.add(world.sim.counters());
   for (const auto& i : campaign.injections()) {
-    outputs.add(static_cast<std::uint64_t>(i.at.nanos()))
-        .add(i.victim.value())
-        .add(i.reflector.value())
-        .add(i.attacker_as)
-        .add(i.src_port)
-        .add(i.txid)
-        .add(i.bytes);
+    outputs.add({static_cast<std::uint64_t>(i.at.nanos()), i.victim.value(),
+                 i.reflector.value(), i.attacker_as, i.src_port, i.txid,
+                 i.bytes});
   }
   for (const auto& r : campaign.merged_reflections()) {
-    outputs.add(static_cast<std::uint64_t>(r.at.nanos()))
-        .add(r.victim.value())
-        .add(r.src.value())
-        .add(r.src_port)
-        .add(r.dst_port)
-        .add(r.bytes)
-        .add(r.truncated ? 1 : 0);
+    outputs.add({static_cast<std::uint64_t>(r.at.nanos()), r.victim.value(),
+                 r.src.value(), r.src_port, r.dst_port, r.bytes,
+                 r.truncated ? 1u : 0u});
   }
   if (const auto* rrl = world.resolver->rrl()) {
-    outputs.add(rrl->stats().passed)
-        .add(rrl->stats().slipped)
-        .add(rrl->stats().dropped);
+    outputs.add(
+        {rrl->stats().passed, rrl->stats().slipped, rrl->stats().dropped});
   }
   SimFingerprint fp;
   fp.trace = hex(world.sim.canonical_trace_digest());

@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <stdexcept>
+
 #include "netsim/event_queue.hpp"
 #include "netsim/sim.hpp"
+#include "util/rng.hpp"
 
 namespace odns::netsim {
 namespace {
@@ -15,60 +19,71 @@ using util::SimTime;
 // EventQueue
 // ---------------------------------------------------------------------
 
+/// Test timer: records each firing's first argument word; `hook` lets
+/// a handler schedule further events.
+class RecordingTimer : public TimerTarget {
+ public:
+  void on_timer(std::uint64_t a, std::uint64_t) override {
+    fired.push_back(static_cast<int>(a));
+    if (hook) hook(a);
+  }
+  std::vector<int> fired;
+  std::function<void(std::uint64_t)> hook;
+};
+
 TEST(EventQueueTest, ExecutesInTimeOrder) {
   EventQueue q;
-  std::vector<int> order;
-  q.schedule_at(SimTime::from_nanos(30), [&] { order.push_back(3); });
-  q.schedule_at(SimTime::from_nanos(10), [&] { order.push_back(1); });
-  q.schedule_at(SimTime::from_nanos(20), [&] { order.push_back(2); });
+  RecordingTimer t;
+  q.schedule_timer(SimTime::from_nanos(30), &t, 3, 0);
+  q.schedule_timer(SimTime::from_nanos(10), &t, 1, 0);
+  q.schedule_timer(SimTime::from_nanos(20), &t, 2, 0);
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(t.fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueueTest, TiesBreakByInsertionOrder) {
   EventQueue q;
-  std::vector<int> order;
+  RecordingTimer t;
   for (int i = 0; i < 5; ++i) {
-    q.schedule_at(SimTime::from_nanos(100), [&order, i] { order.push_back(i); });
+    q.schedule_timer(SimTime::from_nanos(100), &t, i, 0);
   }
   q.run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(t.fired, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(EventQueueTest, PastEventsClampToNow) {
   EventQueue q;
-  bool ran = false;
-  q.schedule_at(SimTime::from_nanos(100), [&] {
-    q.schedule_at(SimTime::from_nanos(50), [&] { ran = true; });
-  });
+  RecordingTimer t;
+  t.hook = [&](std::uint64_t a) {
+    if (a == 0) q.schedule_timer(SimTime::from_nanos(50), &t, 1, 0);
+  };
+  q.schedule_timer(SimTime::from_nanos(100), &t, 0, 0);
   q.run();
-  EXPECT_TRUE(ran);
+  EXPECT_EQ(t.fired, (std::vector<int>{0, 1}));
   EXPECT_EQ(q.now().nanos(), 100);
 }
 
 TEST(EventQueueTest, RunRespectsDeadline) {
   EventQueue q;
-  int count = 0;
-  q.schedule_at(SimTime::from_nanos(10), [&] { ++count; });
-  q.schedule_at(SimTime::from_nanos(1000), [&] { ++count; });
+  RecordingTimer t;
+  q.schedule_timer(SimTime::from_nanos(10), &t, 0, 0);
+  q.schedule_timer(SimTime::from_nanos(1000), &t, 1, 0);
   q.run(SimTime::from_nanos(100));
-  EXPECT_EQ(count, 1);
+  EXPECT_EQ(t.fired.size(), 1u);
   EXPECT_EQ(q.now(), SimTime::from_nanos(100));
   q.run();
-  EXPECT_EQ(count, 2);
+  EXPECT_EQ(t.fired.size(), 2u);
 }
 
 TEST(EventQueueTest, EventsCanScheduleEvents) {
   EventQueue q;
-  int depth = 0;
-  std::function<void()> recurse = [&] {
-    if (++depth < 10) {
-      q.schedule_at(q.now() + Duration::nanos(1), recurse);
-    }
+  RecordingTimer t;
+  t.hook = [&](std::uint64_t a) {
+    if (a + 1 < 10) q.schedule_timer(q.now() + Duration::nanos(1), &t, a + 1, 0);
   };
-  q.schedule_at(SimTime::origin(), recurse);
+  q.schedule_timer(SimTime::origin(), &t, 0, 0);
   q.run();
-  EXPECT_EQ(depth, 10);
+  EXPECT_EQ(t.fired.size(), 10u);
 }
 
 // ---------------------------------------------------------------------
@@ -547,6 +562,42 @@ TEST_F(NetworkFixture, TapObservesEvents) {
   ASSERT_EQ(events.size(), 2u);
   EXPECT_EQ(events[0], TapEvent::sent);
   EXPECT_EQ(events[1], TapEvent::delivered);
+}
+
+// ---------------------------------------------------------------------
+// API contract checks: always on, whatever the build type
+// ---------------------------------------------------------------------
+
+TEST(SimulatorContract, ShardedConfigNeedsPositiveHopLatency) {
+  SimConfig cfg;
+  cfg.shards = 4;
+  cfg.hop_latency = Duration::nanos(0);
+  EXPECT_THROW(Simulator{cfg}, std::invalid_argument);
+  cfg.hop_latency = Duration::nanos(-5);
+  EXPECT_THROW(Simulator{cfg}, std::invalid_argument);
+  cfg.shards = 1;  // no window barrier, no constraint
+  EXPECT_NO_THROW(Simulator{cfg});
+}
+
+TEST_F(NetworkFixture, BindingANullAppThrows) {
+  EXPECT_THROW(sim_.bind_udp(c_, 53, nullptr), std::invalid_argument);
+}
+
+TEST(SimulatorContract, TapsAreRejectedOnShardedSimulators) {
+  SimConfig cfg;
+  cfg.shards = 2;
+  Simulator sim(cfg);
+  EXPECT_THROW(sim.add_tap([](TapEvent, const Packet&) {}), std::logic_error);
+}
+
+TEST_F(NetworkFixture, VantageCaptureNeedsMembersAndAnOwnedAddress) {
+  EXPECT_THROW(sim_.set_vantage_capture(Ipv4{10, 1, 0, 1}, {}),
+               std::invalid_argument);
+  EXPECT_THROW(sim_.set_vantage_capture(Ipv4{10, 9, 9, 9}, {c_}),
+               std::invalid_argument);
+  EXPECT_FALSE(sim_.vantage_capture_active());
+  sim_.set_vantage_capture(Ipv4{10, 1, 0, 1}, {c_});
+  EXPECT_TRUE(sim_.vantage_capture_active());
 }
 
 }  // namespace
