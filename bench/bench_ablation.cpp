@@ -9,9 +9,9 @@
 //     transparent device: why the phenomenon is UDP-only (§6).
 
 #include "bench_common.hpp"
+#include "honeypot/lab.hpp"
 #include "nodes/dot.hpp"
 #include "nodes/forwarder.hpp"
-#include "scan/txscanner.hpp"
 
 using namespace odns;
 
@@ -25,21 +25,22 @@ void ablation_correlation(const bench::BenchArgs& args) {
   auto world = topo::TopologyBuilder::build(cfg);
   scan::ScanConfig sc;
   sc.qname = world->scan_name();
-  scan::TransactionalScanner scanner(world->sim(), world->scanner_host(), sc);
+  const auto scanner =
+      honeypot::single_host_scanner(world->sim(), world->scanner_host(), sc);
   const auto targets = world->scan_targets();
-  scanner.start(targets);
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  scanner->start(targets);
+  scanner->run_to_completion();
 
+  // Counted before correlate(), which drains the capture buffer.
   const std::unordered_set<util::Ipv4> probed(targets.begin(), targets.end());
   std::uint64_t answered = 0;
   std::uint64_t ip_attributable = 0;
-  for (const auto& rec : scanner.capture()) {
+  for (const auto& rec : scanner->capture_of(0)) {
     ++answered;
     if (probed.contains(rec.src)) ++ip_attributable;
   }
   std::uint64_t tuple_attributed = 0;
-  for (const auto& txn : txns) {
+  for (const auto& txn : scanner->correlate()) {
     if (txn.answered) ++tuple_attributed;
   }
   util::Table t({"Matching strategy", "Responses attributed", "Share"});
@@ -76,10 +77,10 @@ void ablation_cache_pollution(const bench::BenchArgs& args) {
         return *dnswire::Name::parse(label + ".q.odns-study.net");
       };
     }
-    scan::TransactionalScanner scanner(world->sim(), world->scanner_host(),
-                                       sc);
-    scanner.start(world->scan_targets());
-    scanner.run_to_completion();
+    const auto scanner =
+        honeypot::single_host_scanner(world->sim(), world->scanner_host(), sc);
+    scanner->start(world->scan_targets());
+    scanner->run_to_completion();
     return world->aggregate_resolver_cache_stats();
   };
   const auto static_name = run(false);
@@ -126,10 +127,11 @@ void ablation_transport(const bench::BenchArgs& args) {
   // UDP probe from the scanner.
   scan::ScanConfig sc;
   sc.qname = world->scan_name();
-  scan::TransactionalScanner scanner(world->sim(), world->scanner_host(), sc);
-  scanner.start({device_addr});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  const auto scanner =
+      honeypot::single_host_scanner(world->sim(), world->scanner_host(), sc);
+  scanner->start({device_addr});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
 
   // DoT query from a client host.
   const auto client = net.add_host(gt.asn, {util::Ipv4{203, 0, 113, 2}});

@@ -4,8 +4,8 @@
 // to the right probe — IP-based matching is shown failing.
 
 #include "bench_common.hpp"
+#include "honeypot/lab.hpp"
 #include "nodes/forwarder.hpp"
-#include "scan/txscanner.hpp"
 #include "topo/deployment.hpp"
 
 using namespace odns;
@@ -40,14 +40,17 @@ int main(int argc, char** argv) {
 
   scan::ScanConfig sc;
   sc.qname = world->scan_name();
-  scan::TransactionalScanner scanner(world->sim(), world->scanner_host(), sc);
-  scanner.start({fwd1, fwd2});
-  scanner.run_to_completion();
+  const auto scanner =
+      honeypot::single_host_scanner(world->sim(), world->scanner_host(), sc);
+  scanner->start({fwd1, fwd2});
+  scanner->run_to_completion();
+  // Copied before correlate(), which drains the capture buffer.
+  const std::vector<scan::RawResponse> capture_log = scanner->capture_of(0);
 
   std::cout << "Probe log:\n";
   util::Table probes({"#", "Target", "Src port", "TXID"});
-  for (std::size_t i = 0; i < scanner.probes().size(); ++i) {
-    const auto& p = scanner.probes()[i];
+  for (std::size_t i = 0; i < scanner->probes().size(); ++i) {
+    const auto& p = scanner->probes()[i];
     probes.add_row({std::to_string(i + 1), p.target.to_string(),
                     std::to_string(p.src_port), std::to_string(p.txid)});
   }
@@ -55,8 +58,8 @@ int main(int argc, char** argv) {
 
   std::cout << "\nCapture log (the scanner's dumpcap view):\n";
   util::Table capture({"#", "Response src", "Dst port", "TXID", "A records"});
-  for (std::size_t i = 0; i < scanner.capture().size(); ++i) {
-    const auto& r = scanner.capture()[i];
+  for (std::size_t i = 0; i < capture_log.size(); ++i) {
+    const auto& r = capture_log[i];
     std::string addrs;
     for (const auto a : r.answer_addrs) {
       if (!addrs.empty()) addrs += " ";
@@ -72,7 +75,7 @@ int main(int argc, char** argv) {
   util::Table txns({"Target", "Response src", "Classified as"});
   classify::ClassifyConfig cc;
   cc.control_addr = world->control_addr();
-  for (const auto& txn : scanner.correlate()) {
+  for (const auto& txn : scanner->correlate()) {
     txns.add_row({txn.target.to_string(), txn.response_src.to_string(),
                   classify::to_string(classify::classify_one(txn, cc))});
   }
@@ -81,8 +84,8 @@ int main(int argc, char** argv) {
   // The counterfactual: IP-only matching cannot attribute either
   // response (both sources identical, neither equals a probed target).
   std::size_t ip_matchable = 0;
-  for (const auto& r : scanner.capture()) {
-    for (const auto& p : scanner.probes()) {
+  for (const auto& r : capture_log) {
+    for (const auto& p : scanner->probes()) {
       if (p.target == r.src) {
         ++ip_matchable;
         break;
@@ -90,7 +93,7 @@ int main(int argc, char** argv) {
     }
   }
   std::cout << "\nIP-only matching would attribute " << ip_matchable
-            << " of " << scanner.capture().size()
+            << " of " << capture_log.size()
             << " responses (tuple matching attributed all, unambiguously).\n";
   bench::print_paper_note(
       "Appendix Fig. 7: both responses arrive from the resolver's address; "

@@ -5,13 +5,14 @@
 
 #include <benchmark/benchmark.h>
 
+#include <unordered_map>
+
 #include "dnswire/arena.hpp"
 #include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "netsim/event_queue.hpp"
 #include "nodes/cache.hpp"
 #include "registry/registry.hpp"
-#include "scan/txscanner.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -1,4 +1,4 @@
-// Netsim hot-path benchmark: nine A/B workloads, each measuring one
+// Netsim hot-path benchmark: eight A/B workloads, each measuring one
 // fast path against its baseline on the same traffic.
 //
 // Route-cache workloads (Network route cache disabled vs. enabled):
@@ -88,12 +88,9 @@
 #include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
-#include "honeypot/lab.hpp"
 #include "netsim/sim.hpp"
 #include "nodes/forwarder.hpp"
 #include "scan/amplification.hpp"
-#include "scan/txscanner.hpp"
-#include "scan/vantage.hpp"
 #include "util/hash.hpp"
 #include "util/ipv4.hpp"
 
@@ -540,15 +537,6 @@ struct WorkloadReport {
   double sharded_wall_pps = 0.0;
   std::uint64_t mailbox_in = 0;
   std::uint64_t mailbox_overflows = 0;
-  // multi_vantage_census row only: vantage count, the scanner shard's
-  // busy time as a share of the busiest shard's in both modes, and
-  // whether the scanner shard is still the critical path with the
-  // vantage set active (the acceptance point: it must not be).
-  bool has_vantage_stats = false;
-  std::uint32_t vantages = 0;
-  double scanner_busy_share_single = 0.0;
-  double scanner_busy_share_multi = 0.0;
-  bool scanner_is_max_busy_multi = false;
   // million_host_census row only: the world size, the memory
   // high-water marks (process VmHWM and the streaming correlator's
   // pending window), and the census-table hash both executions must
@@ -676,199 +664,6 @@ WorkloadReport bench_sharded_workload(const Opts& opts,
       baseline.base.counters == fast.base.counters &&
       fast.base.counters == fast_threaded.base.counters &&
       baseline.base.route_hash == fast.base.route_hash;
-  return rep;
-}
-
-// --- multi-vantage census workload ----------------------------------
-
-/// Shard count of the multi_vantage_census row. Fixed at 8: the
-/// acceptance point is that the single-vantage scanner shard is the
-/// structural critical path on a serving-light workload at 8 shards,
-/// and the vantage set lifts it.
-constexpr std::uint32_t kVantageShards = 8;
-
-/// Serving-light world for the multi-vantage row: every non-vantage AS
-/// hosts one DnsResponder answering directly (no forwarder relay), so
-/// per-target serving work is minimal and the scan-side work — probe
-/// encode + pacing + capture decode — dominates. In single-vantage
-/// mode all of that lands on the scanner's shard.
-struct VantageWorld {
-  std::unique_ptr<Simulator> sim;
-  HostId scanner = netsim::kInvalidHost;
-  Ipv4 scanner_addr;
-  std::vector<Ipv4> targets;  // one entry per probe (targets repeat)
-  std::vector<std::unique_ptr<DnsResponder>> responders;
-};
-
-VantageWorld build_vantage_world(const Opts& opts, std::uint32_t shards,
-                                 bool threads, std::uint64_t packets) {
-  VantageWorld w;
-  netsim::SimConfig cfg;
-  cfg.seed = opts.seed;
-  cfg.shards = shards;
-  cfg.shard_threads = threads;
-  w.sim = std::make_unique<Simulator>(cfg);
-  auto& net = w.sim->net();
-  for (std::uint32_t i = 1; i <= opts.ases; ++i) {
-    netsim::AsConfig as;
-    as.asn = i;
-    as.internal_hops = opts.hops;
-    as.source_address_validation = false;  // vantages spoof the capture addr
-    net.add_as(as);
-    net.announce(i, Prefix{Ipv4{10, static_cast<std::uint8_t>(i % 250), 0, 0},
-                           16});
-  }
-  for (std::uint32_t i = 1; i <= opts.ases; ++i) {
-    net.link(i, i % opts.ases + 1);  // ring
-    if (i % 7 == 0 && i + opts.ases / 3 <= opts.ases) {
-      net.link(i, i + opts.ases / 3);  // chord
-    }
-  }
-  auto host_addr = [&](std::uint32_t asn, std::uint8_t lo) {
-    return Ipv4{10, static_cast<std::uint8_t>(asn % 250),
-                static_cast<std::uint8_t>(asn / 250), lo};
-  };
-  w.scanner_addr = host_addr(1, 1);
-  w.scanner = net.add_host(1, {w.scanner_addr});
-  std::vector<Ipv4> responder_addrs;
-  for (std::uint32_t asn = 2; asn <= opts.ases; ++asn) {
-    const Ipv4 addr = host_addr(asn, 53);
-    const auto host = net.add_host(asn, {addr});
-    w.responders.push_back(std::make_unique<DnsResponder>(*w.sim, host));
-    w.sim->bind_udp(host, 53, w.responders.back().get());
-    responder_addrs.push_back(addr);
-  }
-  w.targets.reserve(packets);
-  for (std::uint64_t p = 0; p < packets; ++p) {
-    w.targets.push_back(responder_addrs[p % responder_addrs.size()]);
-  }
-  return w;
-}
-
-scan::ScanConfig vantage_scan_config() {
-  scan::ScanConfig sc;
-  sc.qname = *dnswire::Name::parse("scan.odns-study.net");
-  // Census pacing shape, compressed: 1 µs gaps keep hundreds of probes
-  // per lookahead window; a short timeout bounds the drain.
-  sc.probes_per_second = 1000000;
-  sc.timeout = util::Duration::millis(200);
-  sc.drain_settle = util::Duration::millis(10);
-  return sc;
-}
-
-struct VantageRun {
-  RunResult base;
-  double critical_seconds = 0.0;
-  double scanner_busy_share = 0.0;  // scanner shard / busiest shard
-  bool scanner_is_max_busy = false;
-};
-
-void collect_vantage_stats(Simulator& sim, HostId scanner_host,
-                           VantageRun& r) {
-  double max_busy = 0.0;
-  for (std::uint32_t s = 0; s < sim.shard_count(); ++s) {
-    max_busy = std::max(max_busy, sim.shard_stats(s).busy_seconds);
-  }
-  const double scanner_busy =
-      sim.shard_stats(sim.shard_of(scanner_host)).busy_seconds;
-  r.critical_seconds = max_busy;
-  r.scanner_busy_share = max_busy > 0.0 ? scanner_busy / max_busy : 0.0;
-  r.scanner_is_max_busy = scanner_busy >= max_busy;
-}
-
-/// One pass: the full scan (start → run_to_completion) through either
-/// the classic TransactionalScanner (multi_vantage=false) or a
-/// VantageSet with one capture host per shard.
-VantageRun run_vantage_workload(const Opts& opts, bool multi_vantage,
-                                std::uint32_t shards, bool traced,
-                                std::uint64_t packets, bool threads = false) {
-  VantageWorld w = build_vantage_world(opts, shards, threads, packets);
-  auto& sim = *w.sim;
-  if (traced) sim.set_packet_trace_enabled(true);
-  VantageRun r;
-  const auto t0 = std::chrono::steady_clock::now();
-  if (multi_vantage) {
-    scan::VantageSet set(
-        sim, vantage_scan_config(), w.scanner_addr,
-        honeypot::attach_capture_vantages(sim.net(), /*mirror_as=*/1,
-                                          kVantageShards));
-    set.start(w.targets);
-    set.run_to_completion();
-  } else {
-    scan::TransactionalScanner scanner(sim, w.scanner, vantage_scan_config());
-    scanner.start(w.targets);
-    scanner.run_to_completion();
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.base.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.base.counters = sim.counters();
-  if (traced) r.base.trace_hash = sim.canonical_trace_digest();
-  hash_routes(sim, w.targets, r.base);
-  if (shards > 1) {
-    collect_vantage_stats(sim, w.scanner, r);
-  } else {
-    r.critical_seconds = r.base.seconds;
-    r.scanner_busy_share = 1.0;
-    r.scanner_is_max_busy = true;
-  }
-  return r;
-}
-
-/// The multi_vantage_census row: single-vantage vs. multi-vantage on
-/// the same serving-light world at 8 shards. Both sides are measured
-/// as the parallel critical path from the sequential scheduler (max
-/// per-shard CPU busy seconds, unpolluted by time-slicing); wall clock
-/// of the threaded multi-vantage run is recorded alongside.
-/// Determinism compares the 8-shard multi-vantage run against the
-/// 1-shard *single-vantage* engine — the cross-architecture equality
-/// the multi-vantage census promises.
-WorkloadReport bench_multi_vantage_workload(const Opts& opts) {
-  constexpr int kRepeats = 3;
-  WorkloadReport rep;
-  rep.name = "multi_vantage_census";
-  rep.baseline_label = "single_vantage";
-  rep.fast_label = "multi_vantage";
-  rep.has_shard_stats = true;
-  rep.has_vantage_stats = true;
-  rep.shards = kVantageShards;
-  rep.vantages = kVantageShards;
-  VantageRun baseline, fast, fast_threaded;
-  for (int rep_i = 0; rep_i < kRepeats; ++rep_i) {
-    auto b = run_vantage_workload(opts, false, kVantageShards, false,
-                                  opts.packets);
-    auto f = run_vantage_workload(opts, true, kVantageShards, false,
-                                  opts.packets);
-    auto ft = run_vantage_workload(opts, true, kVantageShards, false,
-                                   opts.packets, /*threads=*/true);
-    if (rep_i == 0 || b.critical_seconds < baseline.critical_seconds) {
-      baseline = std::move(b);
-    }
-    if (rep_i == 0 || f.critical_seconds < fast.critical_seconds) {
-      fast = std::move(f);
-    }
-    if (rep_i == 0 || ft.base.seconds < fast_threaded.base.seconds) {
-      fast_threaded = std::move(ft);
-    }
-  }
-  rep.baseline_pps =
-      static_cast<double>(opts.packets) / baseline.critical_seconds;
-  rep.fast_pps = static_cast<double>(opts.packets) / fast.critical_seconds;
-  rep.speedup = rep.fast_pps / rep.baseline_pps;
-  rep.sharded_wall_pps =
-      static_cast<double>(opts.packets) / fast_threaded.base.seconds;
-  rep.scanner_busy_share_single = baseline.scanner_busy_share;
-  rep.scanner_busy_share_multi = fast.scanner_busy_share;
-  rep.scanner_is_max_busy_multi = fast.scanner_is_max_busy;
-  const std::uint64_t vpackets = std::min<std::uint64_t>(opts.packets, 30000);
-  const auto vb = run_vantage_workload(opts, false, 1, true, vpackets);
-  const auto vf =
-      run_vantage_workload(opts, true, kVantageShards, true, vpackets);
-  rep.identical = vb.base.counters == vf.base.counters &&
-                  vb.base.trace_hash == vf.base.trace_hash &&
-                  vb.base.route_hash == vf.base.route_hash &&
-                  baseline.base.counters == fast.base.counters &&
-                  fast.base.counters == fast_threaded.base.counters &&
-                  baseline.base.route_hash == fast.base.route_hash;
   return rep;
 }
 
@@ -1143,7 +938,6 @@ CensusRun run_million_census(const Opts& opts, std::uint32_t shards) {
   cfg.topology.sim.shard_threads = false;
   cfg.sim_shards = shards;
   cfg.shard_interleaved_targets = true;
-  cfg.vantages = shards;
   cfg.streaming_correlation = true;
   cfg.retain_transactions = false;
   cfg.scan_timeout = util::Duration::seconds(2);
@@ -1241,7 +1035,6 @@ CensusRun run_faulted_census(const Opts& opts, std::uint32_t shards,
   cfg.topology.sim.faults.corrupt_rate = 0.05;
   cfg.sim_shards = shards;
   cfg.shard_interleaved_targets = true;
-  cfg.vantages = shards;
   cfg.streaming_correlation = true;
   cfg.retain_transactions = false;
   cfg.scan_timeout = util::Duration::seconds(2);
@@ -1341,7 +1134,7 @@ void print_report(const WorkloadReport& r) {
     std::cout << "  cache:    " << r.cache_hits << " hits / "
               << r.cache_misses << " misses\n";
   }
-  if (r.has_shard_stats && !r.has_vantage_stats) {
+  if (r.has_shard_stats) {
     std::cout << "  shards:   " << r.shards << " (wall "
               << static_cast<std::uint64_t>(r.sharded_wall_pps) << unit
               << ", mailbox " << r.mailbox_in << " msgs, "
@@ -1363,15 +1156,6 @@ void print_report(const WorkloadReport& r) {
               << "% -> " << r.coverage_loss1_r2 * 100.0
               << "% with retries; loss 5% " << r.coverage_loss5_r0 * 100.0
               << "% -> " << r.coverage_loss5_r2 * 100.0 << "%\n";
-  }
-  if (r.has_vantage_stats) {
-    std::cout << "  shards:   " << r.shards << " / vantages " << r.vantages
-              << " (wall " << static_cast<std::uint64_t>(r.sharded_wall_pps)
-              << " pkts/s)\n"
-              << "  scanner shard busy share: " << r.scanner_busy_share_single
-              << " -> " << r.scanner_busy_share_multi << " (max-busy: "
-              << (r.scanner_is_max_busy_multi ? "STILL SCANNER" : "no")
-              << ")\n";
   }
   std::cout << "  determinism (counters + trace + router hops): "
             << (r.identical ? "identical" : "MISMATCH") << "\n\n";
@@ -1400,7 +1184,7 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
       out << ", \"cache_hits\": " << r.cache_hits
           << ", \"cache_misses\": " << r.cache_misses;
     }
-    if (r.has_shard_stats && !r.has_vantage_stats) {
+    if (r.has_shard_stats) {
       out << ", \"shards\": " << r.shards << ", \"sharded_wall_pps\": "
           << static_cast<std::uint64_t>(r.sharded_wall_pps)
           << ", \"mailbox_msgs\": " << r.mailbox_in
@@ -1425,15 +1209,6 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
           << ", \"coverage_loss5_retries0\": " << r.coverage_loss5_r0
           << ", \"coverage_loss5_retries2\": " << r.coverage_loss5_r2;
     }
-    if (r.has_vantage_stats) {
-      out << ", \"shards\": " << r.shards << ", \"vantages\": " << r.vantages
-          << ", \"multi_vantage_wall_pps\": "
-          << static_cast<std::uint64_t>(r.sharded_wall_pps)
-          << ", \"scanner_busy_share_single\": " << r.scanner_busy_share_single
-          << ", \"scanner_busy_share_multi\": " << r.scanner_busy_share_multi
-          << ", \"scanner_is_max_busy_multi\": "
-          << (r.scanner_is_max_busy_multi ? "true" : "false");
-    }
     out << ", \"deterministic\": " << (r.identical ? "true" : "false")
         << "}" << (i + 1 < reps.size() ? "," : "") << "\n";
   }
@@ -1456,7 +1231,6 @@ int main(int argc, char** argv) {
                                         /*relay=*/false));
   reps.push_back(bench_sharded_workload(opts, "sharded_cross_shard_relay",
                                         /*relay=*/true));
-  reps.push_back(bench_multi_vantage_workload(opts));
   reps.push_back(bench_amplification_workload(opts));
   reps.push_back(bench_codec_workload(opts));
   reps.push_back(bench_million_host_workload(opts));

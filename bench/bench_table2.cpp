@@ -8,7 +8,7 @@
 // Both methods scan the *same* population (fresh worlds, same seed).
 
 #include "bench_common.hpp"
-#include "scan/txscanner.hpp"
+#include "honeypot/lab.hpp"
 
 using namespace odns;
 
@@ -58,16 +58,17 @@ MethodCosts run_method(const bench::BenchArgs& args, bool query_based) {
   if (query_based) {
     sc.qname_for_target = encode_target;
   }
-  scan::TransactionalScanner scanner(world->sim(), world->scanner_host(), sc);
-  scanner.start(world->scan_targets());
-  scanner.run_to_completion();
+  const auto scanner =
+      honeypot::single_host_scanner(world->sim(), world->scanner_host(), sc);
+  scanner->start(world->scan_targets());
+  scanner->run_to_completion();
 
   MethodCosts costs;
   costs.auth_queries = world->auth().queries_answered();
   const auto cache = world->aggregate_resolver_cache_stats();
   costs.cache_hits = cache.hits;
   costs.cache_misses = cache.misses;
-  for (const auto& txn : scanner.correlate()) {
+  for (const auto& txn : scanner->correlate()) {
     if (txn.answered) ++costs.answered;
   }
   if (query_based) {

@@ -5,7 +5,6 @@
 #include "bench_common.hpp"
 #include "honeypot/lab.hpp"
 #include "scan/campaigns.hpp"
-#include "scan/txscanner.hpp"
 
 using namespace odns;
 
@@ -61,10 +60,11 @@ int main(int argc, char** argv) {
       util::Ipv4{198, 18, 9, 7});
   scan::ScanConfig sc;
   sc.qname = world->scan_name();
-  scan::TransactionalScanner scanner(world->sim(), vantage_host, sc);
-  scanner.start({lab.sensor1_addr, lab.sensor2_recv_addr, lab.sensor3_addr});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  const auto scanner =
+      honeypot::single_host_scanner(world->sim(), vantage_host, sc);
+  scanner->start({lab.sensor1_addr, lab.sensor2_recv_addr, lab.sensor3_addr});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
   t.add_row({"Transactional (this work)", mark(txns[0].answered),
              mark(txns[1].answered), "n/a", mark(txns[2].answered)});
   t.print(std::cout);

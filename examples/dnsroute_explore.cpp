@@ -5,6 +5,7 @@
 //
 //   $ ./examples/dnsroute_explore [scale]
 
+#include <algorithm>
 #include <cstdlib>
 #include <iomanip>
 #include <iostream>
@@ -21,24 +22,14 @@ int main(int argc, char** argv) {
   std::cout << "Running census to find transparent forwarders...\n";
   auto result = core::run_census(cfg);
   std::cout << "Found " << result.census.tf << " transparent forwarders; "
-            << "tracing the first few with DNSRoute++.\n\n";
+            << "tracing them with DNSRoute++ and showing the first few.\n\n";
 
-  std::vector<util::Ipv4> targets;
-  for (const auto& item : result.classified) {
-    if (item.klass == classify::Klass::transparent_forwarder) {
-      targets.push_back(item.txn.target);
-      if (targets.size() == 5) break;
-    }
-  }
-
-  dnsroute::DnsrouteConfig rc;
-  rc.qname = result.world->scan_name();
-  rc.max_ttl = 28;
-  dnsroute::DnsroutePlusPlus tracer(result.world->sim(),
-                                    result.world->scanner_host(), rc);
-  const auto paths = tracer.run(targets);
-
-  for (const auto& path : paths) {
+  // run_dnsroute releases the scanner address from the census's capture
+  // vantages so the tracer on the scanner host sees its own answers.
+  const auto routes = core::run_dnsroute(result, /*max_ttl=*/28);
+  const std::size_t shown = std::min<std::size_t>(routes.paths.size(), 5);
+  for (std::size_t i = 0; i < shown; ++i) {
+    const auto& path = routes.paths[i];
     std::cout << "dnsroute++ to " << path.target.to_string() << "\n";
     const int limit = path.answer_ttl > 0 ? path.answer_ttl
                                           : static_cast<int>(path.hops.size());

@@ -10,7 +10,6 @@
 #include "core/census.hpp"
 #include "honeypot/lab.hpp"
 #include "scan/campaigns.hpp"
-#include "scan/txscanner.hpp"
 
 using namespace odns;
 
@@ -60,10 +59,10 @@ int main() {
       util::Ipv4{198, 18, 9, 7});
   scan::ScanConfig sc;
   sc.qname = world->scan_name();
-  scan::TransactionalScanner scanner(world->sim(), host, sc);
-  scanner.start({lab.sensor1_addr, lab.sensor2_recv_addr, lab.sensor3_addr});
-  scanner.run_to_completion();
-  for (const auto& txn : scanner.correlate()) {
+  const auto scanner = honeypot::single_host_scanner(world->sim(), host, sc);
+  scanner->start({lab.sensor1_addr, lab.sensor2_recv_addr, lab.sensor3_addr});
+  scanner->run_to_completion();
+  for (const auto& txn : scanner->correlate()) {
     std::cout << "  probe " << txn.target.to_string() << " -> "
               << (txn.answered
                       ? "answered from " + txn.response_src.to_string()

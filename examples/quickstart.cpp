@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\nProbed " << result.transactions.size()
             << " targets from " << result.world->scanner_addr().to_string()
-            << "; " << result.scanner->stats().responses_received
+            << "; " << result.degradation.scan.responses_received
             << " responses captured.\n\n";
 
   std::cout << "ODNS composition (paper Table 1):\n";

@@ -10,7 +10,7 @@
 // single-record validation is available as an ablation (§4.2 explains
 // the count differences it produces).
 //
-// Transactions come from scan/txscanner.hpp; aggregation into the
+// Transactions come from scan/vantage.hpp; aggregation into the
 // paper's tables lives in analysis.hpp. See docs/architecture.md.
 
 #include <cstdint>
@@ -18,7 +18,7 @@
 #include <string>
 #include <vector>
 
-#include "scan/txscanner.hpp"
+#include "scan/types.hpp"
 
 namespace odns::classify {
 

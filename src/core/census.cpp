@@ -72,58 +72,43 @@ CensusResult run_census(const CensusConfig& cfg) {
   cc.control_addr = result.world->control_addr();
   cc.strict_two_records = cfg.strict_validation;
 
-  if (cfg.vantages > 0) {
-    auto members =
-        honeypot::attach_capture_vantages(*result.world, cfg.vantages);
-    result.vantage_set = std::make_unique<scan::VantageSet>(
-        sim, sc, result.world->scanner_addr(), std::move(members));
-    result.vantage_set->start(targets);
-    if (cfg.streaming_correlation) {
-      // Streaming path: each transaction is classified and folded into
-      // the census tables the moment its timeout window closes; the
-      // per-probe logs are only kept on request.
-      classify::CensusAccumulator acc(result.registry);
-      if (cfg.retain_transactions) {
-        result.transactions.reserve(targets.size());
-        result.classified.reserve(targets.size());
-      }
-      result.stream_stats = result.vantage_set->run_and_correlate_streaming(
-          cfg.correlate_flush,
-          [&](std::size_t, scan::Transaction&& txn) {
-            classify::Classified item;
-            item.klass = classify::classify_one(txn, cc);
-            item.txn = std::move(txn);
-            acc.add(item);
-            if (cfg.retain_transactions) {
-              result.transactions.push_back(item.txn);
-              result.classified.push_back(std::move(item));
-            }
-          });
-      result.census = acc.finish();
-      result.degradation = degradation_of(result, result.vantage_set->stats());
-      return result;
-    }
-    result.vantage_set->run_to_completion();
-    result.transactions = result.vantage_set->correlate();
-  } else {
-    result.scanner = std::make_unique<scan::TransactionalScanner>(
-        sim, result.world->scanner_host(), sc);
-    result.scanner->start(targets);
-    result.scanner->run_to_completion();
-    result.transactions = result.scanner->correlate();
-  }
+  const std::uint32_t vantages =
+      cfg.vantages > 0 ? cfg.vantages : sim.shard_count();
+  result.vantage_set = std::make_unique<scan::VantageSet>(
+      sim, sc, result.world->scanner_addr(),
+      honeypot::attach_capture_vantages(*result.world, vantages));
+  scan::VantageSet& scanner = *result.vantage_set;
+  scanner.start(targets);
 
-  result.classified = classify::classify_all(result.transactions, cc);
-  result.census = classify::analyze(result.classified, result.registry);
-  result.degradation = degradation_of(
-      result, result.vantage_set ? result.vantage_set->stats()
-                                 : result.scanner->stats());
-  if (!cfg.retain_transactions) {
-    result.transactions.clear();
-    result.transactions.shrink_to_fit();
-    result.classified.clear();
-    result.classified.shrink_to_fit();
+  // Each transaction is classified and folded into the census tables
+  // as the correlator finalizes it; the per-probe logs are only kept
+  // on request.
+  classify::CensusAccumulator acc(result.registry);
+  if (cfg.retain_transactions) {
+    result.transactions.reserve(targets.size());
+    result.classified.reserve(targets.size());
   }
+  const scan::VantageSet::TxnSink fold = [&](std::size_t,
+                                             scan::Transaction&& txn) {
+    classify::Classified item;
+    item.klass = classify::classify_one(txn, cc);
+    item.txn = std::move(txn);
+    acc.add(item);
+    if (cfg.retain_transactions) {
+      result.transactions.push_back(item.txn);
+      result.classified.push_back(std::move(item));
+    }
+  };
+  if (cfg.streaming_correlation) {
+    result.stream_stats =
+        scanner.run_and_correlate_streaming(cfg.correlate_flush, fold);
+  } else {
+    scanner.run_to_completion();
+    std::vector<scan::Transaction> txns = scanner.correlate();
+    for (std::size_t i = 0; i < txns.size(); ++i) fold(i, std::move(txns[i]));
+  }
+  result.census = acc.finish();
+  result.degradation = degradation_of(result, scanner.stats());
   return result;
 }
 
@@ -175,18 +160,18 @@ DnsrouteResult run_dnsroute(CensusResult& result, int max_ttl) {
   rc.max_ttl = max_ttl;
   DnsrouteResult out;
   {
-    // DNSRoute++ traces from the classic scanner host, so its probes'
+    // DNSRoute++ traces from the scanner host itself, so its probes'
     // responses (and ICMP) must reach that host again — turn off the
-    // multi-vantage capture override for the remainder of the run.
-    result.world->sim().clear_vantage_capture();
-    dnsroute::DnsroutePlusPlus tracer(result.world->sim(),
-                                      result.world->scanner_host(), rc);
+    // capture override for the remainder of the run.
+    auto& sim = result.world->sim();
+    const netsim::HostId host = result.world->scanner_host();
+    sim.clear_vantage_capture();
+    dnsroute::DnsroutePlusPlus tracer(sim, host, rc);
     out.paths = tracer.run(targets);
     // The tracer borrowed the scanner host's wildcard socket and ICMP
-    // sink; hand them back before it goes out of scope.
-    result.world->sim().set_icmp_handler(result.world->scanner_host(), {});
-    result.world->sim().bind_udp_wildcard(result.world->scanner_host(),
-                                          result.scanner.get());
+    // sink; release both before it goes out of scope.
+    sim.set_icmp_handler(host, {});
+    sim.bind_udp_wildcard(host, nullptr);
   }
   out.samples = dnsroute::path_length_samples(out.paths, result.registry);
   out.relationships =

@@ -6,9 +6,11 @@
 // benches that need intermediate control (method ablations, campaign
 // comparisons, DNSRoute++).
 //
-// Pipeline: topo::TopologyBuilder → scan::TransactionalScanner →
-// classify → registry joins → classify::Census; see "The census
-// pipeline" in docs/architecture.md.
+// Pipeline: topo::TopologyBuilder → scan::VantageSet (one capture
+// vantage per shard) → scan::StreamingCorrelator →
+// classify::classify_one → classify::CensusAccumulator (registry
+// joins) → classify::Census; see "The census pipeline" in
+// docs/architecture.md.
 
 #include <memory>
 
@@ -16,7 +18,6 @@
 #include "dnsroute/dnsroute.hpp"
 #include "honeypot/lab.hpp"
 #include "scan/campaigns.hpp"
-#include "scan/txscanner.hpp"
 #include "scan/vantage.hpp"
 #include "topo/deployment.hpp"
 
@@ -40,14 +41,13 @@ struct CensusConfig {
   /// scan::ScanConfig::shard_interleave; probe order then differs from
   /// the classic census, but is identical for every shard count).
   bool shard_interleaved_targets = false;
-  /// Multi-vantage census: number of per-shard scanner vantage capture
-  /// hosts (attached via honeypot::attach_capture_vantages and driven
-  /// by scan::VantageSet). 0 = the classic single-vantage scanner.
-  /// Counters, traces, transactions, and the resulting Census tables
-  /// are byte-identical to the single-vantage run for any value; what
-  /// changes is execution: with vantages >= shards the scanner shard
-  /// stops being the response funnel. See "Multi-vantage census" in
-  /// docs/architecture.md.
+  /// Capture vantages of the scan (scan::VantageSet members attached by
+  /// honeypot::attach_capture_vantages). 0 = one per shard, so every
+  /// shard captures the responses it emits. Counters, traces,
+  /// transactions, and the Census tables are identical for any value;
+  /// only execution changes. See "Multi-vantage census" in
+  /// docs/architecture.md. The field stays only because the end-to-end
+  /// benchmark (benchmark/odns_bench.cpp) sets it.
   std::uint32_t vantages = 0;
   /// Weighted virtual-shard partition: derive per-virtual-shard load
   /// hints from the probe-target counts and balance the AS partition
@@ -63,15 +63,20 @@ struct CensusConfig {
   /// results are byte-identical either way; the lever only moves the
   /// LPT placement (see the partition section of the scale test).
   bool serving_cost_weights = true;
-  /// Streaming (windowed) correlation: requires vantages > 0. Instead
-  /// of buffering the whole capture and correlating once, the census
-  /// runs the simulator in correlate_flush windows, finalizes each
-  /// probe as its timeout window closes, classifies it immediately,
-  /// and folds it into the Census tables incrementally
-  /// (classify::CensusAccumulator). Census, stats, counters, and
-  /// traces are byte-identical to the buffered run; steady-state
-  /// memory is bounded by the in-flight window, not the run length.
+  /// Correlation cadence. Either way every transaction runs through
+  /// the one scan::StreamingCorrelator, is classified
+  /// (classify::classify_one) and folds into the Census tables
+  /// (classify::CensusAccumulator). true: the simulator runs in
+  /// correlate_flush windows and each probe is finalized as its
+  /// timeout window closes, so steady-state memory is bounded by the
+  /// in-flight window, not the run length. false: the scan runs to
+  /// completion, then one final flush joins the whole capture. Census,
+  /// stats, counters, and traces are identical. The field stays only
+  /// because the end-to-end benchmark (benchmark/odns_bench.cpp) sets
+  /// it.
   bool streaming_correlation = false;
+  /// Flush window of the streaming cadence; must be positive
+  /// (run_census throws std::invalid_argument otherwise).
   util::Duration correlate_flush = util::Duration::seconds(1);
   /// Keep the per-probe transactions/classified vectors in the result.
   /// Million-host runs turn this off: the Census tables are the
@@ -126,15 +131,13 @@ struct DegradationReport {
 struct CensusResult {
   std::unique_ptr<topo::Deployment> world;
   registry::RegistrySnapshot registry;
-  /// Single-vantage scanner (null when the census ran multi-vantage).
-  std::unique_ptr<scan::TransactionalScanner> scanner;
-  /// Multi-vantage capture set (null for the classic census).
+  /// The capture set that ran the scan.
   std::unique_ptr<scan::VantageSet> vantage_set;
   /// Per-probe logs (empty when retain_transactions is off).
   std::vector<scan::Transaction> transactions;
   std::vector<classify::Classified> classified;
   classify::Census census;
-  /// Memory high-water marks of the streaming run (zero otherwise).
+  /// Memory high-water marks of the streaming cadence (zero otherwise).
   scan::VantageSet::StreamStats stream_stats;
   /// Coverage and fault accounting for this run.
   DegradationReport degradation;
@@ -144,9 +147,8 @@ struct CensusResult {
 [[nodiscard]] CensusResult run_census(const CensusConfig& cfg);
 
 /// Re-classifies and re-analyzes an existing scan under different
-/// validation rules (cheap; reuses the transaction log — works
-/// identically on single-vantage and multi-vantage results, since the
-/// merged transaction log is vantage-invariant).
+/// validation rules (cheap; reuses the transaction log, which is
+/// vantage-invariant).
 [[nodiscard]] classify::Census reanalyze(const CensusResult& result,
                                          bool strict_validation);
 

@@ -128,4 +128,14 @@ std::vector<netsim::HostId> attach_capture_vantages(topo::Deployment& world,
                                  count);
 }
 
+std::unique_ptr<scan::VantageSet> single_host_scanner(netsim::Simulator& sim,
+                                                      netsim::HostId host,
+                                                      scan::ScanConfig cfg) {
+  auto& net = sim.net();
+  const util::Ipv4 capture_addr = net.primary_addr(host);
+  auto members = attach_capture_vantages(net, net.host(host).asn, 1);
+  return std::make_unique<scan::VantageSet>(sim, std::move(cfg), capture_addr,
+                                            std::move(members));
+}
+
 }  // namespace odns::honeypot

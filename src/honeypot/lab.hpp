@@ -2,13 +2,15 @@
 // Deployment helpers for the §3 controlled experiment: attach the
 // sensor network (SAV-free, peering directly with the public resolver,
 // as the paper's setup requires) and external vantage points for the
-// scanning-campaign models and the multi-vantage census.
+// scanning-campaign models and for every transactional scan's capture
+// vantages.
 
 #include <memory>
 #include <optional>
 #include <vector>
 
 #include "honeypot/sensors.hpp"
+#include "scan/vantage.hpp"
 #include "topo/deployment.hpp"
 
 namespace odns::honeypot {
@@ -51,9 +53,9 @@ netsim::HostId attach_vantage(topo::Deployment& world, util::Prefix block,
                               std::optional<netsim::Asn> mirror_links_of =
                                   std::nullopt);
 
-/// Capture fleet for the multi-vantage census: `count` SAV-free
-/// vantage ASes mirroring `mirror_as`'s (the scanner AS's)
-/// attachment, one capture host each. Addresses are carved from
+/// Capture fleet of a scan::VantageSet: `count` SAV-free vantage ASes
+/// mirroring `mirror_as`'s (the scanner AS's) attachment, one capture
+/// host each. Addresses are carved from
 /// 198.19.0.0/16 — the upper half of the RFC 2544 benchmarking range,
 /// disjoint from the 198.18.0.0/16 blocks the campaign vantages in
 /// tests/examples allocate from. Returns the member hosts in pin
@@ -64,5 +66,12 @@ std::vector<netsim::HostId> attach_capture_vantages(netsim::Network& net,
                                                     std::uint32_t count);
 std::vector<netsim::HostId> attach_capture_vantages(topo::Deployment& world,
                                                     std::uint32_t count);
+
+/// A single-host scan: a scan::VantageSet of one capture vantage
+/// (attach_capture_vantages(net, host's AS, 1)) that probes as, and
+/// captures for, `host`'s primary address.
+std::unique_ptr<scan::VantageSet> single_host_scanner(netsim::Simulator& sim,
+                                                      netsim::HostId host,
+                                                      scan::ScanConfig cfg);
 
 }  // namespace odns::honeypot

@@ -46,7 +46,9 @@ util::Ipv4 Network::allocate_router_ip() {
 }
 
 AsInfo& Network::add_as(const AsConfig& cfg) {
-  assert(cfg.internal_hops >= 1);
+  if (cfg.internal_hops < 1) {
+    throw std::invalid_argument("add_as: internal_hops must be >= 1");
+  }
   if (asn_to_index_.contains(cfg.asn)) {
     throw std::invalid_argument("duplicate ASN " + std::to_string(cfg.asn));
   }

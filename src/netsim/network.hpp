@@ -75,6 +75,8 @@ class Network {
   Network();
 
   // --- construction ------------------------------------------------
+  /// Throws std::invalid_argument on a duplicate ASN or
+  /// internal_hops < 1.
   AsInfo& add_as(const AsConfig& cfg);
   /// Declares a bidirectional inter-AS adjacency.
   void link(Asn a, Asn b);

@@ -7,9 +7,10 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <chrono>
 #include <ctime>
+#include <stdexcept>
+#include <string>
 
 #include "netsim/shard_state.hpp"
 #include "netsim/sim.hpp"
@@ -148,9 +149,11 @@ void Simulator::freeze_partition() {
 }
 
 std::uint32_t Simulator::shard_of(HostId host) {
+  if (host >= net_.host_count()) {
+    throw std::out_of_range("shard_of: unknown host " + std::to_string(host));
+  }
   if (single_shard()) return 0;
   freeze_partition();
-  assert(host < host_shard_.size());
   return host_shard_[host];
 }
 

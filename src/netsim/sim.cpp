@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "netsim/shard_state.hpp"
@@ -169,7 +170,9 @@ std::uint64_t Simulator::events_executed() const {
 Simulator::HostState& Simulator::state(HostId id) {
   // HostIds are dense (allocated by Network::add_host); a sentinel or
   // garbage id would turn the resize below into a giant allocation.
-  assert(id != kInvalidHost);
+  if (id >= net_.host_count()) {
+    throw std::out_of_range("unknown host " + std::to_string(id));
+  }
   if (id >= host_state_.size()) host_state_.resize(id + 1);
   return host_state_[id];
 }
@@ -331,7 +334,10 @@ void Simulator::send_udp(HostId from, SendOptions opts) {
   // From inside a handler, sends must originate on the shard that owns
   // the sending host (apps always do — they run there).
   assert(tl_owner_ != this || tl_shard_ == nullptr || tl_shard_ == &sh);
-  assert(net_.host(from).addr_count > 0);
+  if (net_.host(from).addr_count == 0) {
+    throw std::invalid_argument("send_udp: host " + std::to_string(from) +
+                                " has no address");
+  }
   Packet pkt;
   pkt.src = opts.spoof_src.value_or(net_.primary_addr(from));
   pkt.dst = opts.dst;

@@ -225,6 +225,7 @@ class Simulator {
   }
   /// Shard owning a host (AS-granular partition; freezes the partition
   /// on first use, lazily refreshed when the topology epoch moves).
+  /// Throws std::out_of_range for a host the network does not have.
   [[nodiscard]] std::uint32_t shard_of(HostId host);
   /// Shard-count-independent partition group of an address's owner AS
   /// (see kVirtualShards): target lists interleaved by virtual shard
@@ -283,7 +284,9 @@ class Simulator {
   }
 
   // --- socket API ----------------------------------------------------
-  /// Throws std::invalid_argument on a null app.
+  /// The binding, ICMP-handler and redirect setters throw
+  /// std::out_of_range for a host the network does not have; bind_udp
+  /// throws std::invalid_argument on a null app.
   void bind_udp(HostId host, std::uint16_t port, App* app);
   void unbind_udp(HostId host, std::uint16_t port);
   /// Receives every datagram not claimed by a port-specific binding;
@@ -301,7 +304,8 @@ class Simulator {
 
   /// Sends a UDP datagram from `from`. The source defaults to the
   /// host's first address. From inside a handler, must be called on
-  /// the shard that owns `from` (apps always are).
+  /// the shard that owns `from` (apps always are). Throws
+  /// std::invalid_argument when `from` has no address.
   void send_udp(HostId from, SendOptions opts);
 
   /// External taps are invoked synchronously on the emitting shard's

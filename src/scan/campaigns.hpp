@@ -12,7 +12,8 @@
 //                  match a probed target, so off-path answers vanish
 //                  entirely.
 //
-// The transactional scanner (txscanner.hpp) is this work's contrast.
+// The transactional scanner (scan::VantageSet, vantage.hpp) is this
+// work's contrast.
 
 #include <cstdint>
 #include <string>

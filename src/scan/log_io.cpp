@@ -3,8 +3,8 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
-#include <unordered_map>
 
+#include "scan/stream.hpp"
 #include "util/strings.hpp"
 
 namespace odns::scan {
@@ -127,28 +127,16 @@ std::vector<Transaction> read_transactions_csv(std::istream& is) {
 
 std::vector<Transaction> correlate_offline(
     const std::vector<SentProbe>& probes,
-    const std::vector<RawResponse>& capture, util::Duration timeout) {
-  std::unordered_map<std::uint32_t, std::size_t> tuple_to_probe;
-  std::vector<Transaction> out(probes.size());
-  for (std::size_t i = 0; i < probes.size(); ++i) {
-    tuple_to_probe[(std::uint32_t{probes[i].src_port} << 16) |
-                   probes[i].txid] = i;
-    out[i].target = probes[i].target;
-    out[i].sent_at = probes[i].sent_at;
-  }
-  for (const auto& rec : capture) {
-    auto it = tuple_to_probe.find((std::uint32_t{rec.dst_port} << 16) |
-                                  rec.txid);
-    if (it == tuple_to_probe.end()) continue;
-    auto& txn = out[it->second];
-    if (txn.answered) continue;
-    if (rec.at - probes[it->second].sent_at > timeout) continue;
-    txn.answered = true;
-    txn.response_src = rec.src;
-    txn.rtt = rec.at - probes[it->second].sent_at;
-    txn.rcode = rec.rcode;
-    txn.answer_addrs = rec.answer_addrs;
-  }
+    const std::vector<RawResponse>& capture, util::Duration timeout,
+    util::Duration retry_extension) {
+  ScannerStats stats;  // offline, the statistics have no consumer
+  StreamingCorrelator corr(probes, timeout, stats, retry_extension);
+  for (const auto& rec : capture) corr.consume(RawResponse(rec));
+  std::vector<Transaction> out;
+  out.reserve(probes.size());
+  corr.finish([&](std::size_t, Transaction&& txn) {
+    out.push_back(std::move(txn));
+  });
   return out;
 }
 

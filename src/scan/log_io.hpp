@@ -8,7 +8,7 @@
 #include <iosfwd>
 #include <vector>
 
-#include "scan/txscanner.hpp"
+#include "scan/types.hpp"
 
 namespace odns::scan {
 
@@ -23,10 +23,14 @@ void write_transactions_csv(std::ostream& os,
                             const std::vector<Transaction>& txns);
 std::vector<Transaction> read_transactions_csv(std::istream& is);
 
-/// Offline correlation over persisted logs — identical join semantics
-/// to TransactionalScanner::correlate(), usable without the simulator.
+/// Offline correlation over persisted logs: the capture, in log order,
+/// through the same StreamingCorrelator that VantageSet::correlate()
+/// runs online, usable without the simulator. Pass the scan's
+/// ScanConfig::retry_extension() so answers that only a retransmission
+/// produced correlate as they did online.
 std::vector<Transaction> correlate_offline(
     const std::vector<SentProbe>& probes,
-    const std::vector<RawResponse>& capture, util::Duration timeout);
+    const std::vector<RawResponse>& capture, util::Duration timeout,
+    util::Duration retry_extension = util::Duration::nanos(0));
 
 }  // namespace odns::scan

@@ -52,7 +52,7 @@ VantagePlan VantagePlan::build(const netsim::Simulator& sim,
   // exponential-backoff offsets with its own tuple. Unconditional — a
   // cancel-on-answer policy would make the plan depend on response
   // timing (and through capture attribution, on the shard count); the
-  // correlators dedup by tuple instead. Because fault decisions are
+  // correlator dedups by tuple instead. Because fault decisions are
   // stateless per-packet hashes, appending these entries changes no
   // existing packet's fate — the monotone-recovery property the chaos
   // harness asserts.
@@ -67,7 +67,6 @@ VantagePlan VantagePlan::build(const netsim::Simulator& sim,
     }
     plan.last_at_ = plan.probes_.back().at;
   }
-  plan.span_ = n == 0 ? at : plan.last_at_ + plan.gap_;
   return plan;
 }
 

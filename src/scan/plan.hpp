@@ -83,9 +83,6 @@ class VantagePlan {
     return probes_;
   }
   [[nodiscard]] util::Duration pacing_gap() const { return gap_; }
-  /// One pacing gap past the last planned send (retries included) —
-  /// the classic scanner's pre-run estimate of the send horizon.
-  [[nodiscard]] util::Duration span() const { return span_; }
   /// Offset of the last planned send itself (start for an empty plan).
   [[nodiscard]] util::Duration last_at() const { return last_at_; }
   /// Number of attempt-0 entries (the probe-table prefix of probes()).
@@ -94,7 +91,6 @@ class VantagePlan {
  private:
   std::vector<PlannedProbe> probes_;
   util::Duration gap_ = util::Duration::nanos(0);
-  util::Duration span_ = util::Duration::nanos(0);
   util::Duration last_at_ = util::Duration::nanos(0);
   std::size_t originals_ = 0;
 };

@@ -104,9 +104,9 @@ void StreamingCorrelator::consume(RawResponse&& rec) {
   }
   PendingTxn& slot = window_[off];
   if (slot.answered) {
-    // Same straggler rule as correlate_capture: duplicates within the
-    // original window, late past it (e.g. the original's answer after
-    // a retry already concluded the probe).
+    // Stragglers on a concluded probe: duplicates within the original
+    // window, late past it (e.g. the original's answer after a retry
+    // already concluded the probe).
     if (age > timeout_) {
       ++stats_->responses_late;
     } else {

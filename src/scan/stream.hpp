@@ -1,20 +1,23 @@
 #pragma once
-// Streaming (windowed) correlation: the scale half of §4.1. The
-// classic merge-correlator (correlate.hpp) buffers every captured
-// datagram for the whole run and joins once at the end — the first
-// thing that breaks at 10⁶ targets is exactly that accumulate-
-// everything buffer. The StreamingCorrelator consumes the capture log
-// in watermark order and finalizes a probe's transaction as soon as
-// its timeout window has provably closed, so steady-state memory is
-// bounded by the in-flight window (timeout × probe rate), not by the
-// run length.
+// The correlator — the post-processing half of §4.1 and the only join
+// in the repo: it matches the probe table with the capture log on the
+// unique (client port, TXID) tuple. It consumes the capture log in
+// merged (time, vantage, seq) order and finalizes a probe's
+// transaction as soon as its timeout window has provably closed, so a
+// streaming scan holds only the in-flight window (timeout × probe
+// rate) in memory, never the whole run. Its callers differ only in
+// cadence:
 //
-// Equivalence contract: fed the same records in the same merged
-// (time, vantage, seq) order, the streamed transactions — values,
-// probe order, and the unmatched/late/duplicate statistics — are
-// byte-identical to correlate_capture() over the full buffer
-// (tests/scale_census_test.cpp, the streaming-vs-buffered
-// differential).
+//   - VantageSet::run_and_correlate_streaming advances a watermark at
+//     every flush window;
+//   - VantageSet::correlate() consumes the whole capture, then
+//     finish();
+//   - correlate_offline (log_io.hpp) does the same over persisted logs.
+//
+// Equivalence contract: fed the same records in the same order, the
+// transactions — values, probe order — and the unmatched/late/duplicate
+// statistics do not depend on when advance() is called. The census
+// goldens (tests/golden_test.cpp) pin both cadences to the same rows.
 
 #include <cstdint>
 #include <deque>
@@ -28,18 +31,21 @@ namespace odns::scan {
 
 class StreamingCorrelator {
  public:
-  /// Receives each finalized transaction, in probe-index order — the
-  /// same order correlate_capture() returns. The index is the probe's
-  /// position in the global probe table.
+  /// Receives each finalized transaction, in probe-index order. The
+  /// index is the probe's position in the global probe table.
   using Sink = std::function<void(std::size_t probe_index, Transaction&&)>;
 
   /// `probes` must outlive the correlator and stay unchanged during
   /// streaming. Correlation statistics (unmatched/late/duplicate)
-  /// accumulate into `stats`, mirroring correlate_capture().
-  /// `retry_extension` (ScanConfig::retry_extension()) widens the
-  /// accept window for unanswered probes exactly as in
-  /// correlate_capture — and with it each probe's finalization
-  /// watermark, so a last-retry answer is never finalized away.
+  /// accumulate into `stats`. The first in-window response in capture
+  /// order wins; later in-window matches count as duplicates, and
+  /// stragglers past the original window count late — even when a
+  /// retry already concluded the probe. `retry_extension`
+  /// (ScanConfig::retry_extension()) widens the accept window for
+  /// *unanswered* probes only, so answers elicited by retransmissions
+  /// (same tuple, sent up to that much later) still correlate — and
+  /// with it each probe's finalization watermark, so a last-retry
+  /// answer is never finalized away.
   StreamingCorrelator(const std::vector<SentProbe>& probes,
                       util::Duration timeout, ScannerStats& stats,
                       util::Duration retry_extension = util::Duration::nanos(0));

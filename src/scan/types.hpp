@@ -1,10 +1,9 @@
 #pragma once
 // Shared value types of the measurement core (§4.1): scan
 // configuration, the probe log, the raw capture log, correlated
-// transactions, and scanner statistics. Split out of txscanner.hpp so
-// the plan builder (plan.hpp), the merge-correlator (correlate.hpp),
-// the single-vantage scanner (txscanner.hpp), and the multi-vantage
-// set (vantage.hpp) all speak the same records.
+// transactions, and scanner statistics, shared by the plan builder
+// (plan.hpp), the scanner (vantage.hpp), the correlator (stream.hpp),
+// and the log persistence (log_io.hpp).
 
 #include <cstdint>
 #include <functional>
@@ -45,15 +44,15 @@ struct ScanConfig {
   /// the SAME (port, TXID) tuple. Retries never consult response
   /// state: a cancel-on-answer policy would depend on which vantage
   /// saw the answer first, which depends on the shard count, so the
-  /// plan stays shard- and vantage-count-invariant and the correlators
-  /// dedup by tuple instead (first in-window response wins, later ones
+  /// plan stays shard- and vantage-count-invariant and the correlator
+  /// dedups by tuple instead (first in-window response wins, later ones
   /// count as duplicates).
   std::uint32_t max_retries = 0;
   util::Duration backoff_base = util::Duration::seconds(1);
   /// How far past the original timeout window an answer can still
   /// legitimately arrive: the last retry leaves backoff_base *
   /// (2^max_retries - 1) after the original, and its response gets the
-  /// full timeout. Both correlators widen their match window by this
+  /// full timeout. The correlator widens its match window by this
   /// much for *unanswered* probes (answered probes keep the original
   /// window — stragglers past it count late, see ScannerStats).
   [[nodiscard]] util::Duration retry_extension() const {
@@ -80,8 +79,8 @@ struct RawResponse {
   util::SimTime at;
   dnswire::Rcode rcode = dnswire::Rcode::noerror;
   std::vector<util::Ipv4> answer_addrs;
-  /// Index of the capture vantage that recorded this datagram (0 for
-  /// the single-vantage scanner). An execution detail: which member
+  /// Index of the capture vantage that recorded this datagram (0 in a
+  /// set of one). An execution detail: which member
   /// captures a response depends on the shard count, so this field is
   /// excluded from every shard-count-invariant comparison.
   std::uint32_t vantage = 0;

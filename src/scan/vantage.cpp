@@ -1,10 +1,10 @@
 #include "scan/vantage.hpp"
 
-#include <cassert>
+#include <algorithm>
+#include <stdexcept>
 #include <unordered_map>
 
 #include "dnswire/codec.hpp"
-#include "scan/correlate.hpp"
 #include "scan/stream.hpp"
 
 namespace odns::scan {
@@ -42,24 +42,49 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
     opts.dst_port = 53;
     // Every vantage sends as the shared capture address (the member
     // ASes are SAV-free), so probe content — and with it routing, loss
-    // fates, and responder behaviour — is byte-identical to the
-    // single-vantage scan.
+    // fates, and responder behaviour — does not depend on which member
+    // sends it.
     opts.spoof_src = owner_->capture_addr_;
     opts.payload =
         dnswire::encode(dnswire::make_query(probe.txid, qname, cfg.qtype));
     sim.send_udp(host_, std::move(opts));
   }
 
+  /// The dumpcap hook: decodes one captured datagram into the capture
+  /// buffer. Non-responses are ignored; undecodable payloads count as
+  /// parse errors.
   void on_datagram(const netsim::Datagram& dgram) override {
-    record_response(dgram, owner_->sim_->now(), index_, capture_, stats_);
+    auto parsed = dnswire::decode(*dgram.payload);
+    if (!parsed) {
+      // Undecodable captures are counted twice on purpose: parse_errors
+      // keeps the classic total, responses_corrupt isolates the wire-
+      // damage subset the fault plane injects (the fuzz-hardened decode
+      // rejects the flipped bytes instead of misclassifying them).
+      ++stats_.parse_errors;
+      ++stats_.responses_corrupt;
+      return;
+    }
+    const auto& msg = parsed.value();
+    if (!msg.header.qr) return;  // stray queries aimed at the capture host
+    ++stats_.responses_received;
+    RawResponse rec;
+    rec.src = dgram.src;
+    rec.src_port = dgram.src_port;
+    rec.dst_port = dgram.dst_port;
+    rec.txid = msg.header.id;
+    rec.at = owner_->sim_->now();
+    rec.rcode = msg.header.rcode;
+    rec.answer_addrs = msg.answer_addresses();
+    rec.vantage = index_;
+    capture_.push_back(std::move(rec));
   }
 
   [[nodiscard]] netsim::HostId host() const { return host_; }
   [[nodiscard]] const std::vector<RawResponse>& capture() const {
     return capture_;
   }
-  /// Streaming flush access: the window merge consumes a time-ordered
-  /// prefix and compacts it between simulator windows.
+  /// Flush access: the window merge consumes a time-ordered prefix and
+  /// compacts it between simulator windows.
   [[nodiscard]] std::vector<RawResponse>& mutable_capture() {
     return capture_;
   }
@@ -77,7 +102,6 @@ VantageSet::VantageSet(netsim::Simulator& sim, ScanConfig cfg,
                        util::Ipv4 capture_addr,
                        std::vector<netsim::HostId> member_hosts)
     : sim_(&sim), cfg_(std::move(cfg)), capture_addr_(capture_addr) {
-  assert(!member_hosts.empty());
   sim_->set_vantage_capture(capture_addr_, member_hosts);
   members_.reserve(member_hosts.size());
   for (std::size_t j = 0; j < member_hosts.size(); ++j) {
@@ -120,24 +144,16 @@ void VantageSet::start(const std::vector<util::Ipv4>& targets) {
     sim_->schedule_timer_on(member_host, p.at, members_[member].get(), i);
   }
   // Timers fire at exactly their planned instants, so the last send
-  // lands at the last plan offset (start time for an empty plan) — the
-  // value the classic scanner records after its sends complete.
+  // lands at the last plan offset (start time for an empty plan).
   last_send_at_ = plan_.probes().empty() ? t0 : t0 + plan_.last_at();
 }
 
 void VantageSet::run_to_completion() {
-  // Same drain protocol as the classic scanner: drain all traffic,
-  // close the timeout window after the last planned send, settle.
+  // Drain all traffic, close the timeout window after the last planned
+  // send, then settle stragglers.
   sim_->run();
   sim_->run_until(last_send_at_ + cfg_.timeout + cfg_.drain_settle);
   sim_->run();
-}
-
-std::vector<RawResponse> VantageSet::merged_capture() const {
-  std::vector<const std::vector<RawResponse>*> buffers;
-  buffers.reserve(members_.size());
-  for (const auto& m : members_) buffers.push_back(&m->capture());
-  return merge_captures(buffers);
 }
 
 const std::vector<RawResponse>& VantageSet::capture_of(
@@ -151,14 +167,23 @@ ScannerStats VantageSet::stats() const {
   return agg;
 }
 
+void VantageSet::attribute(std::size_t probe, Transaction& txn) const {
+  if (!txn.answered) txn.vantage = sender_[probe];
+}
+
 std::vector<Transaction> VantageSet::correlate() {
-  const std::vector<RawResponse> merged = merged_capture();
-  std::vector<Transaction> out =
-      correlate_capture(probes_, merged, cfg_.timeout, correlate_stats_,
-                        cfg_.retry_extension());
-  for (std::size_t i = 0; i < out.size(); ++i) {
-    if (!out[i].answered) out[i].vantage = sender_[i];
-  }
+  // The streaming protocol with a single flush: every buffered record
+  // lies before the far-future watermark.
+  StreamingCorrelator corr(probes_, cfg_.timeout, correlate_stats_,
+                           cfg_.retry_extension());
+  StreamStats st;
+  flush_capture(util::SimTime::far_future(), corr, st);
+  std::vector<Transaction> out;
+  out.reserve(probes_.size());
+  corr.finish([&](std::size_t i, Transaction&& txn) {
+    attribute(i, txn);
+    out.push_back(std::move(txn));
+  });
   return out;
 }
 
@@ -197,15 +222,16 @@ void VantageSet::flush_capture(util::SimTime cutoff, StreamingCorrelator& corr,
 
 VantageSet::StreamStats VantageSet::run_and_correlate_streaming(
     util::Duration flush_interval, const TxnSink& sink) {
-  assert(flush_interval > util::Duration::nanos(0));
+  if (flush_interval <= util::Duration::nanos(0)) {
+    throw std::invalid_argument(
+        "run_and_correlate_streaming: flush interval must be positive");
+  }
   StreamingCorrelator corr(probes_, cfg_.timeout, correlate_stats_,
                            cfg_.retry_extension());
   StreamStats st;
   st.dense_lookup = corr.dense_lookup();
   const TxnSink wrapped = [&](std::size_t i, Transaction&& txn) {
-    // Same attribution rule as correlate(): unanswered probes belong
-    // to the vantage that paced them.
-    if (!txn.answered) txn.vantage = sender_[i];
+    attribute(i, txn);
     sink(i, std::move(txn));
   };
   // Same event set and order as run_to_completion(), partitioned into

@@ -1,28 +1,31 @@
 #pragma once
-// Multi-vantage census measurement: a VantageSet of per-shard capture
-// hosts executing slices of one global probe plan (plan.hpp), each
-// owning a shard-local probe pacer, SentProbe slice, and RawResponse
-// capture buffer, with correlation fed by the deterministic
-// (time, vantage, seq) capture merge (correlate.hpp).
+// The paper's measurement core (§4.1): an asynchronous Internet-wide
+// scan that records the complete DNS transaction — target address,
+// client port, transaction ID — and joins responses to probes on the
+// unique (port, TXID) tuple, which stays unambiguous even when many
+// transparent forwarders relay to the same resolver (Fig. 7).
 //
-// The point (the paper's central methodological result): ODNS
-// visibility is vantage-dependent, and a single-vantage scanner is
-// also the structural scale bottleneck of the sharded simulator —
-// every response funnels into one shard. The VantageSet splits both:
-// probes for a target are paced and injected on the shard that owns
-// the target, and responses are captured by the vantage member pinned
-// to the shard that emitted them (Simulator::set_vantage_capture), so
-// the capture plane needs no cross-shard traffic at all.
+// Every scan is a VantageSet: capture hosts that execute slices of one
+// global probe plan (plan.hpp), each with a shard-local probe pacer and
+// RawResponse capture buffer. Every join runs through the one
+// StreamingCorrelator (stream.hpp), fed the member buffers in
+// (time, vantage, seq) order. A single-host scan is a set of one
+// (honeypot::single_host_scanner); the census attaches one member per
+// shard, so probes are paced on the shard that owns their target and
+// responses are captured on the shard that emitted them
+// (Simulator::set_vantage_capture) — the capture plane needs no
+// cross-shard traffic.
 //
 // Determinism contract: every probe spoofs the shared capture address
 // and follows the plan's global (time, port, txid) schedule, and the
-// vantage members' ASes mirror the scanner AS's attachment
+// members' ASes mirror the capture host's AS attachment
 // (honeypot::attach_capture_vantages) — so counters, the canonical
 // packet trace, transactions, and the downstream classify::Census are
-// byte-identical to the classic single-vantage single-threaded run,
-// for any shard count and any vantage count. See "Multi-vantage
-// census" in docs/architecture.md.
+// identical for any shard count and any vantage count
+// (tests/golden_test.cpp pins them). See "Multi-vantage census" in
+// docs/architecture.md.
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -41,7 +44,8 @@ class VantageSet {
   /// `capture_addr` (each member's AS must be SAV-free and mirror the
   /// capture host's AS attachment — use
   /// honeypot::attach_capture_vantages) and binds a capture socket +
-  /// ICMP sink on every member.
+  /// ICMP sink on every member. Throws std::invalid_argument when
+  /// `member_hosts` is empty or `capture_addr` has no unicast owner.
   VantageSet(netsim::Simulator& sim, ScanConfig cfg, util::Ipv4 capture_addr,
              std::vector<netsim::HostId> member_hosts);
   /// Unregisters the capture set.
@@ -55,13 +59,15 @@ class VantageSet {
   void start(const std::vector<util::Ipv4>& targets);
 
   /// Runs the simulator until every probe is sent and the timeout
-  /// window after the last probe has elapsed (same drain protocol as
-  /// TransactionalScanner::run_to_completion).
+  /// window after the last probe has elapsed.
   void run_to_completion();
 
-  /// Merges the per-vantage capture buffers in (time, vantage, seq)
-  /// order and joins them with the global probe table. Unanswered
-  /// probes are attributed to the vantage that sent them.
+  /// Joins the whole capture with the global probe table: one final
+  /// flush of the streaming protocol (every buffered record, then
+  /// StreamingCorrelator::finish). This drains the member capture
+  /// buffers, so read capture_of() first to write or count the raw
+  /// capture. Unanswered probes are attributed to the vantage that
+  /// sent them.
   [[nodiscard]] std::vector<Transaction> correlate();
 
   /// Receives each finalized transaction during streaming correlation,
@@ -82,11 +88,13 @@ class VantageSet {
   /// Streaming replacement for run_to_completion() + correlate(): runs
   /// the simulator in `flush_interval` windows and, at each window
   /// barrier, drains the members' capture prefixes (records at or
-  /// before the watermark) into a StreamingCorrelator, emitting
-  /// finalized transactions to `sink` as their timeout windows close.
-  /// Executes the identical event order as the buffered protocol —
-  /// transactions, statistics, counters, and traces are byte-identical
-  /// — while holding only the in-flight window in memory.
+  /// before the watermark) into the correlator, emitting finalized
+  /// transactions to `sink` as their timeout windows close. Executes
+  /// the identical event order as run_to_completion() — transactions,
+  /// statistics, counters, and traces are identical — while holding
+  /// only the in-flight window in memory. Throws std::invalid_argument
+  /// unless `flush_interval` is positive (the window cursor could
+  /// never advance).
   StreamStats run_and_correlate_streaming(util::Duration flush_interval,
                                           const TxnSink& sink);
 
@@ -95,9 +103,8 @@ class VantageSet {
   [[nodiscard]] const std::vector<SentProbe>& probes() const {
     return probes_;
   }
-  /// The merged (time, vantage, seq) capture log.
-  [[nodiscard]] std::vector<RawResponse> merged_capture() const;
-  /// One member's local capture buffer.
+  /// One member's local capture buffer (the records not yet drained
+  /// into the correlator).
   [[nodiscard]] const std::vector<RawResponse>& capture_of(
       std::size_t vantage) const;
   /// Aggregated statistics (field-wise sum over members + correlation).
@@ -114,6 +121,8 @@ class VantageSet {
   /// the consumed prefixes.
   void flush_capture(util::SimTime cutoff, StreamingCorrelator& corr,
                      StreamStats& st);
+  /// Unanswered probes belong to the vantage that paced them.
+  void attribute(std::size_t probe, Transaction& txn) const;
 
   netsim::Simulator* sim_;
   ScanConfig cfg_;

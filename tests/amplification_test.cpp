@@ -433,10 +433,10 @@ CoreAmpFingerprint core_attack(std::uint32_t shards, std::uint32_t vantages,
 }
 
 TEST(AttackScenario, TablesInvariantAcrossShardsAndVantages) {
-  const auto reference = core_attack(1, 0, 11, false, 0);
+  const auto reference = core_attack(1, 1, 11, false, 0);
   ASSERT_FALSE(reference.stable.empty());
   for (const std::uint32_t shards : {2u, 8u}) {
-    EXPECT_EQ(core_attack(shards, 0, 11, false, 0).full, reference.full)
+    EXPECT_EQ(core_attack(shards, 1, 11, false, 0).full, reference.full)
         << "shards=" << shards;
   }
   // Multi-vantage census first, then the same attack: the tables (and
@@ -445,10 +445,10 @@ TEST(AttackScenario, TablesInvariantAcrossShardsAndVantages) {
 }
 
 TEST(AttackScenario, DefenseTogglesInvariantAcrossShards) {
-  const auto rrl_ref = core_attack(1, 0, 11, true, 0);
-  EXPECT_EQ(core_attack(8, 0, 11, true, 0).full, rrl_ref.full);
-  const auto sav_ref = core_attack(1, 0, 11, false, 1);
-  EXPECT_EQ(core_attack(8, 0, 11, false, 1).full, sav_ref.full);
+  const auto rrl_ref = core_attack(1, 1, 11, true, 0);
+  EXPECT_EQ(core_attack(8, 1, 11, true, 0).full, rrl_ref.full);
+  const auto sav_ref = core_attack(1, 1, 11, false, 1);
+  EXPECT_EQ(core_attack(8, 1, 11, false, 1).full, sav_ref.full);
   // The toggles actually changed the outcome (the property above is
   // not comparing empty-vs-empty).
   EXPECT_NE(rrl_ref.stable, sav_ref.stable);

@@ -35,7 +35,7 @@ TEST_P(CensusProperty, ProbeResponseConservation) {
   const auto result = run(GetParam());
   // One transaction per ground-truth component; nothing unmatched.
   EXPECT_EQ(result.transactions.size(), result.world->ground_truth().size());
-  EXPECT_EQ(result.scanner->stats().responses_unmatched, 0u);
+  EXPECT_EQ(result.degradation.scan.responses_unmatched, 0u);
   // Classified counts partition the transactions.
   const auto& c = result.census;
   EXPECT_EQ(c.rr + c.rf + c.tf + c.invalid + c.unresponsive,

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "classify/classify.hpp"
+#include "honeypot/lab.hpp"
 #include "nodes/forwarder.hpp"
-#include "scan/txscanner.hpp"
 #include "testutil.hpp"
 
 namespace odns {
@@ -88,10 +88,11 @@ TEST_F(EdgeFixture, TransparentForwarderToDeadResolverTimesOutAtScanner) {
   scan::ScanConfig sc;
   sc.qname = world.scan_name;
   sc.timeout = Duration::seconds(5);
-  scan::TransactionalScanner scanner(world.sim, world.scanner_host, sc);
-  scanner.start({Ipv4{20, 0, 53, 1}});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  const auto scanner =
+      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
+  scanner->start({Ipv4{20, 0, 53, 1}});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
   EXPECT_FALSE(txns[0].answered);
 }
 
@@ -177,10 +178,11 @@ TEST_F(EdgeFixture, TransparentChainThroughRecursiveForwarder) {
 
   scan::ScanConfig sc;
   sc.qname = world.scan_name;
-  scan::TransactionalScanner scanner(world.sim, world.scanner_host, sc);
-  scanner.start({Ipv4{20, 0, 57, 1}});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  const auto scanner =
+      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
+  scanner->start({Ipv4{20, 0, 57, 1}});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
   ASSERT_TRUE(txns[0].answered);
   EXPECT_EQ(txns[0].response_src, (Ipv4{20, 0, 57, 2}));
   ASSERT_TRUE(txns[0].dynamic_a().has_value());
@@ -215,14 +217,15 @@ TEST_F(EdgeFixture, ProbePacingFollowsConfiguredRate) {
   scan::ScanConfig sc;
   sc.qname = world.scan_name;
   sc.probes_per_second = 1000;  // 1 ms apart
-  scan::TransactionalScanner scanner(world.sim, world.scanner_host, sc);
+  const auto scanner =
+      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
   std::vector<Ipv4> targets(10, test::kResolverAddr);
-  scanner.start(targets);
+  scanner->start(targets);
   world.sim.run();
-  ASSERT_EQ(scanner.probes().size(), 10u);
-  for (std::size_t i = 1; i < scanner.probes().size(); ++i) {
+  ASSERT_EQ(scanner->probes().size(), 10u);
+  for (std::size_t i = 1; i < scanner->probes().size(); ++i) {
     const auto gap =
-        scanner.probes()[i].sent_at - scanner.probes()[i - 1].sent_at;
+        scanner->probes()[i].sent_at - scanner->probes()[i - 1].sent_at;
     EXPECT_EQ(gap.count_nanos(), 1'000'000);
   }
 }

@@ -6,12 +6,11 @@
 // modes, and seeds, and (3) scanner retransmissions monotonically
 // recover census coverage without ever changing an existing packet's
 // fate. Plus the unit surface: FaultPlane decisions, the retry-aware
-// correlation rules (buffered and streaming), the retry plan shape,
+// correlation rules (one pass and watermarked), the retry plan shape,
 // and the (time, shard, seq) merge contract under maximum jitter.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <vector>
@@ -21,10 +20,8 @@
 #include "honeypot/lab.hpp"
 #include "netsim/fault_plane.hpp"
 #include "nodes/forwarder.hpp"
-#include "scan/correlate.hpp"
 #include "scan/plan.hpp"
 #include "scan/stream.hpp"
-#include "scan/txscanner.hpp"
 #include "scan/vantage.hpp"
 #include "testutil.hpp"
 
@@ -228,8 +225,8 @@ FaultConfig chaos_faults() {
   return f;
 }
 
-/// MiniWorld + a row of transparent forwarders, scanned by the classic
-/// scanner under `cfg.faults` (and optional retries).
+/// MiniWorld + a row of transparent forwarders, scanned from the scanner
+/// host under `cfg.faults` (and optional retries).
 RunFingerprint run_chaos_scan(SimConfig cfg, int forwarders,
                               std::uint32_t retries = 0) {
   MiniWorld world(cfg);
@@ -253,15 +250,16 @@ RunFingerprint run_chaos_scan(SimConfig cfg, int forwarders,
   sc.timeout = Duration::seconds(4);
   sc.max_retries = retries;
   sc.backoff_base = Duration::millis(200);
-  scan::TransactionalScanner scanner(world.sim, world.scanner_host, sc);
-  scanner.start(targets);
-  scanner.run_to_completion();
+  const auto scanner =
+      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
+  scanner->start(targets);
+  scanner->run_to_completion();
 
   RunFingerprint fp;
-  fp.transactions = render_transactions(scanner.correlate());
+  fp.transactions = render_transactions(scanner->correlate());
   fp.counters = world.sim.counters();
   fp.trace_digest = world.sim.canonical_trace_digest();
-  fp.stats = scanner.stats();
+  fp.stats = scanner->stats();
   return fp;
 }
 
@@ -353,17 +351,18 @@ OutageRun run_outage_scan(SimConfig cfg, std::uint32_t retries) {
   sc.timeout = Duration::seconds(4);
   sc.max_retries = retries;
   sc.backoff_base = Duration::millis(100);
-  scan::TransactionalScanner scanner(world.sim, world.scanner_host, sc);
-  scanner.start(targets);
-  scanner.run_to_completion();
+  const auto scanner =
+      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
+  scanner->start(targets);
+  scanner->run_to_completion();
 
   OutageRun run;
-  const auto txns = scanner.correlate();
+  const auto txns = scanner->correlate();
   for (const auto& t : txns) run.answered += t.answered;
   run.fp.transactions = render_transactions(txns);
   run.fp.counters = world.sim.counters();
   run.fp.trace_digest = world.sim.canonical_trace_digest();
-  run.fp.stats = scanner.stats();
+  run.fp.stats = scanner->stats();
   return run;
 }
 
@@ -459,9 +458,10 @@ TEST(MergeContract, TraceStaysSortedByTimeShardSeqUnderMaxJitter) {
   scan::ScanConfig sc;
   sc.qname = world.scan_name;
   sc.timeout = Duration::seconds(2);
-  scan::TransactionalScanner scanner(world.sim, world.scanner_host, sc);
-  scanner.start(targets);
-  scanner.run_to_completion();
+  const auto scanner =
+      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
+  scanner->start(targets);
+  scanner->run_to_completion();
 
   const std::vector<TraceRecord> trace = world.sim.merged_trace();
   ASSERT_FALSE(trace.empty());
@@ -522,7 +522,7 @@ TEST(MergeContract, StreamingFinalizationStaysMonotoneUnderMaxJitter) {
 }
 
 // ---------------------------------------------------------------------
-// Retry-aware correlation rules (buffered + streaming differential)
+// Retry-aware correlation rules
 // ---------------------------------------------------------------------
 
 scan::RawResponse make_response(const scan::SentProbe& probe, SimTime at) {
@@ -535,7 +535,22 @@ scan::RawResponse make_response(const scan::SentProbe& probe, SimTime at) {
   return rec;
 }
 
-TEST(RetryCorrelation, WindowRulesOnBufferedJoin) {
+/// Consumes the whole capture, then finishes: VantageSet::correlate()'s
+/// single-flush cadence.
+std::vector<scan::Transaction> correlate_all(
+    const std::vector<scan::SentProbe>& probes,
+    std::vector<scan::RawResponse> capture, Duration timeout,
+    Duration extension, scan::ScannerStats& stats) {
+  scan::StreamingCorrelator corr(probes, timeout, stats, extension);
+  for (auto& rec : capture) corr.consume(std::move(rec));
+  std::vector<scan::Transaction> out;
+  corr.finish([&](std::size_t, scan::Transaction&& txn) {
+    out.push_back(std::move(txn));
+  });
+  return out;
+}
+
+TEST(RetryCorrelation, WindowRulesInOnePass) {
   // timeout 2 s, retries with backoff 1 s x 2 -> extension 3 s.
   const Duration timeout = Duration::seconds(2);
   const Duration extension = Duration::seconds(3);
@@ -562,8 +577,7 @@ TEST(RetryCorrelation, WindowRulesOnBufferedJoin) {
       probes[2], SimTime::origin() + Duration::millis(5500)));
 
   scan::ScannerStats stats;
-  const auto txns =
-      scan::correlate_capture(probes, capture, timeout, stats, extension);
+  const auto txns = correlate_all(probes, capture, timeout, extension, stats);
   ASSERT_EQ(txns.size(), 3u);
   EXPECT_TRUE(txns[0].answered);
   EXPECT_EQ(txns[0].rtt.count_nanos(), 500000000);
@@ -577,13 +591,13 @@ TEST(RetryCorrelation, WindowRulesOnBufferedJoin) {
   // With extension 0 the classic rules hold: probe 1's response is
   // plain late.
   scan::ScannerStats classic;
-  const auto plain = scan::correlate_capture(probes, capture, timeout,
-                                             classic, Duration::nanos(0));
+  const auto plain =
+      correlate_all(probes, capture, timeout, Duration::nanos(0), classic);
   EXPECT_FALSE(plain[1].answered);
   EXPECT_EQ(classic.responses_late, 3u);
 }
 
-TEST(RetryCorrelation, StreamingMatchesBufferedOnRetryWindows) {
+TEST(RetryCorrelation, WatermarkedStreamKeepsTheRetryWindows) {
   const Duration timeout = Duration::seconds(2);
   const Duration extension = Duration::seconds(3);
   std::vector<scan::SentProbe> probes;
@@ -598,20 +612,12 @@ TEST(RetryCorrelation, StreamingMatchesBufferedOnRetryWindows) {
   capture.push_back(
       make_response(probes[1], SimTime::origin() + Duration::seconds(3)));
   capture.push_back(
-      make_response(probes[2], SimTime::origin() + Duration::seconds(6)));
-  capture.push_back(
       make_response(probes[0], SimTime::origin() + Duration::seconds(4)));
-  std::sort(capture.begin(), capture.end(),
-            [](const scan::RawResponse& a, const scan::RawResponse& b) {
-              return a.at < b.at;
-            });
+  capture.push_back(
+      make_response(probes[2], SimTime::origin() + Duration::seconds(6)));
 
-  scan::ScannerStats buffered_stats;
-  const auto buffered = scan::correlate_capture(probes, capture, timeout,
-                                                buffered_stats, extension);
-
-  scan::ScannerStats streamed_stats;
-  scan::StreamingCorrelator corr(probes, timeout, streamed_stats, extension);
+  scan::ScannerStats stats;
+  scan::StreamingCorrelator corr(probes, timeout, stats, extension);
   std::vector<scan::Transaction> streamed(probes.size());
   const scan::StreamingCorrelator::Sink sink =
       [&](std::size_t i, scan::Transaction&& txn) {
@@ -626,12 +632,20 @@ TEST(RetryCorrelation, StreamingMatchesBufferedOnRetryWindows) {
   }
   corr.finish(sink);
 
-  EXPECT_EQ(render_transactions(streamed), render_transactions(buffered));
-  EXPECT_EQ(streamed_stats.responses_duplicate,
-            buffered_stats.responses_duplicate);
-  EXPECT_EQ(streamed_stats.responses_late, buffered_stats.responses_late);
-  EXPECT_EQ(streamed_stats.responses_unmatched,
-            buffered_stats.responses_unmatched);
+  // Probe 0: answered at 0.8 s, a duplicate at 0.9 s, and late at 4 s
+  // (past its original window, after the answer). Probe 1: answered by
+  // a retry inside the extension, rtt from the original send. Probe 2:
+  // past timeout + extension -> late, unanswered.
+  EXPECT_TRUE(streamed[0].answered);
+  EXPECT_EQ(streamed[0].rtt, Duration::millis(800));
+  EXPECT_TRUE(streamed[1].answered);
+  EXPECT_EQ(streamed[1].rtt, Duration::millis(2950));
+  for (std::size_t i = 2; i < streamed.size(); ++i) {
+    EXPECT_FALSE(streamed[i].answered) << "probe " << i;
+  }
+  EXPECT_EQ(stats.responses_duplicate, 1u);
+  EXPECT_EQ(stats.responses_late, 2u);
+  EXPECT_EQ(stats.responses_unmatched, 0u);
 }
 
 TEST(RetryPlan, AppendsBackoffEntriesAndKeepsClassicShape) {
@@ -644,7 +658,6 @@ TEST(RetryPlan, AppendsBackoffEntriesAndKeepsClassicShape) {
   const auto classic = scan::VantagePlan::build(sim, sc, targets);
   EXPECT_EQ(classic.probes().size(), 3u);
   EXPECT_EQ(classic.original_count(), 3u);
-  EXPECT_EQ(classic.span(), classic.pacing_gap() * 3);
   EXPECT_EQ(classic.last_at(), classic.pacing_gap() * 2);
 
   sc.max_retries = 2;
@@ -672,7 +685,6 @@ TEST(RetryPlan, AppendsBackoffEntriesAndKeepsClassicShape) {
   }
   EXPECT_EQ(retried.last_at(),
             classic.pacing_gap() * 2 + Duration::seconds(3));
-  EXPECT_EQ(retried.span(), retried.last_at() + retried.pacing_gap());
   EXPECT_EQ(sc.retry_extension(), Duration::seconds(3));
 }
 
@@ -725,7 +737,6 @@ std::string census_run_fingerprint(const core::CensusResult& result) {
 TEST(FaultedCensus, InvariantAcrossShardsThreadsSeeds) {
   for (const std::uint64_t seed : {1ull, 7ull}) {
     core::CensusConfig base = faulted_census_cfg(seed);
-    base.vantages = 1;
     base.shard_interleaved_targets = true;
     const auto buffered = core::run_census(base);
     const std::string reference = census_run_fingerprint(buffered);
@@ -742,7 +753,6 @@ TEST(FaultedCensus, InvariantAcrossShardsThreadsSeeds) {
       cfg.sim_shards = v.shards;
       cfg.topology.sim.shard_threads = v.threads;
       cfg.shard_interleaved_targets = true;
-      cfg.vantages = v.shards;
       cfg.streaming_correlation = true;
       cfg.correlate_flush = util::Duration::millis(250);
       const auto streamed = core::run_census(cfg);

@@ -28,7 +28,6 @@
 #include "nodes/forwarder.hpp"
 #include "nodes/ratelimit.hpp"
 #include "scan/amplification.hpp"
-#include "scan/txscanner.hpp"
 #include "testutil.hpp"
 #include "util/hash.hpp"
 
@@ -162,15 +161,22 @@ core::CensusConfig streaming_cfg(const CensusGolden& g, std::uint32_t shards) {
 
 TEST(GoldenStreamingCensus, OneAndEightShardsMatchTheRecordedRow) {
   for (const CensusGolden& g : kStreamingCensus) {
-    for (const std::uint32_t shards : {1u, 8u}) {
-      const auto result = core::run_census(streaming_cfg(g, shards));
+    // The buffered cadence (run to completion, then one final flush of
+    // the same correlator) must land on the same row.
+    core::CensusConfig buffered = streaming_cfg(g, 1);
+    buffered.streaming_correlation = false;
+    for (const core::CensusConfig& cfg :
+         {streaming_cfg(g, 1), streaming_cfg(g, 8), buffered}) {
+      const auto result = core::run_census(cfg);
       const std::string census =
           hex(classify::census_fingerprint(result.census));
       const std::string report = report_digest(result.degradation);
       EXPECT_TRUE(census == g.census && report == g.report)
-          << "shards=" << shards << ", actual row: {" << g.seed << ", "
-          << plain(g.scale) << ", " << (g.faulted ? "true" : "false") << ", \""
-          << census << "\", \"" << report << "\"},";
+          << "shards=" << cfg.sim_shards
+          << (cfg.streaming_correlation ? "" : " buffered")
+          << ", actual row: {" << g.seed << ", " << plain(g.scale) << ", "
+          << (g.faulted ? "true" : "false") << ", \"" << census << "\", \""
+          << report << "\"},";
     }
   }
 }
@@ -226,6 +232,11 @@ TEST(GoldenPipeline, CensusDnsrouteAndAttackMatchTheRecordedRow) {
         << "actual row: {" << g.seed << ", \"" << census << "\", "
         << routes.paths.size() << ", \"" << paths << "\", \"" << amp
         << "\"},";
+    // The streaming cadence must reproduce the same census.
+    cfg.streaming_correlation = true;
+    EXPECT_EQ(hex(classify::census_fingerprint(core::run_census(cfg).census)),
+              g.census)
+        << "streaming cadence, seed=" << g.seed;
   }
 }
 
@@ -392,13 +403,14 @@ SimFingerprint run_mini_scan(const SimConfig& cfg) {
   scan::ScanConfig sc;
   sc.qname = world.scan_name;
   sc.timeout = Duration::seconds(4);
-  scan::TransactionalScanner scanner(world.sim, world.scanner_host, sc);
-  scanner.start(targets);
-  scanner.run_to_completion();
+  const auto scanner =
+      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
+  scanner->start(targets);
+  scanner->run_to_completion();
 
   Fnv outputs;
   outputs.add(world.sim.counters());
-  for (const auto& t : scanner.correlate()) {
+  for (const auto& t : scanner->correlate()) {
     outputs.add({t.target.value(), t.answered ? 1u : 0u,
                  t.response_src.value(),
                  static_cast<std::uint64_t>(t.rtt.count_nanos()),

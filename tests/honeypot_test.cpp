@@ -5,7 +5,6 @@
 #include "core/census.hpp"
 #include "honeypot/lab.hpp"
 #include "scan/campaigns.hpp"
-#include "scan/txscanner.hpp"
 #include "topo/deployment.hpp"
 
 namespace odns::honeypot {
@@ -87,11 +86,11 @@ TEST_F(ControlledExperiment, TransactionalScanFindsAllThreeSensors) {
                                    Ipv4{198, 18, 4, 7});
   scan::ScanConfig cfg;
   cfg.qname = world_->scan_name();
-  scan::TransactionalScanner scanner(world_->sim(), host, cfg);
-  scanner.start({lab_->sensor1_addr, lab_->sensor2_recv_addr,
-                 lab_->sensor3_addr});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  const auto scanner = single_host_scanner(world_->sim(), host, cfg);
+  scanner->start({lab_->sensor1_addr, lab_->sensor2_recv_addr,
+                  lab_->sensor3_addr});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
   ASSERT_EQ(txns.size(), 3u);
   EXPECT_TRUE(txns[0].answered);
   EXPECT_EQ(txns[0].response_src, lab_->sensor1_addr);     // resolver-like
@@ -116,12 +115,12 @@ TEST_F(ControlledExperiment, RateLimiterSuppressesRepeatedProbes) {
   scan::ScanConfig cfg;
   cfg.qname = world_->scan_name();
   cfg.timeout = Duration::seconds(5);
-  scan::TransactionalScanner scanner(world_->sim(), host, cfg);
+  const auto scanner = single_host_scanner(world_->sim(), host, cfg);
   // Two probes to sensor 1 in quick succession from the same /24:
   // only the first is answered.
-  scanner.start({lab_->sensor1_addr, lab_->sensor1_addr});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  scanner->start({lab_->sensor1_addr, lab_->sensor1_addr});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
   ASSERT_EQ(txns.size(), 2u);
   EXPECT_TRUE(txns[0].answered);
   EXPECT_FALSE(txns[1].answered);

@@ -44,7 +44,7 @@ CensusResult* FullCensus::result_ = nullptr;
 TEST_F(FullCensus, EveryProbeGetsExactlyOneTransaction) {
   EXPECT_EQ(result_->transactions.size(),
             result_->world->ground_truth().size());
-  EXPECT_EQ(result_->scanner->stats().responses_unmatched, 0u);
+  EXPECT_EQ(result_->degradation.scan.responses_unmatched, 0u);
 }
 
 TEST_F(FullCensus, ClassificationMatchesGroundTruth) {

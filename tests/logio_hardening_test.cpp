@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 
+#include "honeypot/lab.hpp"
 #include "scan/log_io.hpp"
 #include "testutil.hpp"
 
@@ -15,64 +17,124 @@ using test::MiniWorld;
 using util::Duration;
 using util::Ipv4;
 
+/// Scans `targets` from the world's scanner host (a VantageSet of one).
+std::unique_ptr<VantageSet> scan_world(MiniWorld& world, ScanConfig sc,
+                                       const std::vector<Ipv4>& targets) {
+  sc.qname = world.scan_name;
+  auto scanner =
+      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
+  scanner->start(targets);
+  scanner->run_to_completion();
+  return scanner;
+}
+
 class LogIoFixture : public ::testing::Test {
  protected:
   MiniWorld world;
 
-  TransactionalScanner scan_world() {
-    ScanConfig sc;
-    sc.qname = world.scan_name;
-    TransactionalScanner scanner(world.sim, world.scanner_host, sc);
-    scanner.start({test::kResolverAddr});
-    scanner.run_to_completion();
-    return scanner;
+  std::unique_ptr<VantageSet> scan_resolver() {
+    return scan_world(world, ScanConfig{}, {test::kResolverAddr});
   }
 };
 
 TEST_F(LogIoFixture, ProbeLogRoundTrip) {
-  auto scanner = scan_world();
+  const auto scanner = scan_resolver();
   std::stringstream ss;
-  write_probes_csv(ss, scanner.probes());
+  write_probes_csv(ss, scanner->probes());
   const auto back = read_probes_csv(ss);
-  ASSERT_EQ(back.size(), scanner.probes().size());
-  EXPECT_EQ(back[0].target, scanner.probes()[0].target);
-  EXPECT_EQ(back[0].src_port, scanner.probes()[0].src_port);
-  EXPECT_EQ(back[0].txid, scanner.probes()[0].txid);
-  EXPECT_EQ(back[0].sent_at, scanner.probes()[0].sent_at);
+  ASSERT_EQ(back.size(), scanner->probes().size());
+  EXPECT_EQ(back[0].target, scanner->probes()[0].target);
+  EXPECT_EQ(back[0].src_port, scanner->probes()[0].src_port);
+  EXPECT_EQ(back[0].txid, scanner->probes()[0].txid);
+  EXPECT_EQ(back[0].sent_at, scanner->probes()[0].sent_at);
 }
 
 TEST_F(LogIoFixture, CaptureLogRoundTrip) {
-  auto scanner = scan_world();
+  const auto scanner = scan_resolver();
+  const auto& capture = scanner->capture_of(0);
   std::stringstream ss;
-  write_capture_csv(ss, scanner.capture());
+  write_capture_csv(ss, capture);
   const auto back = read_capture_csv(ss);
-  ASSERT_EQ(back.size(), scanner.capture().size());
-  EXPECT_EQ(back[0].src, scanner.capture()[0].src);
-  EXPECT_EQ(back[0].answer_addrs, scanner.capture()[0].answer_addrs);
-  EXPECT_EQ(back[0].rcode, scanner.capture()[0].rcode);
+  ASSERT_EQ(back.size(), capture.size());
+  EXPECT_EQ(back[0].src, capture[0].src);
+  EXPECT_EQ(back[0].answer_addrs, capture[0].answer_addrs);
+  EXPECT_EQ(back[0].rcode, capture[0].rcode);
 }
 
-TEST_F(LogIoFixture, OfflineCorrelationMatchesOnline) {
-  auto scanner = scan_world();
-  const auto online = scanner.correlate();
+struct Joins {
+  std::vector<Transaction> online;
+  std::vector<Transaction> offline;
+};
+
+/// Persists the scan's logs, then joins them online and, from the
+/// read-back CSVs, offline.
+Joins join_both_ways(VantageSet& scanner, const ScanConfig& sc) {
   std::stringstream probes_csv;
   std::stringstream capture_csv;
   write_probes_csv(probes_csv, scanner.probes());
-  write_capture_csv(capture_csv, scanner.capture());
-  const auto offline = correlate_offline(read_probes_csv(probes_csv),
-                                         read_capture_csv(capture_csv),
-                                         Duration::seconds(20));
-  ASSERT_EQ(offline.size(), online.size());
-  for (std::size_t i = 0; i < online.size(); ++i) {
-    EXPECT_EQ(offline[i].answered, online[i].answered);
-    EXPECT_EQ(offline[i].response_src, online[i].response_src);
-    EXPECT_EQ(offline[i].answer_addrs, online[i].answer_addrs);
+  write_capture_csv(capture_csv, scanner.capture_of(0));
+  Joins joins;
+  joins.online = scanner.correlate();  // drains the capture
+  joins.offline = correlate_offline(read_probes_csv(probes_csv),
+                                    read_capture_csv(capture_csv), sc.timeout,
+                                    sc.retry_extension());
+  return joins;
+}
+
+void expect_same_rows(const Joins& joins) {
+  ASSERT_EQ(joins.offline.size(), joins.online.size());
+  for (std::size_t i = 0; i < joins.online.size(); ++i) {
+    EXPECT_EQ(joins.offline[i].answered, joins.online[i].answered)
+        << "probe " << i;
+    EXPECT_EQ(joins.offline[i].response_src, joins.online[i].response_src);
+    EXPECT_EQ(joins.offline[i].rtt, joins.online[i].rtt);
+    EXPECT_EQ(joins.offline[i].answer_addrs, joins.online[i].answer_addrs);
   }
 }
 
+TEST_F(LogIoFixture, OfflineCorrelationMatchesOnline) {
+  const auto scanner = scan_resolver();
+  expect_same_rows(join_both_ways(*scanner, ScanConfig{}));
+}
+
+TEST(LogIoHardening, OfflineCorrelationMatchesOnlineUnderRetries) {
+  // A lossy scan with retransmissions. The access network is dark
+  // while the originals go out, so the answers that come back were
+  // elicited by retries: past the original timeout, inside the retry
+  // extension. Offline correlation must count them exactly as online.
+  netsim::SimConfig cfg;
+  cfg.seed = 11;
+  cfg.loss_rate = 0.05;
+  cfg.faults.outages.push_back(
+      netsim::OutageWindow{test::kAccessAsn, util::SimTime::origin(),
+                           util::SimTime::origin() + Duration::millis(500)});
+  MiniWorld world(cfg);
+  std::vector<std::unique_ptr<nodes::TransparentForwarder>> tfs;
+  std::vector<Ipv4> targets;
+  for (int i = 0; i < 20; ++i) {
+    const Ipv4 addr{20, 0, 9, static_cast<std::uint8_t>(1 + i)};
+    tfs.push_back(std::make_unique<nodes::TransparentForwarder>(
+        world.sim, world.add_access_host(addr), test::kResolverAddr));
+    tfs.back()->install();
+    targets.push_back(addr);
+  }
+  ScanConfig sc;
+  sc.timeout = Duration::seconds(1);
+  sc.max_retries = 2;
+  sc.backoff_base = Duration::seconds(1);
+  const auto scanner = scan_world(world, sc, targets);
+  const Joins joins = join_both_ways(*scanner, sc);
+  expect_same_rows(joins);
+  EXPECT_TRUE(std::any_of(joins.online.begin(), joins.online.end(),
+                          [&](const Transaction& t) {
+                            return t.answered && t.rtt > sc.timeout;
+                          }))
+      << "the scan must exercise the retry window";
+}
+
 TEST_F(LogIoFixture, TransactionsRoundTrip) {
-  auto scanner = scan_world();
-  const auto txns = scanner.correlate();
+  const auto scanner = scan_resolver();
+  const auto txns = scanner->correlate();
   std::stringstream ss;
   write_transactions_csv(ss, txns);
   const auto back = read_transactions_csv(ss);

@@ -600,5 +600,44 @@ TEST_F(NetworkFixture, VantageCaptureNeedsMembersAndAnOwnedAddress) {
   EXPECT_TRUE(sim_.vantage_capture_active());
 }
 
+TEST_F(NetworkFixture, UnknownHostsAreRejected) {
+  // The sentinel would otherwise grow the dense host-state table to
+  // 2^32 slots; any id past the last host is just as invalid.
+  EXPECT_THROW(sim_.bind_udp_wildcard(kInvalidHost, nullptr),
+               std::out_of_range);
+  EXPECT_THROW(sim_.set_icmp_handler(d_ + 1, {}), std::out_of_range);
+  EXPECT_THROW((void)sim_.shard_of(kInvalidHost), std::out_of_range);
+  EXPECT_THROW((void)sim_.shard_of(d_ + 1), std::out_of_range);
+}
+
+TEST(SimulatorContract, ShardOfRejectsUnknownHostsWhenSharded) {
+  SimConfig cfg;
+  cfg.shards = 2;
+  Simulator sim(cfg);
+  AsConfig as;
+  as.asn = 1;
+  sim.net().add_as(as);
+  const HostId host = sim.net().add_host(1, {Ipv4{10, 1, 0, 1}});
+  EXPECT_NO_THROW((void)sim.shard_of(host));
+  EXPECT_THROW((void)sim.shard_of(host + 1), std::out_of_range);
+}
+
+TEST_F(NetworkFixture, SendingFromAnAddresslessHostThrows) {
+  const HostId bare = net().add_host(1, std::vector<Ipv4>{});
+  SendOptions opts;
+  opts.dst = Ipv4{10, 3, 0, 1};
+  opts.dst_port = 53;
+  EXPECT_THROW(sim_.send_udp(bare, std::move(opts)), std::invalid_argument);
+}
+
+TEST(NetworkContract, AsNeedsAtLeastOneInternalHop) {
+  Network net;
+  AsConfig cfg;
+  cfg.asn = 7;
+  cfg.internal_hops = 0;
+  EXPECT_THROW(net.add_as(cfg), std::invalid_argument);
+  EXPECT_EQ(net.find_as(7), nullptr);
+}
+
 }  // namespace
 }  // namespace odns::netsim

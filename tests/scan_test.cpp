@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
+#include "honeypot/lab.hpp"
 #include "nodes/forwarder.hpp"
 #include "scan/campaigns.hpp"
-#include "scan/txscanner.hpp"
 #include "testutil.hpp"
 
 namespace odns::scan {
@@ -22,13 +22,19 @@ class ScanFixture : public ::testing::Test {
     cfg.qname = world.scan_name;
     return cfg;
   }
+
+  /// A scan from the scanner host (a VantageSet of one).
+  std::unique_ptr<VantageSet> make_scanner(ScanConfig cfg) {
+    return honeypot::single_host_scanner(world.sim, world.scanner_host,
+                                         std::move(cfg));
+  }
 };
 
 TEST_F(ScanFixture, ResolverTargetClassifiableTransaction) {
-  TransactionalScanner scanner(world.sim, world.scanner_host, scan_config());
-  scanner.start({test::kResolverAddr});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  const auto scanner = make_scanner(scan_config());
+  scanner->start({test::kResolverAddr});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
   ASSERT_EQ(txns.size(), 1u);
   EXPECT_TRUE(txns[0].answered);
   EXPECT_EQ(txns[0].target, test::kResolverAddr);
@@ -45,13 +51,13 @@ TEST_F(ScanFixture, UnresponsiveTargetStaysUnanswered) {
   world.add_access_host(Ipv4{20, 0, 0, 50});
   ScanConfig cfg = scan_config();
   cfg.timeout = Duration::seconds(2);
-  TransactionalScanner scanner(world.sim, world.scanner_host, cfg);
-  scanner.start({Ipv4{20, 0, 0, 50}});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  const auto scanner = make_scanner(cfg);
+  scanner->start({Ipv4{20, 0, 0, 50}});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
   ASSERT_EQ(txns.size(), 1u);
   EXPECT_FALSE(txns[0].answered);
-  EXPECT_EQ(scanner.stats().icmp_errors, 1u);
+  EXPECT_EQ(scanner->stats().icmp_errors, 1u);
 }
 
 TEST_F(ScanFixture, Fig7TwoForwardersOneResolverDisambiguated) {
@@ -65,10 +71,10 @@ TEST_F(ScanFixture, Fig7TwoForwardersOneResolverDisambiguated) {
   f1.install();
   f2.install();
 
-  TransactionalScanner scanner(world.sim, world.scanner_host, scan_config());
-  scanner.start({Ipv4{20, 0, 5, 1}, Ipv4{20, 0, 5, 2}});
-  scanner.run_to_completion();
-  const auto txns = scanner.correlate();
+  const auto scanner = make_scanner(scan_config());
+  scanner->start({Ipv4{20, 0, 5, 1}, Ipv4{20, 0, 5, 2}});
+  scanner->run_to_completion();
+  const auto txns = scanner->correlate();
   ASSERT_EQ(txns.size(), 2u);
   for (const auto& txn : txns) {
     EXPECT_TRUE(txn.answered);
@@ -76,37 +82,37 @@ TEST_F(ScanFixture, Fig7TwoForwardersOneResolverDisambiguated) {
     EXPECT_NE(txn.target, txn.response_src);
   }
   // Distinct tuples were used.
-  ASSERT_EQ(scanner.probes().size(), 2u);
-  EXPECT_NE(scanner.probes()[0].src_port, scanner.probes()[1].src_port);
-  EXPECT_EQ(scanner.stats().responses_unmatched, 0u);
+  ASSERT_EQ(scanner->probes().size(), 2u);
+  EXPECT_NE(scanner->probes()[0].src_port, scanner->probes()[1].src_port);
+  EXPECT_EQ(scanner->stats().responses_unmatched, 0u);
 }
 
 TEST_F(ScanFixture, TupleUniquenessAcrossPortWrap) {
   ScanConfig cfg = scan_config();
   cfg.port_base = 65530;  // tiny port space: forces wraps
   cfg.port_limit = 65535;
-  TransactionalScanner scanner(world.sim, world.scanner_host, cfg);
+  const auto scanner = make_scanner(cfg);
   std::vector<Ipv4> targets(20, test::kResolverAddr);
   // 20 probes over 6 ports: tuples must still be unique.
-  scanner.start(targets);
-  scanner.run_to_completion();
+  scanner->start(targets);
+  scanner->run_to_completion();
   std::set<std::uint32_t> tuples;
-  for (const auto& p : scanner.probes()) {
+  for (const auto& p : scanner->probes()) {
     tuples.insert((std::uint32_t{p.src_port} << 16) | p.txid);
   }
-  EXPECT_EQ(tuples.size(), scanner.probes().size());
+  EXPECT_EQ(tuples.size(), scanner->probes().size());
 }
 
 TEST_F(ScanFixture, LateResponsesCountedNotMatched) {
   ScanConfig cfg = scan_config();
   cfg.timeout = Duration::nanos(1);  // everything is late
-  TransactionalScanner scanner(world.sim, world.scanner_host, cfg);
-  scanner.start({test::kResolverAddr});
+  const auto scanner = make_scanner(cfg);
+  scanner->start({test::kResolverAddr});
   world.sim.run();
-  const auto txns = scanner.correlate();
+  const auto txns = scanner->correlate();
   ASSERT_EQ(txns.size(), 1u);
   EXPECT_FALSE(txns[0].answered);
-  EXPECT_EQ(scanner.stats().responses_late, 1u);
+  EXPECT_EQ(scanner->stats().responses_late, 1u);
 }
 
 TEST_F(ScanFixture, QueryEncodingModeUsesPerTargetNames) {
@@ -120,14 +126,25 @@ TEST_F(ScanFixture, QueryEncodingModeUsesPerTargetNames) {
     }
     return *dnswire::Name::parse(label + ".q.odns-study.net");
   };
-  TransactionalScanner scanner(world.sim, world.scanner_host, cfg);
-  scanner.start({test::kResolverAddr});
-  scanner.run_to_completion();
+  const auto scanner = make_scanner(cfg);
+  scanner->start({test::kResolverAddr});
+  scanner->run_to_completion();
   ASSERT_EQ(world.auth->query_log().size(), 1u);
   // The resolver 0x20-randomizes the case of its upstream query, so
   // compare canonically.
   EXPECT_EQ(world.auth->query_log()[0].qname.canonical(),
             "8-8-8-8.q.odns-study.net");
+}
+
+TEST_F(ScanFixture, StreamingRejectsANonPositiveFlushInterval) {
+  // A zero or negative window would never advance the flush cursor.
+  const auto scanner = make_scanner(scan_config());
+  scanner->start({test::kResolverAddr});
+  const VantageSet::TxnSink sink = [](std::size_t, Transaction&&) {};
+  EXPECT_THROW(scanner->run_and_correlate_streaming(Duration::nanos(0), sink),
+               std::invalid_argument);
+  EXPECT_THROW(scanner->run_and_correlate_streaming(Duration::millis(-5), sink),
+               std::invalid_argument);
 }
 
 // ---------------------------------------------------------------------
