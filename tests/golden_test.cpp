@@ -1,6 +1,6 @@
 // Determinism goldens (docs/architecture.md, "Determinism goldens"):
 // recorded, absolute fingerprints of the streaming census, the classic
-// paper pipeline and three packet-plane scenarios. The other suites
+// paper pipeline, three packet-plane scenarios and the DNS wire codec. The other suites
 // prove that execution strategies agree with each other (1 vs. 8
 // shards, threads on or off); this one pins *what* they agree on, so a
 // change that shifts every path equally still fails here.
@@ -17,11 +17,14 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "classify/analysis.hpp"
 #include "core/attack.hpp"
 #include "core/census.hpp"
+#include "dnswire/codec.hpp"
 #include "honeypot/lab.hpp"
 #include "netsim/sim.hpp"
 #include "netsim/stream.hpp"
@@ -70,6 +73,57 @@ class Fnv {
   }
   Fnv& add(std::initializer_list<std::uint64_t> values) {
     for (const std::uint64_t v : values) add(v);
+    return *this;
+  }
+  Fnv& add(const dnswire::Name& n) {
+    add(n.label_count());
+    for (const auto& l : n.labels()) add(l);
+    return *this;
+  }
+  Fnv& add(const dnswire::ResourceRecord& rr) {
+    add(rr.name).add({static_cast<std::uint64_t>(rr.type),
+                      static_cast<std::uint64_t>(rr.klass), rr.ttl,
+                      rr.rdata.index()});
+    std::visit(
+        [this](const auto& rd) {
+          using T = std::decay_t<decltype(rd)>;
+          if constexpr (std::is_same_v<T, dnswire::ARecord>) {
+            add(rd.addr.value());
+          } else if constexpr (std::is_same_v<T, dnswire::NsRecord>) {
+            add(rd.host);
+          } else if constexpr (std::is_same_v<T, dnswire::CnameRecord> ||
+                               std::is_same_v<T, dnswire::PtrRecord>) {
+            add(rd.target);
+          } else if constexpr (std::is_same_v<T, dnswire::TxtRecord>) {
+            add(rd.strings.size());
+            for (const auto& str : rd.strings) add(str);
+          } else if constexpr (std::is_same_v<T, dnswire::SoaRecord>) {
+            add(rd.mname).add(rd.rname).add(
+                {rd.serial, rd.refresh, rd.retry, rd.expire, rd.minimum});
+          } else if constexpr (std::is_same_v<T, dnswire::OptRecord>) {
+            add(rd.udp_payload_size);
+          } else {
+            add(rd.data.size());
+            for (const std::uint8_t b : rd.data) add(b);
+          }
+        },
+        rr.rdata);
+    return *this;
+  }
+  /// Every field a decoded message carries.
+  Fnv& add(const dnswire::Message& m) {
+    const dnswire::Header& h = m.header;
+    add({h.id, h.qr ? 1u : 0u, static_cast<std::uint64_t>(h.opcode),
+         h.aa ? 1u : 0u, h.tc ? 1u : 0u, h.rd ? 1u : 0u, h.ra ? 1u : 0u,
+         static_cast<std::uint64_t>(h.rcode), m.questions.size()});
+    for (const auto& q : m.questions) {
+      add(q.name).add({static_cast<std::uint64_t>(q.type),
+                       static_cast<std::uint64_t>(q.klass)});
+    }
+    for (const auto* section : {&m.answers, &m.authorities, &m.additionals}) {
+      add(section->size());
+      for (const auto& rr : *section) add(rr);
+    }
     return *this;
   }
   Fnv& add(const SimCounters& c) {
@@ -551,6 +605,71 @@ TEST(GoldenNetsim, AmplificationMatchesTheRecordedRowOnOneAndEightShards) {
           << "shards=" << shards << ", actual row: {"
           << (g.rrl ? "true" : "false") << ", " << row_text(fp) << "},";
     }
+  }
+}
+
+// ---------------------------------------------------------------------
+// DNS wire codec: encoded bytes and decode verdicts
+// ---------------------------------------------------------------------
+
+/// encode() bytes of one seed's slice of the round-trip corpus.
+struct CodecEncodeGolden {
+  std::uint64_t seed;
+  const char* bytes;
+};
+
+constexpr CodecEncodeGolden kCodecEncode[] = {
+    {0xC0FFEE, "14cc22d4558ef66a"},
+    {0xDECAF1, "4b7e412b2370fb32"},
+    {0x5CA1AB1E, "f550d38bff66d482"},
+    {0xB16B00B5, "cc8129427e2de6fe"},
+    {0xCAFEF00D, "4f942c79917fad4d"},
+};
+
+TEST(GoldenCodec, EncodedCorpusMatchesTheRecordedRow) {
+  for (const CodecEncodeGolden& g : kCodecEncode) {
+    util::Rng rng(g.seed);
+    Fnv d;
+    for (int i = 0; i < test::corpus::kMessagesPerSeed; ++i) {
+      const auto wire = dnswire::encode(test::corpus::random_message(rng));
+      d.add(wire.size());
+      for (const std::uint8_t b : wire) d.add(b);
+    }
+    EXPECT_EQ(d.hex(), g.bytes)
+        << "actual row: {0x" << std::hex << std::uppercase << g.seed
+        << ", \"" << d.hex() << "\"},";
+  }
+}
+
+/// decode() verdicts over one fuzz corpus. Each input folds in either
+/// its DecodeError or its decoded fields, never re-encoded bytes, so
+/// the row pins the decoder alone.
+struct CodecVerdictGolden {
+  const char* corpus;
+  std::vector<test::corpus::Wire> (*inputs)();
+  const char* verdicts;
+};
+
+const CodecVerdictGolden kCodecVerdicts[] = {
+    {"truncated", test::corpus::truncated_inputs, "a127430895b125a5"},
+    {"corrupted", test::corpus::corrupted_inputs, "2c6e53392dd0d803"},
+    {"garbage", test::corpus::garbage_inputs, "610319aa793e1046"},
+};
+
+TEST(GoldenCodec, DecodeVerdictsMatchTheRecordedRow) {
+  for (const CodecVerdictGolden& g : kCodecVerdicts) {
+    Fnv d;
+    for (const auto& wire : g.inputs()) {
+      const auto parsed = dnswire::decode(wire);
+      if (parsed) {
+        d.add(1).add(parsed.value());
+      } else {
+        d.add({0, static_cast<std::uint64_t>(parsed.error())});
+      }
+    }
+    EXPECT_EQ(d.hex(), g.verdicts)
+        << "actual row: {\"" << g.corpus << "\", test::corpus::" << g.corpus
+        << "_inputs, \"" << d.hex() << "\"},";
   }
 }
 
