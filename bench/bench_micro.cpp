@@ -33,42 +33,10 @@ dnswire::Message mirror_response() {
   return resp;
 }
 
-void BM_EncodeQuery(benchmark::State& state) {
-  const auto query = dnswire::make_query(
-      7, *dnswire::Name::parse("scan.odns-study.net"), dnswire::RrType::a);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dnswire::encode(query));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EncodeQuery);
-
-void BM_EncodeMirrorResponse(benchmark::State& state) {
-  const auto resp = mirror_response();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(dnswire::encode(resp));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_EncodeMirrorResponse);
-
-void BM_DecodeMirrorResponse(benchmark::State& state) {
-  const auto wire = dnswire::encode(mirror_response());
-  for (auto _ : state) {
-    auto decoded = dnswire::decode(wire);
-    benchmark::DoNotOptimize(decoded);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations() * wire.size()));
-}
-BENCHMARK(BM_DecodeMirrorResponse);
-
-// Arena codec counterparts (docs/architecture.md, "Zero-allocation
-// wire path"): same messages, decoded/encoded through a warmed
-// WireArena that is reset per message — the serving-loop shape, where
-// the steady state does zero heap allocations (the property
-// tests/alloc_audit_test.cpp enforces).
+// The wire codec (docs/architecture.md, "The DNS wire codec"): messages
+// decoded/encoded through a warmed WireArena that is reset per message
+// — the serving-loop shape, where the steady state does zero heap
+// allocations (the property tests/alloc_audit_test.cpp enforces).
 
 void BM_ArenaEncodeMirrorResponse(benchmark::State& state) {
   dnswire::WireArena view_arena;
@@ -96,10 +64,9 @@ void BM_ArenaDecodeMirrorResponse(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaDecodeMirrorResponse);
 
-/// The full arena serving unit — decode the query, echo it as a
-/// two-record mirror response, encode — against the heap equivalent
-/// below (BM_HeapServeMirror): the per-message cost a census auth
-/// server pays at 20k pps.
+/// The full serving unit — decode the query, echo it as a two-record
+/// mirror response, encode: the per-message cost a census auth server
+/// pays at 20k pps.
 void BM_ArenaServeMirror(benchmark::State& state) {
   const auto query_wire = dnswire::encode(dnswire::make_query(
       0x4242, *dnswire::Name::parse("scan.odns-study.net"),
@@ -132,25 +99,6 @@ void BM_ArenaServeMirror(benchmark::State& state) {
 }
 BENCHMARK(BM_ArenaServeMirror);
 
-void BM_HeapServeMirror(benchmark::State& state) {
-  const auto query_wire = dnswire::encode(dnswire::make_query(
-      0x4242, *dnswire::Name::parse("scan.odns-study.net"),
-      dnswire::RrType::a));
-  const auto name = *dnswire::Name::parse("scan.odns-study.net");
-  for (auto _ : state) {
-    auto parsed = dnswire::decode(query_wire);
-    auto resp = dnswire::make_response(parsed.value());
-    resp.header.aa = true;
-    resp.answers.push_back(
-        dnswire::ResourceRecord::a(name, Ipv4{74, 125, 0, 10}, 300));
-    resp.answers.push_back(
-        dnswire::ResourceRecord::a(name, Ipv4{198, 51, 100, 200}, 300));
-    benchmark::DoNotOptimize(dnswire::encode(resp));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_HeapServeMirror);
-
 void BM_DecodeCompressedNames(benchmark::State& state) {
   auto resp = mirror_response();
   const auto name = *dnswire::Name::parse("scan.odns-study.net");
@@ -159,8 +107,10 @@ void BM_DecodeCompressedNames(benchmark::State& state) {
         dnswire::ResourceRecord::a(name, Ipv4{10, 0, 0, 1}, 60));
   }
   const auto wire = dnswire::encode(resp);
+  dnswire::WireArena rx;
   for (auto _ : state) {
-    auto decoded = dnswire::decode(wire);
+    rx.reset();
+    auto decoded = dnswire::decode_into(rx, wire);
     benchmark::DoNotOptimize(decoded);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));

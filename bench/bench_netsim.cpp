@@ -1,4 +1,4 @@
-// Netsim hot-path benchmark: eight A/B workloads, each measuring one
+// Netsim hot-path benchmark: seven A/B workloads, each measuring one
 // fast path against its baseline on the same traffic.
 //
 // Route-cache workloads (Network route cache disabled vs. enabled):
@@ -35,9 +35,6 @@
 // containers where wall-clock cannot parallelize; the wall-clock
 // throughput of the sharded run is recorded alongside. Determinism is
 // checked with the canonical (shard-count-invariant) trace digest.
-//
-// Arena codec serving (heap vs. arena DNS codec, outside the
-// simulator): the arena path must emit the exact same wire bytes.
 //
 // Million-host census (docs/architecture.md "Internet-scale worlds &
 // streaming correlation"):
@@ -84,8 +81,6 @@
 
 #include "classify/analysis.hpp"
 #include "core/census.hpp"
-#include "dnswire/arena.hpp"
-#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 #include "netsim/sim.hpp"
@@ -518,7 +513,7 @@ ShardedRun run_sharded_workload(const Opts& opts, bool relay,
 
 /// One A/B row. The labels name the two modes being compared so the
 /// JSON keys stay self-describing: "uncached"/"cached" for the route-
-/// cache rows, "heap"/"arena" for the codec row.
+/// cache rows.
 struct WorkloadReport {
   std::string name;
   std::string baseline_label;
@@ -794,91 +789,6 @@ WorkloadReport bench_amplification_workload(const Opts& opts) {
       baseline.base.route_hash == fast.base.route_hash &&
       fast.base.route_hash == fast_threaded.base.route_hash;
   return rep;
-}
-
-// --- arena codec serving row ----------------------------------------
-
-/// Keeps timing-mode codec outputs observable without paying the
-/// verification hash inside the timed loop.
-volatile std::uint64_t g_codec_sink = 0;
-
-/// Pure-codec A/B outside the simulator: serve `packets` mirror
-/// transactions (decode the query, build the two-record answer, encode)
-/// through the heap codec vs. the warmed-arena codec. The traced
-/// verification pass hashes every output byte — the arena path must
-/// produce the exact wire images the heap path does, message for
-/// message; timing passes skip the hash.
-RunResult run_codec_workload(bool arena, bool traced,
-                             std::uint64_t packets) {
-  auto query_wire = dnswire::encode(dnswire::make_query(
-      0x4242, *dnswire::Name::parse("scan.odns-study.net"),
-      dnswire::RrType::a));
-  const auto name = *dnswire::Name::parse("scan.odns-study.net");
-  RunResult r;
-  const auto t0 = std::chrono::steady_clock::now();
-  if (arena) {
-    dnswire::WireArena rx;
-    dnswire::WireArena tx;
-    for (std::uint64_t p = 0; p < packets; ++p) {
-      query_wire[0] = static_cast<std::uint8_t>(p >> 8);
-      query_wire[1] = static_cast<std::uint8_t>(p);
-      rx.reset();
-      tx.reset();
-      auto parsed = dnswire::decode_into(rx, query_wire);
-      const dnswire::MessageView& q = parsed.value();
-      auto answers = tx.alloc_array<dnswire::RecordView>(2);
-      answers[0].name = q.questions.front().name;
-      answers[0].type = dnswire::RrType::a;
-      answers[0].ttl = 300;
-      answers[0].rdata.tag = dnswire::RdataView::Tag::a;
-      answers[0].rdata.a_addr = Ipv4{74, 125, 0, 10};
-      answers[1] = answers[0];
-      answers[1].rdata.a_addr = Ipv4{198, 51, 100, 200};
-      dnswire::MessageView resp;
-      resp.header.id = q.header.id;
-      resp.header.qr = true;
-      resp.header.aa = true;
-      resp.header.rd = q.header.rd;
-      resp.questions = q.questions;
-      resp.answers = answers;
-      const auto out = dnswire::encode_into(tx, resp);
-      if (traced) {
-        r.route_hash = fnv1a64(r.route_hash, out.size());
-        for (const auto b : out) r.route_hash = fnv1a64(r.route_hash, b);
-      } else {
-        g_codec_sink = g_codec_sink + out.size();
-      }
-    }
-  } else {
-    for (std::uint64_t p = 0; p < packets; ++p) {
-      query_wire[0] = static_cast<std::uint8_t>(p >> 8);
-      query_wire[1] = static_cast<std::uint8_t>(p);
-      auto parsed = dnswire::decode(query_wire);
-      auto resp = dnswire::make_response(parsed.value());
-      resp.header.aa = true;
-      resp.answers.push_back(
-          dnswire::ResourceRecord::a(name, Ipv4{74, 125, 0, 10}, 300));
-      resp.answers.push_back(
-          dnswire::ResourceRecord::a(name, Ipv4{198, 51, 100, 200}, 300));
-      const auto out = dnswire::encode(resp);
-      if (traced) {
-        r.route_hash = fnv1a64(r.route_hash, out.size());
-        for (const auto b : out) r.route_hash = fnv1a64(r.route_hash, b);
-      } else {
-        g_codec_sink = g_codec_sink + out.size();
-      }
-    }
-  }
-  const auto t1 = std::chrono::steady_clock::now();
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  return r;
-}
-
-WorkloadReport bench_codec_workload(const Opts& opts) {
-  return ab_workload(opts, "arena_codec_serve", "heap", "arena",
-                     [&](bool fast, bool traced, std::uint64_t packets) {
-                       return run_codec_workload(fast, traced, packets);
-                     });
 }
 
 // --- million-host census row ----------------------------------------
@@ -1232,7 +1142,6 @@ int main(int argc, char** argv) {
   reps.push_back(bench_sharded_workload(opts, "sharded_cross_shard_relay",
                                         /*relay=*/true));
   reps.push_back(bench_amplification_workload(opts));
-  reps.push_back(bench_codec_workload(opts));
   reps.push_back(bench_million_host_workload(opts));
   reps.push_back(bench_fault_plane_workload(opts));
   for (const auto& r : reps) print_report(r);

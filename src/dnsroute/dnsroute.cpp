@@ -106,9 +106,10 @@ void DnsroutePlusPlus::on_icmp(const netsim::Packet& pkt) {
 }
 
 void DnsroutePlusPlus::on_datagram(const netsim::Datagram& dgram) {
-  auto parsed = dnswire::decode(*dgram.payload);
+  rx_arena_.reset();
+  const auto parsed = dnswire::decode_into(rx_arena_, *dgram.payload);
   if (!parsed) return;
-  const auto& msg = parsed.value();
+  const dnswire::MessageView& msg = parsed.value();
   if (!msg.header.qr) return;
   auto it = probe_of_.find(key(dgram.dst_port, msg.header.id));
   if (it == probe_of_.end()) return;

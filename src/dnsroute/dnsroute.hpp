@@ -14,6 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "netsim/sim.hpp"
 #include "registry/registry.hpp"
@@ -90,6 +91,7 @@ class DnsroutePlusPlus : public netsim::App, public netsim::TimerTarget {
   std::uint16_t next_port_ = 1024;
   std::uint16_t next_txid_ = 1;
   util::SimTime last_send_at_;
+  dnswire::WireArena rx_arena_;  // decode_into target, reset per datagram
 };
 
 // --- Path analyses -----------------------------------------------------

@@ -1,10 +1,9 @@
 #pragma once
-// Bump allocator backing the zero-allocation wire codec
-// (arena_codec.hpp). A WireArena owns a chain of chunks; reset()
-// rewinds the cursor but keeps every chunk, so a warmed arena serves
-// an unbounded message stream without touching the heap again. See
-// docs/architecture.md, "Zero-allocation wire path" for the lifetime
-// rules.
+// Bump allocator backing the DNS wire codec (arena_codec.hpp). A
+// WireArena owns a chain of chunks; reset() rewinds the cursor but
+// keeps every chunk, so a warmed arena serves an unbounded message
+// stream without touching the heap again. See docs/architecture.md,
+// "The DNS wire codec" for the lifetime rules.
 
 #include <cstddef>
 #include <cstdint>

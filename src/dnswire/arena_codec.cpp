@@ -20,17 +20,12 @@ constexpr std::uint8_t kPointerTag = 0xC0;
 constexpr std::size_t kMinQuestionWire = 5;
 constexpr std::size_t kMinRrWire = 11;
 
-constexpr char fold(char c) {
-  return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-}
-
 // ---------------------------------------------------------------------
 // Decoding
 //
-// A line-for-line transcription of codec.cpp's Decoder: same checks in
-// the same order, so both decoders return the same DecodeError for
-// every input (tests/dnswire_fuzz_test.cpp asserts verdict parity over
-// the full corpus).
+// Every check runs in a fixed order, so each malformed input maps to
+// one DecodeError; tests/golden_test.cpp pins the verdicts over the
+// fuzz corpora.
 // ---------------------------------------------------------------------
 
 class ArenaDecoder {
@@ -130,7 +125,7 @@ class ArenaDecoder {
   std::size_t pos_ = 0;
 };
 
-std::optional<DecodeError> decode_rr_into(ArenaDecoder& dec, RecordView& rr) {
+std::optional<DecodeError> decode_record(ArenaDecoder& dec, RecordView& rr) {
   auto n = dec.name();
   if (!n) return n.error();
   rr.name = n.value();
@@ -168,8 +163,7 @@ std::optional<DecodeError> decode_rr_into(ArenaDecoder& dec, RecordView& rr) {
     }
     case RrType::txt: {
       // Count complete character-strings first so the arena array is
-      // exact; the parsing pass below reproduces the heap decoder's
-      // error order on a malformed tail.
+      // exact; the parsing pass below reports a malformed tail.
       const auto wire = dec.wire();
       std::size_t strings = 0;
       for (std::size_t p = dec.pos(); p < rdata_end;) {
@@ -232,57 +226,29 @@ std::optional<DecodeError> decode_rr_into(ArenaDecoder& dec, RecordView& rr) {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// One recorded compression suffix: labels[start..] of some
-/// already-emitted name, at wire offset `offset`. The heap encoder
-/// keys its table by the case-folded dotted string of the suffix;
-/// entries are kept in insertion order and matched first-wins, which
-/// reproduces unordered_map::emplace (first insert wins) exactly.
+/// One recorded compression suffix: labels[start..count) of some
+/// already-emitted name, at wire offset `offset`. Entries are matched
+/// first-wins in insertion order.
 struct SuffixEntry {
   const std::string_view* labels = nullptr;
   std::uint32_t start = 0;
   std::uint32_t count = 0;
   std::uint16_t offset = 0;
-};
 
-/// Streams the case-folded dotted key ("www.example.com." one char at
-/// a time) of a label suffix. Comparing key streams — not labels —
-/// matches the heap encoder's string keys even when a label contains a
-/// literal '.' (["a.b"] and ["a","b"] share the key "a.b.").
-class KeyStream {
- public:
-  KeyStream(const std::string_view* labels, std::size_t start,
-            std::size_t count)
-      : labels_(labels), li_(start), count_(count) {}
-
-  int next() {
-    while (li_ < count_) {
-      const std::string_view l = labels_[li_];
-      if (ci_ < l.size()) return static_cast<unsigned char>(fold(l[ci_++]));
-      ++li_;
-      ci_ = 0;
-      return '.';
+  /// Label-by-label, case-folded: ["a.b"] and ["a","b"] are different
+  /// names and never share a pointer.
+  [[nodiscard]] bool matches(const std::string_view* other,
+                             std::size_t other_start,
+                             std::size_t other_count) const {
+    if (count - start != other_count - other_start) return false;
+    for (std::size_t i = 0; i < count - start; ++i) {
+      if (!util::iequals_ascii(labels[start + i], other[other_start + i])) {
+        return false;
+      }
     }
-    return -1;
+    return true;
   }
-
- private:
-  const std::string_view* labels_;
-  std::size_t li_;
-  std::size_t count_;
-  std::size_t ci_ = 0;
 };
-
-bool suffix_key_equal(const SuffixEntry& e, const std::string_view* labels,
-                      std::size_t start, std::size_t count) {
-  KeyStream a(e.labels, e.start, e.count);
-  KeyStream b(labels, start, count);
-  while (true) {
-    const int ca = a.next();
-    const int cb = b.next();
-    if (ca != cb) return false;
-    if (ca < 0) return true;
-  }
-}
 
 class ArenaEncoder {
  public:
@@ -301,6 +267,9 @@ class ArenaEncoder {
     u16(static_cast<std::uint16_t>(v));
   }
   void bytes(const void* data, std::size_t n) {
+    // Empty raw rdata may carry a null data pointer, which memcpy must
+    // never see, even for zero bytes.
+    if (n == 0) return;
     std::memcpy(out_ + size_, data, n);
     size_ += n;
   }
@@ -315,7 +284,7 @@ class ArenaEncoder {
     for (std::size_t i = 0; i < count; ++i) {
       const SuffixEntry* found = nullptr;
       for (std::size_t e = 0; e < suffix_count_; ++e) {
-        if (suffix_key_equal(suffixes_[e], labels, i, count)) {
+        if (suffixes_[e].matches(labels, i, count)) {
           found = &suffixes_[e];
           break;
         }
@@ -343,7 +312,7 @@ class ArenaEncoder {
   std::size_t suffix_count_ = 0;
 };
 
-void encode_rr_into(ArenaEncoder& enc, const RecordView& rr) {
+void encode_record(ArenaEncoder& enc, const RecordView& rr) {
   enc.name(rr.name);
   enc.u16(static_cast<std::uint16_t>(rr.type));
   if (rr.type == RrType::opt) {
@@ -382,8 +351,7 @@ void encode_rr_into(ArenaEncoder& enc, const RecordView& rr) {
       enc.u32(rr.rdata.soa->minimum);
       break;
     case RdataView::Tag::opt:
-      // A non-OPT record carrying OPT rdata emits nothing, like the
-      // heap encoder's unreachable visit branch.
+      // A non-OPT record carrying OPT rdata has empty rdata.
       break;
     case RdataView::Tag::raw:
       enc.bytes(rr.rdata.raw.data(), rr.rdata.raw.size());
@@ -535,14 +503,6 @@ ResourceRecord materialize_rr(const RecordView& rr) {
 
 }  // namespace
 
-bool NameView::equals(const NameView& other) const {
-  if (labels.size() != other.labels.size()) return false;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (!util::iequals_ascii(labels[i], other.labels[i])) return false;
-  }
-  return true;
-}
-
 bool NameView::equals(const Name& other) const {
   const auto& theirs = other.labels();
   if (labels.size() != theirs.size()) return false;
@@ -565,6 +525,14 @@ Name NameView::to_name() const {
   auto name = Name::from_labels(std::move(out));
   // Decoded views satisfy the wire limits by construction.
   return name ? *std::move(name) : Name{};
+}
+
+std::vector<util::Ipv4> MessageView::answer_addresses() const {
+  std::vector<util::Ipv4> out;
+  for (const auto& rr : answers) {
+    if (rr.rdata.tag == RdataView::Tag::a) out.push_back(rr.rdata.a_addr);
+  }
+  return out;
 }
 
 util::Result<MessageView, DecodeError> decode_into(
@@ -616,7 +584,7 @@ util::Result<MessageView, DecodeError> decode_into(
     const auto records = arena.alloc_array<RecordView>(cap);
     for (int i = 0; i < count; ++i) {
       RecordView rr;
-      if (auto e = decode_rr_into(dec, rr)) return e;
+      if (auto e = decode_record(dec, rr)) return e;
       assert(static_cast<std::size_t>(i) < cap);
       records[static_cast<std::size_t>(i)] = rr;
     }
@@ -668,9 +636,9 @@ std::span<const std::uint8_t> encode_into(WireArena& arena,
     enc.u16(static_cast<std::uint16_t>(q.type));
     enc.u16(static_cast<std::uint16_t>(q.klass));
   }
-  for (const auto& rr : msg.answers) encode_rr_into(enc, rr);
-  for (const auto& rr : msg.authorities) encode_rr_into(enc, rr);
-  for (const auto& rr : msg.additionals) encode_rr_into(enc, rr);
+  for (const auto& rr : msg.answers) encode_record(enc, rr);
+  for (const auto& rr : msg.authorities) encode_record(enc, rr);
+  for (const auto& rr : msg.additionals) encode_record(enc, rr);
   assert(enc.size() <= bound);
   return out.first(enc.size());
 }

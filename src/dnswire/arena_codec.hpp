@@ -1,15 +1,17 @@
 #pragma once
-// Arena wire codec: the zero-allocation sibling of codec.hpp.
+// The DNS wire codec: the one implementation of RFC 1035 §4 parsing
+// and serialization in the repo (codec.hpp's encode()/decode() are
+// bridges over it).
 //
 // decode_into() parses a datagram into a MessageView — labels are
 // string_views into the wire buffer, record sections are arena-backed
 // spans, no per-RR vectors — and encode_into() serializes a
-// MessageView with the exact compression the heap encoder applies, so
-// the two codecs are byte-identical (tests/dnswire_differential_test
-// proves it over randomized corpora, tests/dnswire_fuzz_test proves
-// verdict parity on garbage). The heap codec stays as the differential
-// baseline; this one is what the serving hot path runs
-// (nodes::DnsNode).
+// MessageView, compressing every owner name and every name inside
+// NS/CNAME/PTR/SOA rdata against earlier suffixes (compared label by
+// label, case-folded). Readers that only inspect a message keep the
+// view; materialize() builds an owned Message where a node needs one.
+// tests/golden_test.cpp pins the encoded bytes and the decode verdicts
+// over seeded corpora.
 //
 // Lifetime rules: every pointer inside a MessageView aims either at
 // the wire buffer passed to decode_into() or at the WireArena, so a
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
+#include <vector>
 
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
@@ -35,7 +38,6 @@ namespace odns::dnswire {
 struct NameView {
   std::span<const std::string_view> labels;
 
-  [[nodiscard]] bool equals(const NameView& other) const;
   [[nodiscard]] bool equals(const Name& other) const;
   /// Uncompressed wire length (length bytes + labels + terminator).
   [[nodiscard]] std::size_t wire_length() const;
@@ -53,8 +55,8 @@ struct SoaView {
   std::uint32_t minimum = 0;
 };
 
-/// Tagged union mirroring the heap model's Rdata variant, flattened so
-/// records stay trivially destructible (arena requirement).
+/// Tagged union mirroring Message's Rdata variant, flattened so records
+/// stay trivially destructible (arena requirement).
 struct RdataView {
   enum class Tag : std::uint8_t { a, name, txt, soa, opt, raw };
 
@@ -87,24 +89,26 @@ struct MessageView {
   std::span<const RecordView> answers;
   std::span<const RecordView> authorities;
   std::span<const RecordView> additionals;
+
+  /// All A-record addresses in the answer section, in order
+  /// (Message::answer_addresses on the view).
+  [[nodiscard]] std::vector<util::Ipv4> answer_addresses() const;
 };
 
-/// Parses `wire` into a view backed by `arena` + the wire buffer.
-/// Accepts exactly the inputs decode() accepts and returns the same
-/// DecodeError on everything it rejects.
+/// Parses `wire` into a view backed by `arena` + the wire buffer, or
+/// returns the DecodeError of the first malformed field.
 util::Result<MessageView, DecodeError> decode_into(
     WireArena& arena, std::span<const std::uint8_t> wire);
 
-/// Serializes `msg` into `arena`, byte-identical to encode() on the
-/// materialized message. The returned span lives until arena reset.
+/// Serializes `msg` into `arena`. The returned span lives until arena
+/// reset.
 std::span<const std::uint8_t> encode_into(WireArena& arena,
                                           const MessageView& msg);
 
-/// Owning copy of a view (allocates; the differential harness and the
-/// heap-model fallback path use it).
+/// Owning copy of a view (allocates; for nodes that keep owned state).
 Message materialize(const MessageView& msg);
 
-/// A view over an existing heap Message: labels/spans reference the
+/// A view over an owned Message: labels/spans reference the
 /// Message's own storage plus `arena` for the section arrays. Valid
 /// while both the Message and the arena epoch live.
 MessageView view_of(WireArena& arena, const Message& msg);

@@ -1,310 +1,8 @@
 #include "dnswire/codec.hpp"
 
-#include <cstring>
-#include <unordered_map>
-
-#include "util/strings.hpp"
+#include "dnswire/arena_codec.hpp"
 
 namespace odns::dnswire {
-
-namespace {
-
-constexpr std::size_t kMaxNameWire = 255;
-constexpr std::uint8_t kPointerTag = 0xC0;
-
-// ---------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------
-
-class Encoder {
- public:
-  std::vector<std::uint8_t> take() { return std::move(out_); }
-
-  void u8(std::uint8_t v) { out_.push_back(v); }
-  void u16(std::uint16_t v) {
-    out_.push_back(static_cast<std::uint8_t>(v >> 8));
-    out_.push_back(static_cast<std::uint8_t>(v));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v >> 16));
-    u16(static_cast<std::uint16_t>(v));
-  }
-  void bytes(std::span<const std::uint8_t> b) {
-    out_.insert(out_.end(), b.begin(), b.end());
-  }
-  void patch_u16(std::size_t pos, std::uint16_t v) {
-    out_[pos] = static_cast<std::uint8_t>(v >> 8);
-    out_[pos + 1] = static_cast<std::uint8_t>(v);
-  }
-  [[nodiscard]] std::size_t size() const { return out_.size(); }
-
-  /// Emits `name`, reusing earlier occurrences via compression
-  /// pointers. Suffix table keys are canonical (case-folded) strings.
-  void name(const Name& n) {
-    const auto& labels = n.labels();
-    for (std::size_t i = 0; i < labels.size(); ++i) {
-      std::string suffix_key;
-      for (std::size_t j = i; j < labels.size(); ++j) {
-        suffix_key += util::ascii_lower(labels[j]);
-        suffix_key += '.';
-      }
-      auto it = suffixes_.find(suffix_key);
-      if (it != suffixes_.end()) {
-        u16(static_cast<std::uint16_t>(0xC000u | it->second));
-        return;
-      }
-      if (out_.size() <= 0x3FFF) {
-        suffixes_.emplace(std::move(suffix_key),
-                          static_cast<std::uint16_t>(out_.size()));
-      }
-      u8(static_cast<std::uint8_t>(labels[i].size()));
-      bytes({reinterpret_cast<const std::uint8_t*>(labels[i].data()),
-             labels[i].size()});
-    }
-    u8(0);
-  }
-
- private:
-  std::vector<std::uint8_t> out_;
-  std::unordered_map<std::string, std::uint16_t> suffixes_;
-};
-
-void encode_rr(Encoder& enc, const ResourceRecord& rr) {
-  enc.name(rr.name);
-  enc.u16(static_cast<std::uint16_t>(rr.type));
-  if (rr.type == RrType::opt) {
-    // OPT abuses the class field for the advertised UDP payload size.
-    const auto& opt = std::get<OptRecord>(rr.rdata);
-    enc.u16(opt.udp_payload_size);
-    enc.u32(0);   // extended rcode/flags
-    enc.u16(0);   // empty rdata
-    return;
-  }
-  enc.u16(static_cast<std::uint16_t>(rr.klass));
-  enc.u32(rr.ttl);
-  const std::size_t len_pos = enc.size();
-  enc.u16(0);  // placeholder rdlength
-  const std::size_t rdata_start = enc.size();
-  std::visit(
-      [&enc](const auto& rd) {
-        using T = std::decay_t<decltype(rd)>;
-        if constexpr (std::is_same_v<T, ARecord>) {
-          enc.u32(rd.addr.value());
-        } else if constexpr (std::is_same_v<T, NsRecord>) {
-          enc.name(rd.host);
-        } else if constexpr (std::is_same_v<T, CnameRecord> ||
-                             std::is_same_v<T, PtrRecord>) {
-          enc.name(rd.target);
-        } else if constexpr (std::is_same_v<T, TxtRecord>) {
-          for (const auto& s : rd.strings) {
-            const auto n = std::min<std::size_t>(s.size(), 255);
-            enc.u8(static_cast<std::uint8_t>(n));
-            enc.bytes({reinterpret_cast<const std::uint8_t*>(s.data()), n});
-          }
-        } else if constexpr (std::is_same_v<T, SoaRecord>) {
-          enc.name(rd.mname);
-          enc.name(rd.rname);
-          enc.u32(rd.serial);
-          enc.u32(rd.refresh);
-          enc.u32(rd.retry);
-          enc.u32(rd.expire);
-          enc.u32(rd.minimum);
-        } else if constexpr (std::is_same_v<T, OptRecord>) {
-          // handled above; unreachable
-        } else if constexpr (std::is_same_v<T, RawRecord>) {
-          enc.bytes(rd.data);
-        }
-      },
-      rr.rdata);
-  enc.patch_u16(len_pos, static_cast<std::uint16_t>(enc.size() - rdata_start));
-}
-
-// ---------------------------------------------------------------------
-// Decoding
-// ---------------------------------------------------------------------
-
-class Decoder {
- public:
-  explicit Decoder(std::span<const std::uint8_t> wire) : wire_(wire) {}
-
-  [[nodiscard]] bool need(std::size_t n) const { return pos_ + n <= wire_.size(); }
-  [[nodiscard]] std::size_t pos() const { return pos_; }
-
-  bool u8(std::uint8_t& v) {
-    if (!need(1)) return false;
-    v = wire_[pos_++];
-    return true;
-  }
-  bool u16(std::uint16_t& v) {
-    if (!need(2)) return false;
-    v = static_cast<std::uint16_t>(std::uint16_t{wire_[pos_]} << 8 |
-                                   wire_[pos_ + 1]);
-    pos_ += 2;
-    return true;
-  }
-  bool u32(std::uint32_t& v) {
-    if (!need(4)) return false;
-    v = std::uint32_t{wire_[pos_]} << 24 | std::uint32_t{wire_[pos_ + 1]} << 16 |
-        std::uint32_t{wire_[pos_ + 2]} << 8 | std::uint32_t{wire_[pos_ + 3]};
-    pos_ += 4;
-    return true;
-  }
-  bool skip(std::size_t n) {
-    if (!need(n)) return false;
-    pos_ += n;
-    return true;
-  }
-  bool bytes(std::size_t n, std::vector<std::uint8_t>& out) {
-    if (!need(n)) return false;
-    out.assign(wire_.begin() + static_cast<std::ptrdiff_t>(pos_),
-               wire_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return true;
-  }
-
-  /// Decodes a possibly-compressed name starting at the cursor.
-  /// Compression pointers must target earlier offsets; loops and
-  /// forward pointers are rejected.
-  util::Result<Name, DecodeError> name() {
-    std::vector<std::string> labels;
-    std::size_t cursor = pos_;
-    std::size_t total = 0;
-    bool jumped = false;
-    std::size_t after_first_pointer = 0;
-    std::size_t guard = 0;
-    while (true) {
-      if (++guard > 256) return DecodeError::pointer_loop;
-      if (cursor >= wire_.size()) return DecodeError::truncated;
-      const std::uint8_t len = wire_[cursor];
-      if ((len & kPointerTag) == kPointerTag) {
-        if (cursor + 1 >= wire_.size()) return DecodeError::truncated;
-        const std::size_t target =
-            (static_cast<std::size_t>(len & 0x3F) << 8) | wire_[cursor + 1];
-        if (target >= cursor) return DecodeError::bad_compression_pointer;
-        if (!jumped) {
-          after_first_pointer = cursor + 2;
-          jumped = true;
-        }
-        cursor = target;
-        continue;
-      }
-      if ((len & kPointerTag) != 0) return DecodeError::bad_compression_pointer;
-      if (len == 0) {
-        if (jumped) {
-          pos_ = after_first_pointer;
-        } else {
-          pos_ = cursor + 1;
-        }
-        auto parsed = Name::from_labels(std::move(labels));
-        if (!parsed) return DecodeError::name_overflow;
-        return *parsed;
-      }
-      if (len > 63) return DecodeError::label_overflow;
-      if (cursor + 1 + len > wire_.size()) return DecodeError::truncated;
-      total += len + 1;
-      if (total + 1 > kMaxNameWire) return DecodeError::name_overflow;
-      labels.emplace_back(
-          reinterpret_cast<const char*>(wire_.data() + cursor + 1), len);
-      cursor += 1 + len;
-    }
-  }
-
- private:
-  std::span<const std::uint8_t> wire_;
-  std::size_t pos_ = 0;
-};
-
-util::Result<ResourceRecord, DecodeError> decode_rr(Decoder& dec) {
-  ResourceRecord rr;
-  auto n = dec.name();
-  if (!n) return n.error();
-  rr.name = std::move(n).value();
-  std::uint16_t type = 0;
-  std::uint16_t klass = 0;
-  std::uint32_t ttl = 0;
-  std::uint16_t rdlen = 0;
-  if (!dec.u16(type) || !dec.u16(klass) || !dec.u32(ttl) || !dec.u16(rdlen)) {
-    return DecodeError::truncated;
-  }
-  rr.type = static_cast<RrType>(type);
-  rr.klass = static_cast<RrClass>(klass);
-  rr.ttl = ttl;
-  if (!dec.need(rdlen)) return DecodeError::truncated;
-  const std::size_t rdata_end = dec.pos() + rdlen;
-
-  switch (rr.type) {
-    case RrType::a: {
-      if (rdlen != 4) return DecodeError::bad_rdata;
-      std::uint32_t addr = 0;
-      dec.u32(addr);
-      rr.rdata = ARecord{util::Ipv4{addr}};
-      break;
-    }
-    case RrType::ns:
-    case RrType::cname:
-    case RrType::ptr: {
-      auto host = dec.name();
-      if (!host) return host.error();
-      if (dec.pos() != rdata_end) return DecodeError::bad_rdata;
-      if (rr.type == RrType::ns) {
-        rr.rdata = NsRecord{std::move(host).value()};
-      } else if (rr.type == RrType::cname) {
-        rr.rdata = CnameRecord{std::move(host).value()};
-      } else {
-        rr.rdata = PtrRecord{std::move(host).value()};
-      }
-      break;
-    }
-    case RrType::txt: {
-      TxtRecord txt;
-      while (dec.pos() < rdata_end) {
-        std::uint8_t len = 0;
-        if (!dec.u8(len)) return DecodeError::truncated;
-        if (dec.pos() + len > rdata_end) return DecodeError::bad_rdata;
-        std::vector<std::uint8_t> raw;
-        dec.bytes(len, raw);
-        txt.strings.emplace_back(raw.begin(), raw.end());
-      }
-      rr.rdata = std::move(txt);
-      break;
-    }
-    case RrType::soa: {
-      SoaRecord soa;
-      auto mname = dec.name();
-      if (!mname) return mname.error();
-      soa.mname = std::move(mname).value();
-      auto rname = dec.name();
-      if (!rname) return rname.error();
-      soa.rname = std::move(rname).value();
-      if (!dec.u32(soa.serial) || !dec.u32(soa.refresh) ||
-          !dec.u32(soa.retry) || !dec.u32(soa.expire) ||
-          !dec.u32(soa.minimum)) {
-        return DecodeError::truncated;
-      }
-      if (dec.pos() != rdata_end) return DecodeError::bad_rdata;
-      rr.rdata = std::move(soa);
-      break;
-    }
-    case RrType::opt: {
-      OptRecord opt;
-      opt.udp_payload_size = klass;
-      rr.klass = RrClass::in;
-      if (!dec.skip(rdlen)) return DecodeError::truncated;
-      rr.rdata = opt;
-      break;
-    }
-    default: {
-      RawRecord raw;
-      if (!dec.bytes(rdlen, raw.data)) return DecodeError::truncated;
-      rr.rdata = std::move(raw);
-      break;
-    }
-  }
-  if (dec.pos() != rdata_end) return DecodeError::bad_rdata;
-  return rr;
-}
-
-}  // namespace
 
 std::string to_string(DecodeError e) {
   switch (e) {
@@ -320,78 +18,16 @@ std::string to_string(DecodeError e) {
 }
 
 std::vector<std::uint8_t> encode(const Message& msg) {
-  Encoder enc;
-  enc.u16(msg.header.id);
-  std::uint16_t flags = 0;
-  if (msg.header.qr) flags |= 0x8000;
-  flags |= static_cast<std::uint16_t>(
-      (static_cast<std::uint16_t>(msg.header.opcode) & 0xF) << 11);
-  if (msg.header.aa) flags |= 0x0400;
-  if (msg.header.tc) flags |= 0x0200;
-  if (msg.header.rd) flags |= 0x0100;
-  if (msg.header.ra) flags |= 0x0080;
-  flags |= static_cast<std::uint16_t>(msg.header.rcode) & 0xF;
-  enc.u16(flags);
-  enc.u16(static_cast<std::uint16_t>(msg.questions.size()));
-  enc.u16(static_cast<std::uint16_t>(msg.answers.size()));
-  enc.u16(static_cast<std::uint16_t>(msg.authorities.size()));
-  enc.u16(static_cast<std::uint16_t>(msg.additionals.size()));
-  for (const auto& q : msg.questions) {
-    enc.name(q.name);
-    enc.u16(static_cast<std::uint16_t>(q.type));
-    enc.u16(static_cast<std::uint16_t>(q.klass));
-  }
-  for (const auto& rr : msg.answers) encode_rr(enc, rr);
-  for (const auto& rr : msg.authorities) encode_rr(enc, rr);
-  for (const auto& rr : msg.additionals) encode_rr(enc, rr);
-  return enc.take();
+  WireArena arena;
+  const auto wire = encode_into(arena, view_of(arena, msg));
+  return {wire.begin(), wire.end()};
 }
 
 util::Result<Message, DecodeError> decode(std::span<const std::uint8_t> wire) {
-  Decoder dec(wire);
-  Message msg;
-  std::uint16_t flags = 0;
-  std::uint16_t qd = 0;
-  std::uint16_t an = 0;
-  std::uint16_t ns = 0;
-  std::uint16_t ar = 0;
-  if (!dec.u16(msg.header.id) || !dec.u16(flags) || !dec.u16(qd) ||
-      !dec.u16(an) || !dec.u16(ns) || !dec.u16(ar)) {
-    return DecodeError::truncated;
-  }
-  msg.header.qr = (flags & 0x8000) != 0;
-  msg.header.opcode = static_cast<Opcode>((flags >> 11) & 0xF);
-  msg.header.aa = (flags & 0x0400) != 0;
-  msg.header.tc = (flags & 0x0200) != 0;
-  msg.header.rd = (flags & 0x0100) != 0;
-  msg.header.ra = (flags & 0x0080) != 0;
-  msg.header.rcode = static_cast<Rcode>(flags & 0xF);
-
-  for (int i = 0; i < qd; ++i) {
-    Question q;
-    auto n = dec.name();
-    if (!n) return n.error();
-    q.name = std::move(n).value();
-    std::uint16_t type = 0;
-    std::uint16_t klass = 0;
-    if (!dec.u16(type) || !dec.u16(klass)) return DecodeError::bad_question;
-    q.type = static_cast<RrType>(type);
-    q.klass = static_cast<RrClass>(klass);
-    msg.questions.push_back(std::move(q));
-  }
-  auto read_section = [&](int count, std::vector<ResourceRecord>& out)
-      -> std::optional<DecodeError> {
-    for (int i = 0; i < count; ++i) {
-      auto rr = decode_rr(dec);
-      if (!rr) return rr.error();
-      out.push_back(std::move(rr).value());
-    }
-    return std::nullopt;
-  };
-  if (auto e = read_section(an, msg.answers)) return *e;
-  if (auto e = read_section(ns, msg.authorities)) return *e;
-  if (auto e = read_section(ar, msg.additionals)) return *e;
-  return msg;
+  WireArena arena;
+  const auto view = decode_into(arena, wire);
+  if (!view) return view.error();
+  return materialize(view.value());
 }
 
 }  // namespace odns::dnswire

@@ -126,7 +126,7 @@ bool AuthServer::build_mirror_response(dnswire::WireArena& arena,
   // exactly what lets the scanner see *which* resolver served it. The
   // owner name reuses the question's view; the encoder compresses it
   // to a pointer at the echoed question, exactly as the heap path
-  // compresses cfg.name there (the suffix key is case-folded).
+  // compresses cfg.name there (suffixes compare case-folded).
   answers[0].name = q.name;
   answers[0].type = RrType::a;
   answers[0].ttl = cfg.ttl;

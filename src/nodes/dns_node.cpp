@@ -25,9 +25,9 @@ void DnsNode::on_datagram(const netsim::Datagram& dgram) {
 void DnsNode::send_message(util::Ipv4 dst, std::uint16_t src_port,
                            std::uint16_t dst_port, const dnswire::Message& msg,
                            std::optional<util::Ipv4> src_override) {
-  // The arena encoder is byte-identical to dnswire::encode(msg)
-  // (tests/dnswire_differential_test.cpp); view_of borrows the
-  // Message's own label storage, so nothing is copied on the way in.
+  // Owned messages go through the same encoder as views: view_of
+  // borrows the Message's own label storage, so nothing is copied on
+  // the way in.
   tx_arena_.reset();
   send_encoded(dst, src_port, dst_port, dnswire::view_of(tx_arena_, msg),
                src_override);

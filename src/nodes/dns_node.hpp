@@ -2,12 +2,13 @@
 // Shared base for DNS speakers living on simulated hosts: datagram
 // parsing, reply plumbing, per-node counters.
 //
-// The receive path runs on the arena codec (dnswire/arena_codec.hpp):
-// each datagram is decoded into `rx_arena_` as a MessageView, offered
-// to the subclass through on_message_view() (the zero-allocation fast
-// path), and only materialized into a heap Message when the subclass
-// declines. Replies encode through `tx_arena_`; both arenas are reset
-// per message, so after warm-up neither touches the heap.
+// View first (dnswire/arena_codec.hpp, the one wire codec): each
+// datagram is decoded into `rx_arena_` as a MessageView and offered to
+// the subclass through on_message_view() (the zero-allocation path);
+// it is materialized into an owned Message only when the subclass
+// declines because it keeps owned state. Replies encode through
+// `tx_arena_`; both arenas are reset per message, so after warm-up
+// neither touches the heap.
 
 #include <cstdint>
 #include <optional>
@@ -51,7 +52,7 @@ class DnsNode : public netsim::App {
   /// Fast-path dispatch: `msg` views the datagram payload + rx arena
   /// and dies when this call returns. Return true to consume the
   /// message; false falls back to on_message() with a materialized
-  /// heap copy. Default: always fall back.
+  /// owned copy. Default: always fall back.
   virtual bool on_message_view(const netsim::Datagram& dgram,
                                const dnswire::MessageView& msg) {
     (void)dgram;
@@ -59,7 +60,7 @@ class DnsNode : public netsim::App {
     return false;
   }
 
-  /// Heap-model dispatch target; `msg` is the successfully parsed
+  /// Owned-message dispatch target; `msg` is the successfully parsed
   /// payload, owned by the callee.
   virtual void on_message(const netsim::Datagram& dgram,
                           dnswire::Message msg) = 0;
@@ -72,7 +73,7 @@ class DnsNode : public netsim::App {
                     std::uint16_t dst_port, const dnswire::Message& msg,
                     std::optional<util::Ipv4> src_override = std::nullopt);
 
-  /// View-level send: encodes through the tx arena, bytes identical to
+  /// View-level send: encodes through the tx arena, the same bytes as
   /// send_message() on the materialized view. `msg` must not be built
   /// on the tx arena (it is reset here); use scratch_arena().
   void send_view(util::Ipv4 dst, std::uint16_t src_port,

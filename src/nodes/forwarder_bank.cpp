@@ -3,14 +3,13 @@
 #include <algorithm>
 #include <cassert>
 
-#include "dnswire/codec.hpp"
 #include "nodes/dns_node.hpp"
 
 namespace odns::nodes {
 
-using dnswire::ARecord;
-using dnswire::Message;
-using dnswire::Rcode;
+using dnswire::MessageView;
+using dnswire::RdataView;
+using dnswire::RecordView;
 
 namespace {
 constexpr std::uint8_t kRewrite = 1;
@@ -60,10 +59,11 @@ std::size_t ForwarderBank::member_of(util::Ipv4 addr) const {
 
 void ForwarderBank::on_datagram(const netsim::Datagram& dgram) {
   assert(sealed_);
-  const auto parsed =
-      dnswire::decode(std::span<const std::uint8_t>(*dgram.payload));
+  rx_arena_.reset();
+  tx_arena_.reset();
+  const auto parsed = dnswire::decode_into(rx_arena_, *dgram.payload);
   if (!parsed) return;
-  const Message& msg = parsed.value();
+  const MessageView& msg = parsed.value();
   if (dgram.dst_port == kDnsPort && !msg.header.qr) {
     const std::size_t member = member_of(dgram.dst);
     if (member == addr_.size()) return;  // not a member address
@@ -74,7 +74,7 @@ void ForwarderBank::on_datagram(const netsim::Datagram& dgram) {
 }
 
 void ForwarderBank::handle_query(const netsim::Datagram& dgram,
-                                 std::size_t member, const Message& msg) {
+                                 std::size_t member, const MessageView& msg) {
   ++stats_.client_queries;
   if (msg.questions.size() != 1) return;  // banks don't answer formerr
   const auto& q = msg.questions.front();
@@ -98,16 +98,17 @@ void ForwarderBank::handle_query(const netsim::Datagram& dgram,
   peak_pending_ = std::max(peak_pending_, pending_.size());
   ++stats_.forwarded;
 
-  netsim::SendOptions opts;
-  opts.dst = upstream_[member];
-  opts.src_port = port;
-  opts.dst_port = kDnsPort;
-  opts.payload = dnswire::encode(dnswire::make_query(txid, q.name, q.type));
-  sim_->send_udp(host_[member], std::move(opts));
+  // make_query(txid, q.name, q.type) as a view over the client's name.
+  const dnswire::QuestionView question{q.name, q.type, dnswire::RrClass::in};
+  MessageView upstream;
+  upstream.header.id = txid;
+  upstream.header.rd = true;
+  upstream.questions = {&question, 1};
+  send(host_[member], upstream_[member], port, kDnsPort, upstream);
 }
 
 void ForwarderBank::handle_response(const netsim::Datagram& dgram,
-                                    const Message& msg) {
+                                    const MessageView& msg) {
   // Invert the tuple derivation to recover the pending key directly.
   if (dgram.dst_port < kPortBase || msg.header.id == 0) return;
   const std::uint32_t g =
@@ -123,25 +124,37 @@ void ForwarderBank::handle_response(const netsim::Datagram& dgram,
     return;
   }
 
-  Message resp = msg;
+  MessageView resp = msg;
   resp.header.id = p.client_txid;
   const std::uint8_t flags = flags_[p.member];
   if ((flags & kRewrite) != 0) {
-    for (auto& rr : resp.answers) {
-      if (std::get_if<ARecord>(&rr.rdata) != nullptr) {
-        rr.rdata = ARecord{rewrite_target_[p.member]};
+    // Rewrite on an arena copy of the answer span; the rx view stays
+    // untouched.
+    const auto answers = tx_arena_.alloc_array<RecordView>(msg.answers.size());
+    std::copy(msg.answers.begin(), msg.answers.end(), answers.begin());
+    for (auto& rr : answers) {
+      if (rr.rdata.tag == RdataView::Tag::a) {
+        rr.rdata.a_addr = rewrite_target_[p.member];
       }
     }
+    resp.answers = answers;
   }
   if ((flags & kStrip) != 0 && resp.answers.size() > 1) {
-    resp.answers.resize(1);
+    resp.answers = resp.answers.first(1);
   }
+  send(host_[p.member], p.client, kDnsPort, p.client_port, resp);
+}
+
+void ForwarderBank::send(netsim::HostId from, util::Ipv4 dst,
+                         std::uint16_t src_port, std::uint16_t dst_port,
+                         const MessageView& msg) {
   netsim::SendOptions opts;
-  opts.dst = p.client;
-  opts.src_port = kDnsPort;
-  opts.dst_port = p.client_port;
-  opts.payload = dnswire::encode(resp);
-  sim_->send_udp(host_[p.member], std::move(opts));
+  opts.dst = dst;
+  opts.src_port = src_port;
+  opts.dst_port = dst_port;
+  const auto wire = dnswire::encode_into(tx_arena_, msg);
+  opts.payload.assign(wire.begin(), wire.end());
+  sim_->send_udp(from, std::move(opts));
 }
 
 void ForwarderBank::sweep_expired() {

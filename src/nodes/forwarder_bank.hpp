@@ -23,7 +23,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "dnswire/message.hpp"
+#include "dnswire/arena_codec.hpp"
 #include "netsim/sim.hpp"
 #include "nodes/forwarder.hpp"
 
@@ -76,9 +76,12 @@ class ForwarderBank final : public netsim::App {
 
   [[nodiscard]] std::size_t member_of(util::Ipv4 addr) const;
   void handle_query(const netsim::Datagram& dgram, std::size_t member,
-                    const dnswire::Message& msg);
+                    const dnswire::MessageView& msg);
   void handle_response(const netsim::Datagram& dgram,
-                       const dnswire::Message& msg);
+                       const dnswire::MessageView& msg);
+  /// Encodes `msg` through the tx arena and sends it from `from`.
+  void send(netsim::HostId from, util::Ipv4 dst, std::uint16_t src_port,
+            std::uint16_t dst_port, const dnswire::MessageView& msg);
   void sweep_expired();
 
   netsim::Simulator* sim_;
@@ -99,6 +102,11 @@ class ForwarderBank final : public netsim::App {
   std::size_t sweep_at_ = 64;
   std::size_t peak_pending_ = 0;
   ForwarderStats stats_;
+  // Packets are read as views and never materialized: the rx arena
+  // backs the decoded datagram, the tx arena the relayed message's
+  // rewritten answer span and its encoding. Both reset per datagram.
+  dnswire::WireArena rx_arena_;
+  dnswire::WireArena tx_arena_;
 };
 
 }  // namespace odns::nodes

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <tuple>
 
+#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 
@@ -16,7 +17,8 @@ void VictimMeter::on_datagram(const netsim::Datagram& dgram) {
   r.dst_port = dgram.dst_port;
   r.bytes = dgram.payload->size();
   r.at = sim_->now();
-  if (auto parsed = dnswire::decode(*dgram.payload)) {
+  rx_arena_.reset();
+  if (const auto parsed = dnswire::decode_into(rx_arena_, *dgram.payload)) {
     r.truncated = parsed.value().header.tc;
   }
   records_.push_back(std::move(r));

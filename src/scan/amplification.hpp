@@ -19,6 +19,7 @@
 #include <memory>
 #include <vector>
 
+#include "dnswire/arena.hpp"
 #include "dnswire/name.hpp"
 #include "dnswire/types.hpp"
 #include "netsim/sim.hpp"
@@ -81,6 +82,7 @@ class VictimMeter : public netsim::App {
   netsim::Simulator* sim_;
   util::Ipv4 victim_;
   std::vector<Reflection> records_;
+  dnswire::WireArena rx_arena_;  // decode_into target, reset per datagram
 };
 
 class AmplificationCampaign : public netsim::TimerTarget {

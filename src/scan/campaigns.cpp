@@ -53,9 +53,10 @@ void StatelessCampaign::send_probe(util::Ipv4 target) {
 }
 
 void StatelessCampaign::on_datagram(const netsim::Datagram& dgram) {
-  auto parsed = dnswire::decode(*dgram.payload);
+  rx_arena_.reset();
+  const auto parsed = dnswire::decode_into(rx_arena_, *dgram.payload);
   if (!parsed) return;
-  const auto& msg = parsed.value();
+  const dnswire::MessageView& msg = parsed.value();
   if (!msg.header.qr || msg.header.rcode != dnswire::Rcode::noerror ||
       msg.answers.empty()) {
     return;  // all campaigns require a positive answer

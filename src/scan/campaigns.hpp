@@ -21,6 +21,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "dnswire/arena_codec.hpp"
 #include "dnswire/codec.hpp"
 #include "netsim/sim.hpp"
 
@@ -83,6 +84,7 @@ class StatelessCampaign : public netsim::App, public netsim::TimerTarget {
   std::uint16_t next_port_;  // starts at cfg_.port_base
   std::uint16_t next_txid_ = 1;
   util::SimTime last_send_at_;
+  dnswire::WireArena rx_arena_;  // decode_into target, reset per datagram
 };
 
 }  // namespace odns::scan

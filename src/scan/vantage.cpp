@@ -4,7 +4,7 @@
 #include <stdexcept>
 #include <unordered_map>
 
-#include "dnswire/codec.hpp"
+#include "dnswire/arena_codec.hpp"
 #include "scan/stream.hpp"
 
 namespace odns::scan {
@@ -50,11 +50,12 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
     sim.send_udp(host_, std::move(opts));
   }
 
-  /// The dumpcap hook: decodes one captured datagram into the capture
-  /// buffer. Non-responses are ignored; undecodable payloads count as
-  /// parse errors.
+  /// The dumpcap hook: decodes one captured datagram (as a view, never
+  /// materialized) into the capture buffer. Non-responses are ignored;
+  /// undecodable payloads count as parse errors.
   void on_datagram(const netsim::Datagram& dgram) override {
-    auto parsed = dnswire::decode(*dgram.payload);
+    rx_arena_.reset();
+    const auto parsed = dnswire::decode_into(rx_arena_, *dgram.payload);
     if (!parsed) {
       // Undecodable captures are counted twice on purpose: parse_errors
       // keeps the classic total, responses_corrupt isolates the wire-
@@ -64,7 +65,7 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
       ++stats_.responses_corrupt;
       return;
     }
-    const auto& msg = parsed.value();
+    const dnswire::MessageView& msg = parsed.value();
     if (!msg.header.qr) return;  // stray queries aimed at the capture host
     ++stats_.responses_received;
     RawResponse rec;
@@ -96,6 +97,7 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
   std::uint32_t index_;
   std::vector<RawResponse> capture_;
   ScannerStats stats_;
+  dnswire::WireArena rx_arena_;  // decode_into target, reset per datagram
 };
 
 VantageSet::VantageSet(netsim::Simulator& sim, ScanConfig cfg,

@@ -1,5 +1,5 @@
-// Allocation audit for the arena wire path (docs/architecture.md,
-// "Zero-allocation wire path"): after warm-up, the serving hot path —
+// Allocation audit for the wire codec (docs/architecture.md,
+// "The DNS wire codec"): after warm-up, the serving hot path —
 // decode_into → AuthServer::build_mirror_response → encode_into — must
 // perform ZERO heap allocations per message. This binary replaces the
 // global operator new/delete with counting versions feeding

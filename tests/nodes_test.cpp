@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+#include <string_view>
+#include <vector>
+
 #include "nodes/cache.hpp"
 #include "nodes/ratelimit.hpp"
 #include "testutil.hpp"
@@ -406,6 +411,67 @@ TEST_F(AuthFixture, StrippingForwarderDropsControlRecord) {
   fwd.start();
   const auto resp = query_and_wait(Ipv4{20, 0, 2, 3}, "scan.odns-study.net");
   EXPECT_EQ(resp.answers.size(), 1u);
+}
+
+/// Answers every query with hand-written, uncompressed wire bytes: the
+/// question ["a.b","example","net"] and one A record owned by
+/// ["a","b","example","net"].
+class DottedUpstream : public netsim::App {
+ public:
+  DottedUpstream(netsim::Simulator& sim, netsim::HostId host)
+      : sim_(&sim), host_(host) {}
+
+  void on_datagram(const netsim::Datagram& dgram) override {
+    const auto& query = *dgram.payload;
+    std::vector<std::uint8_t> wire{query[0], query[1], 0x81, 0x80, 0, 1,
+                                   0,        1,        0,    0,    0, 0};
+    auto name = [&wire](std::initializer_list<std::string_view> labels) {
+      for (const auto l : labels) {
+        wire.push_back(static_cast<std::uint8_t>(l.size()));
+        wire.insert(wire.end(), l.begin(), l.end());
+      }
+      wire.push_back(0);
+    };
+    name({"a.b", "example", "net"});
+    wire.insert(wire.end(), {0, 1, 0, 1});  // A, IN
+    name({"a", "b", "example", "net"});
+    wire.insert(wire.end(), {0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 192, 0, 2, 7});
+    netsim::SendOptions reply;
+    reply.dst = dgram.src;
+    reply.src_port = dgram.dst_port;
+    reply.dst_port = dgram.src_port;
+    reply.payload = std::move(wire);
+    sim_->send_udp(host_, std::move(reply));
+  }
+
+ private:
+  netsim::Simulator* sim_;
+  netsim::HostId host_;
+};
+
+TEST_F(AuthFixture, RecursiveForwarderRelaysDottedLabelsIntact) {
+  // The forwarder re-encodes the upstream answer; the dotted question
+  // and the split answer owner must both reach the stub unchanged.
+  const auto up_host =
+      world.sim.net().add_host(test::kResolverAsn, {Ipv4{8, 8, 8, 104}});
+  DottedUpstream upstream(world.sim, up_host);
+  world.sim.bind_udp(up_host, kDnsPort, &upstream);
+  const auto fwd_host = world.add_access_host(Ipv4{20, 0, 2, 4});
+  ForwarderConfig fc;
+  fc.upstream = Ipv4{8, 8, 8, 104};
+  RecursiveForwarder fwd(world.sim, fwd_host, fc);
+  fwd.start();
+
+  const auto dotted = *Name::from_labels({"a.b", "example", "net"});
+  const auto split = *Name::from_labels({"a", "b", "example", "net"});
+  stub->query(Ipv4{20, 0, 2, 4}, dotted);
+  world.sim.run();
+  ASSERT_EQ(stub->responses().size(), 1u);
+  const auto& resp = stub->responses().front().message;
+  ASSERT_EQ(resp.questions.size(), 1u);
+  ASSERT_EQ(resp.answers.size(), 1u);
+  EXPECT_EQ(resp.questions[0].name.labels(), dotted.labels());
+  EXPECT_EQ(resp.answers[0].name.labels(), split.labels());
 }
 
 TEST_F(AuthFixture, TransparentForwarderNeverSeesResponse) {

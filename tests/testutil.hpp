@@ -45,7 +45,7 @@ inline constexpr Ipv4 kScannerAddr{192, 0, 2, 1};
 /// tests/alloc_audit_test.cpp, so every other suite runs on the stock
 /// allocator. AllocationScope reads the delta: zero inside a warmed
 /// arena serving loop is the bar (docs/architecture.md,
-/// "Zero-allocation wire path").
+/// "The DNS wire codec").
 namespace allocaudit {
 
 inline std::atomic<std::uint64_t> allocations{0};
