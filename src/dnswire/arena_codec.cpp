@@ -527,14 +527,6 @@ Name NameView::to_name() const {
   return name ? *std::move(name) : Name{};
 }
 
-std::vector<util::Ipv4> MessageView::answer_addresses() const {
-  std::vector<util::Ipv4> out;
-  for (const auto& rr : answers) {
-    if (rr.rdata.tag == RdataView::Tag::a) out.push_back(rr.rdata.a_addr);
-  }
-  return out;
-}
-
 util::Result<MessageView, DecodeError> decode_into(
     WireArena& arena, std::span<const std::uint8_t> wire) {
   ArenaDecoder dec(arena, wire);

@@ -22,7 +22,6 @@
 #include <cstdint>
 #include <span>
 #include <string_view>
-#include <vector>
 
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
@@ -89,10 +88,6 @@ struct MessageView {
   std::span<const RecordView> answers;
   std::span<const RecordView> authorities;
   std::span<const RecordView> additionals;
-
-  /// All A-record addresses in the answer section, in order
-  /// (Message::answer_addresses on the view).
-  [[nodiscard]] std::vector<util::Ipv4> answer_addresses() const;
 };
 
 /// Parses `wire` into a view backed by `arena` + the wire buffer, or

@@ -75,7 +75,11 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
     rec.txid = msg.header.id;
     rec.at = owner_->sim_->now();
     rec.rcode = msg.header.rcode;
-    rec.answer_addrs = msg.answer_addresses();
+    for (const auto& rr : msg.answers) {
+      if (rr.rdata.tag == dnswire::RdataView::Tag::a) {
+        rec.answer_addrs.push_back(rr.rdata.a_addr);
+      }
+    }
     rec.vantage = index_;
     capture_.push_back(std::move(rec));
   }

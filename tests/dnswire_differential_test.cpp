@@ -29,22 +29,8 @@ namespace {
 using dnswire::Message;
 using dnswire::Name;
 using dnswire::ResourceRecord;
-using dnswire::RrClass;
 using dnswire::RrType;
 using dnswire::WireArena;
-
-/// The fields the wire carries: an OPT pseudo-record puts its payload
-/// size in the class field and sends a zero TTL.
-Message on_the_wire(Message msg) {
-  for (auto* section : {&msg.answers, &msg.authorities, &msg.additionals}) {
-    for (auto& rr : *section) {
-      if (rr.type != RrType::opt) continue;
-      rr.klass = RrClass::in;
-      rr.ttl = 0;
-    }
-  }
-  return msg;
-}
 
 /// One corpus element through the codec and back.
 void check_case(const Message& msg, int iter) {
@@ -53,7 +39,7 @@ void check_case(const Message& msg, int iter) {
   auto view = dnswire::decode_into(rx, wire);
   ASSERT_TRUE(view.ok()) << "iteration " << iter;
 
-  const Message expected = on_the_wire(msg);
+  const Message expected = test::corpus::on_the_wire(msg);
   const Message mat = dnswire::materialize(view.value());
   EXPECT_EQ(mat.header.id, expected.header.id);
   EXPECT_EQ(mat.header.qr, expected.header.qr);

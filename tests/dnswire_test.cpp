@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "dnswire/codec.hpp"
+#include "util/rng.hpp"
 
 namespace odns::dnswire {
 namespace {
@@ -268,6 +269,84 @@ TEST(CodecHardening, BadARecordLength) {
 TEST(CodecHardening, EmptyInput) {
   EXPECT_FALSE(decode({}).ok());
 }
+
+/// Property: decoding arbitrary bytes never crashes and either fails or
+/// produces a message that re-encodes.
+class CodecFuzzProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(CodecFuzzProperty, RandomBytesNeverCrash) {
+  util::Rng rng{GetParam()};
+  for (int iter = 0; iter < 500; ++iter) {
+    std::vector<std::uint8_t> wire(rng.uniform(0, 128));
+    for (auto& b : wire) b = static_cast<std::uint8_t>(rng.uniform(0, 255));
+    auto result = decode(wire);
+    if (result.ok()) {
+      // Whatever parsed must re-encode without crashing.
+      const auto re = encode(result.value());
+      EXPECT_FALSE(re.empty());
+    }
+  }
+}
+
+/// Property: corrupting any single byte of a valid message never
+/// crashes the decoder.
+TEST_P(CodecFuzzProperty, SingleByteCorruptionNeverCrashes) {
+  util::Rng rng{GetParam() ^ 0xABCD};
+  auto resp = make_response(sample_query());
+  const auto name = *Name::parse("scan.odns-study.net");
+  resp.answers.push_back(ResourceRecord::a(name, Ipv4{8, 8, 8, 8}, 300));
+  resp.answers.push_back(ResourceRecord::a(name, Ipv4{9, 9, 9, 9}, 300));
+  const auto wire = encode(resp);
+  for (int iter = 0; iter < 300; ++iter) {
+    auto mutated = wire;
+    const auto pos = rng.uniform(0, mutated.size() - 1);
+    mutated[pos] = static_cast<std::uint8_t>(rng.uniform(0, 255));
+    (void)decode(mutated);  // must not crash; outcome may be either
+  }
+}
+
+/// Property: encode∘decode is the identity on randomly generated valid
+/// messages.
+TEST_P(CodecFuzzProperty, RandomMessageRoundTrip) {
+  util::Rng rng{GetParam() ^ 0x5555};
+  for (int iter = 0; iter < 100; ++iter) {
+    Message m;
+    m.header.id = static_cast<std::uint16_t>(rng.uniform(0, 0xFFFF));
+    m.header.qr = rng.chance(0.5);
+    m.header.rd = rng.chance(0.5);
+    m.header.ra = rng.chance(0.5);
+    m.header.rcode = rng.chance(0.2) ? Rcode::nxdomain : Rcode::noerror;
+    const std::vector<std::string> labels{"scan", "probe", "x1", "cdn"};
+    auto random_name = [&]() {
+      std::string s;
+      const int n = rng.uniform_int(1, 4);
+      for (int i = 0; i < n; ++i) {
+        if (i) s += '.';
+        s += rng.pick(labels);
+      }
+      return *Name::parse(s);
+    };
+    m.questions.push_back(
+        Question{random_name(), RrType::a, RrClass::in});
+    const int answers = rng.uniform_int(0, 5);
+    for (int i = 0; i < answers; ++i) {
+      m.answers.push_back(ResourceRecord::a(
+          random_name(),
+          Ipv4{static_cast<std::uint32_t>(rng.uniform(0, 0xFFFFFFFF))},
+          static_cast<std::uint32_t>(rng.uniform(0, 86400))));
+    }
+    auto decoded = decode(encode(m));
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded.value().header.id, m.header.id);
+    ASSERT_EQ(decoded.value().answers.size(), m.answers.size());
+    for (std::size_t i = 0; i < m.answers.size(); ++i) {
+      EXPECT_EQ(decoded.value().answers[i], m.answers[i]);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, CodecFuzzProperty,
+                         ::testing::Values(1, 2, 3, 17, 99));
 
 }  // namespace
 }  // namespace odns::dnswire

@@ -243,6 +243,20 @@ inline dnswire::Message random_message(util::Rng& rng) {
   return msg;
 }
 
+/// The fields the wire carries: an OPT pseudo-record puts its payload
+/// size in the class field and sends a zero TTL.
+inline dnswire::Message on_the_wire(dnswire::Message msg) {
+  using dnswire::RrType;
+  for (auto* section : {&msg.answers, &msg.authorities, &msg.additionals}) {
+    for (auto& rr : *section) {
+      if (rr.type != RrType::opt) continue;
+      rr.klass = dnswire::RrClass::in;
+      rr.ttl = 0;
+    }
+  }
+  return msg;
+}
+
 /// Seeds of the round-trip corpus: 5 x kMessagesPerSeed messages.
 inline constexpr std::uint64_t kSeeds[] = {0xC0FFEE, 0xDECAF1, 0x5CA1AB1E,
                                            0xB16B00B5, 0xCAFEF00D};
