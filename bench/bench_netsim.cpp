@@ -40,12 +40,12 @@
 // streaming correlation"):
 //
 //  * million_host_census — the full core::run_census pipeline over the
-//    bulk-population topology at --census-scale (default: ≥10⁶ hosts,
-//    ≥10⁴ ASes) with streaming correlation, once on 1 shard and once
-//    on 8; reports hosts-simulated-per-second, the peak RSS of the
-//    run (VmHWM), and the streaming window high-water mark, and
-//    requires the classify::census_fingerprint of both executions to
-//    be identical.
+//    topology at --census-scale (default: ≥10⁶ hosts, ≥10⁴ ASes)
+//    with streaming correlation, once on 1 shard and once on 8;
+//    reports hosts-simulated-per-second, the peak RSS of the run
+//    (VmHWM), and the streaming window high-water mark, and requires
+//    the classify::census_fingerprint of both executions to be
+//    identical.
 //
 //  * fault_plane_census — the same streaming census on a tenth of the
 //    world under an adverse network (5% loss + jitter, reordering,
@@ -84,7 +84,7 @@
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 #include "netsim/sim.hpp"
-#include "nodes/forwarder.hpp"
+#include "nodes/forwarder_bank.hpp"
 #include "scan/amplification.hpp"
 #include "util/hash.hpp"
 #include "util/ipv4.hpp"
@@ -379,9 +379,10 @@ class ProbePacer : public netsim::TimerTarget {
 
 /// World for the sharded workloads: every non-vantage AS hosts an
 /// upstream resolver (DnsResponder) and a recursive forwarder relaying
-/// to it — the ODNS's dominant species, so each probe costs two DNS
-/// transactions of serving work on its target's shard (SAV off
-/// everywhere so relays work). With `relay`, targets are additionally
+/// to it (a nodes::ForwarderBank row, one bank per virtual shard, as
+/// in topo::TopologyBuilder) — the ODNS's dominant species, so each
+/// probe costs two DNS transactions of serving work on its target's
+/// shard (SAV off everywhere so relays work). With `relay`, targets are additionally
 /// transparent-forwarder hosts whose port-53 redirect points at the
 /// *next* AS's recursive forwarder — which the round-robin AS
 /// partition places on a different shard for every shard count > 1,
@@ -391,7 +392,7 @@ struct ShardedWorld {
   HostId scanner = netsim::kInvalidHost;
   std::vector<Ipv4> targets;
   std::vector<std::unique_ptr<DnsResponder>> responders;
-  std::vector<std::unique_ptr<nodes::RecursiveForwarder>> forwarders;
+  std::vector<std::unique_ptr<nodes::ForwarderBank>> banks;
   NullSink sink;  // scanner side: capture is counting, not decoding
 };
 
@@ -426,24 +427,27 @@ ShardedWorld build_sharded_world(const Opts& opts, bool relay,
   w.scanner = net.add_host(1, {host_addr(1, 1)});
   w.sim->bind_udp_wildcard(w.scanner, &w.sink);
   std::vector<Ipv4> forwarder_addrs(opts.ases + 1);
+  w.banks.resize(Simulator::kVirtualShards);
   for (std::uint32_t asn = 2; asn <= opts.ases; ++asn) {
     // Upstream resolver of this AS...
     const Ipv4 upstream_addr = host_addr(asn, 53);
     const auto upstream = net.add_host(asn, {upstream_addr});
     w.responders.push_back(std::make_unique<DnsResponder>(*w.sim, upstream));
     w.sim->bind_udp(upstream, 53, w.responders.back().get());
-    // ...and the recursive forwarder relaying to it. Caching off: every
-    // probe must cost a full relay round trip, like an uncached census
+    // ...and the recursive forwarder relaying to it. Banks don't
+    // cache: every probe costs a full relay round trip, like a census
     // first contact.
     const Ipv4 fwd_addr = host_addr(asn, 80);
-    const auto fwd = net.add_host(asn, {fwd_addr});
-    nodes::ForwarderConfig fc;
-    fc.upstream = upstream_addr;
-    fc.cache_responses = false;
-    w.forwarders.push_back(
-        std::make_unique<nodes::RecursiveForwarder>(*w.sim, fwd, fc));
-    w.forwarders.back()->start();
+    auto& bank = w.banks[w.sim->virtual_shard_of_as(asn)];
+    if (!bank) bank = std::make_unique<nodes::ForwarderBank>(*w.sim);
+    nodes::ForwarderBank::MemberConfig mc;
+    mc.addr = fwd_addr;
+    mc.upstream = upstream_addr;
+    bank->add_member(net.add_host(asn, {fwd_addr}), mc);
     forwarder_addrs[asn] = fwd_addr;
+  }
+  for (auto& bank : w.banks) {
+    if (bank) bank->seal();
   }
   for (std::uint32_t asn = 2; asn <= opts.ases; ++asn) {
     if (relay) {
@@ -831,19 +835,17 @@ struct CensusRun {
   core::DegradationReport degradation;
 };
 
-/// One full census over the Internet-scale world: bulk population
-/// (nodes::ForwarderBank rows instead of per-host heap nodes), the
-/// eyeball AS layer widened to O(10⁴) ASes, per-shard capture
-/// vantages, streaming correlation, and no per-probe log retention —
-/// the million-host configuration of docs/architecture.md. Runs the
-/// sequential scheduler in both modes so the sharded critical path
-/// (max per-shard busy seconds) is unpolluted by time-slicing.
+/// One full census over the Internet-scale world: the eyeball AS layer
+/// widened to O(10⁴) ASes, per-shard capture vantages, streaming
+/// correlation, and no per-probe log retention — the million-host
+/// configuration of docs/architecture.md. Runs the sequential
+/// scheduler in both modes so the sharded critical path (max
+/// per-shard busy seconds) is unpolluted by time-slicing.
 CensusRun run_million_census(const Opts& opts, std::uint32_t shards) {
   core::CensusConfig cfg;
   cfg.topology.scale = opts.census_scale;
   cfg.topology.seed = opts.seed;
   cfg.topology.sim.seed = opts.seed;
-  cfg.topology.bulk_population = true;
   cfg.topology.eyeball_as_multiplier = 4.0;
   cfg.topology.sim.shard_threads = false;
   cfg.sim_shards = shards;
@@ -934,7 +936,6 @@ CensusRun run_faulted_census(const Opts& opts, std::uint32_t shards,
   cfg.topology.scale = opts.census_scale * 0.1;
   cfg.topology.seed = opts.seed;
   cfg.topology.sim.seed = opts.seed;
-  cfg.topology.bulk_population = true;
   cfg.topology.eyeball_as_multiplier = 4.0;
   cfg.topology.sim.shard_threads = false;
   cfg.topology.sim.loss_rate = loss_rate;

@@ -90,23 +90,6 @@ const Zone* AuthServer::zone_for(const Name& qname) const {
   return best;
 }
 
-void AuthServer::answer_mirror(const netsim::Datagram& dgram,
-                               const Message& query) {
-  Message resp = dnswire::make_response(query);
-  resp.header.aa = true;
-  const auto& cfg = *mirror_;
-  // Dynamic record first: mirrors the immediate client — for relayed
-  // queries this is the recursive resolver's egress address, which is
-  // exactly what lets the scanner see *which* resolver served it.
-  resp.answers.push_back(ResourceRecord::a(cfg.name, dgram.src, cfg.ttl));
-  if (cfg.include_control) {
-    resp.answers.push_back(
-        ResourceRecord::a(cfg.name, cfg.control_addr, cfg.ttl));
-  }
-  ++queries_answered_;
-  reply(dgram, resp);
-}
-
 bool AuthServer::build_mirror_response(dnswire::WireArena& arena,
                                        const dnswire::MessageView& query,
                                        util::Ipv4 client,
@@ -125,8 +108,7 @@ bool AuthServer::build_mirror_response(dnswire::WireArena& arena,
   // queries this is the recursive resolver's egress address, which is
   // exactly what lets the scanner see *which* resolver served it. The
   // owner name reuses the question's view; the encoder compresses it
-  // to a pointer at the echoed question, exactly as the heap path
-  // compresses cfg.name there (suffixes compare case-folded).
+  // to a pointer at the echoed question.
   answers[0].name = q.name;
   answers[0].type = RrType::a;
   answers[0].ttl = cfg.ttl;
@@ -150,12 +132,19 @@ bool AuthServer::build_mirror_response(dnswire::WireArena& arena,
 bool AuthServer::on_message_view(const netsim::Datagram& dgram,
                                  const dnswire::MessageView& msg) {
   if (msg.header.qr) return true;  // not a query; ignore (as on_message)
-  // Query logging and rate limiting want heap Names / per-source state;
-  // those configurations keep the heap model end to end.
-  if (log_queries_ || limiter_) return false;
+  // Every mirror query is answered here; other queries take the owned
+  // path below. Same order as there: log, then limit, then answer.
   dnswire::MessageView resp;
   if (!build_mirror_response(scratch_arena(), msg, dgram.src, resp)) {
     return false;
+  }
+  if (log_queries_) {
+    query_log_.push_back(QueryLogEntry{msg.questions.front().name.to_name(),
+                                       dgram.src, sim().now()});
+  }
+  if (limiter_ && !limiter_->allow(dgram.src, sim().now())) {
+    ++counters_.rate_limited;
+    return true;  // silently dropped, like the deployed sensors
   }
   ++queries_answered_;
   reply_view(dgram, resp);
@@ -177,12 +166,6 @@ void AuthServer::on_message(const netsim::Datagram& dgram, Message msg) {
   if (limiter_ && !limiter_->allow(dgram.src, sim().now())) {
     ++counters_.rate_limited;
     return;  // silently dropped, like the deployed sensors
-  }
-
-  if (mirror_ && q.name == mirror_->name &&
-      (q.type == RrType::a || q.type == RrType::any)) {
-    answer_mirror(dgram, msg);
-    return;
   }
 
   const Zone* zone = zone_for(q.name);

@@ -101,9 +101,8 @@ class AuthServer : public DnsNode {
   /// recursive-mirror answer, builds the response view in `arena` and
   /// returns true. Together with decode_into/encode_into this is the
   /// zero-heap serving unit the allocation audit drives
-  /// (tests/alloc_audit_test.cpp); answer bytes are identical to the
-  /// heap path's, because the answer owner name compresses to a
-  /// pointer at the echoed question either way.
+  /// (tests/alloc_audit_test.cpp), and the only way mirror queries
+  /// are answered.
   [[nodiscard]] bool build_mirror_response(dnswire::WireArena& arena,
                                            const dnswire::MessageView& query,
                                            util::Ipv4 client,
@@ -116,8 +115,6 @@ class AuthServer : public DnsNode {
 
  private:
   const Zone* zone_for(const dnswire::Name& qname) const;
-  void answer_mirror(const netsim::Datagram& dgram,
-                     const dnswire::Message& query);
 
   std::vector<Zone> zones_;
   std::optional<MirrorConfig> mirror_;

@@ -1,15 +1,16 @@
 #include "nodes/forwarder.hpp"
 
+#include <utility>
+
 namespace odns::nodes {
 
-using dnswire::ARecord;
 using dnswire::Message;
 using dnswire::Rcode;
 
 RecursiveForwarder::RecursiveForwarder(netsim::Simulator& sim,
                                        netsim::HostId host,
-                                       ForwarderConfig cfg)
-    : DnsNode(sim, host), cfg_(cfg) {}
+                                       util::Ipv4 upstream)
+    : DnsNode(sim, host), upstream_(upstream) {}
 
 void RecursiveForwarder::start() {
   sim().bind_udp(host(), kDnsPort, this);
@@ -21,7 +22,7 @@ void RecursiveForwarder::on_message(const netsim::Datagram& dgram,
   if (dgram.dst_port == kDnsPort && !msg.header.qr) {
     handle_query(dgram, msg);
   } else if (dgram.dst_port != kDnsPort && msg.header.qr) {
-    handle_response(dgram, msg);
+    handle_response(dgram, std::move(msg));
   }
 }
 
@@ -34,16 +35,14 @@ void RecursiveForwarder::handle_query(const netsim::Datagram& dgram,
   }
   const auto& q = msg.questions.front();
 
-  if (cfg_.cache_responses) {
-    if (auto hit = cache_.get(q.name, q.type, sim().now());
-        hit && !hit->negative) {
-      ++fstats_.cache_answers;
-      Message resp = dnswire::make_response(msg);
-      resp.header.ra = true;
-      resp.answers = hit->records;
-      reply(dgram, resp);
-      return;
-    }
+  if (auto hit = cache_.get(q.name, q.type, sim().now());
+      hit && !hit->negative) {
+    ++fstats_.cache_answers;
+    Message resp = dnswire::make_response(msg);
+    resp.header.ra = true;
+    resp.answers = hit->records;
+    reply(dgram, resp);
+    return;
   }
 
   Pending p;
@@ -52,7 +51,7 @@ void RecursiveForwarder::handle_query(const netsim::Datagram& dgram,
   p.client_txid = msg.header.id;
   p.arrival_dst = dgram.dst;
   p.question = q;
-  p.deadline = sim().now() + cfg_.upstream_timeout;
+  p.deadline = sim().now() + kForwarderUpstreamTimeout;
 
   // Source substitution happens implicitly: the upstream query leaves
   // with this host's own address — the defining difference from a
@@ -64,11 +63,11 @@ void RecursiveForwarder::handle_query(const netsim::Datagram& dgram,
   ++fstats_.forwarded;
 
   Message upstream = dnswire::make_query(txid, q.name, q.type);
-  send_message(cfg_.upstream, port, kDnsPort, upstream);
+  send_message(upstream_, port, kDnsPort, upstream);
 }
 
 void RecursiveForwarder::handle_response(const netsim::Datagram& dgram,
-                                         const Message& msg) {
+                                         Message msg) {
   auto it = pending_.find(key(dgram.dst_port, msg.header.id));
   if (it == pending_.end()) return;
   Pending p = it->second;
@@ -78,27 +77,11 @@ void RecursiveForwarder::handle_response(const netsim::Datagram& dgram,
     ++fstats_.expired;
     return;
   }
-  if (cfg_.cache_responses && msg.header.rcode == Rcode::noerror &&
-      !msg.answers.empty()) {
+  if (msg.header.rcode == Rcode::noerror && !msg.answers.empty()) {
     cache_.put(p.question.name, p.question.type, msg.answers, sim().now());
   }
-  deliver_response(p, msg);
-}
-
-void RecursiveForwarder::deliver_response(const Pending& p,
-                                          dnswire::Message resp) {
-  resp.header.id = p.client_txid;
-  if (cfg_.rewrite_answers) {
-    for (auto& rr : resp.answers) {
-      if (std::get_if<ARecord>(&rr.rdata) != nullptr) {
-        rr.rdata = ARecord{cfg_.rewrite_target};
-      }
-    }
-  }
-  if (cfg_.strip_second_record && resp.answers.size() > 1) {
-    resp.answers.resize(1);
-  }
-  send_message(p.client, kDnsPort, p.client_port, resp, p.arrival_dst);
+  msg.header.id = p.client_txid;
+  send_message(p.client, kDnsPort, p.client_port, msg, p.arrival_dst);
 }
 
 }  // namespace odns::nodes

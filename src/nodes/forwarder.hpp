@@ -3,7 +3,11 @@
 //
 // RecursiveForwarder: an application-level relay. It replaces the
 // client's source address with its own, so responses flow back through
-// it — it can cache and (mis)behave like a middlebox.
+// it. The census population of recursive forwarders lives in
+// ForwarderBank rows (nodes/forwarder_bank.hpp); this node is the
+// caching same-AS relay the topology builder places behind
+// indirect-consolidation transparent forwarders (TF → RF → public
+// resolver). Its cache answers scanner retries, so it stays a node.
 //
 // TransparentForwarder: an IP-level relay that preserves the client's
 // source address. The response bypasses it entirely. It is implemented
@@ -11,7 +15,6 @@
 // that installs the rule and exposes relay statistics.
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 
 #include "nodes/cache.hpp"
@@ -19,16 +22,10 @@
 
 namespace odns::nodes {
 
-struct ForwarderConfig {
-  util::Ipv4 upstream;  // resolver (or next forwarder) to relay to
-  bool cache_responses = true;
-  util::Duration upstream_timeout = util::Duration::seconds(5);
-  /// Middlebox misbehaviour knobs used to validate the classifier's
-  /// control-record check:
-  bool rewrite_answers = false;        // DNS redirection (ads/censorship)
-  util::Ipv4 rewrite_target{};         // address injected when rewriting
-  bool strip_second_record = false;    // drops the control record
-};
+/// How long a recursive forwarder (node or bank row) waits for its
+/// upstream before a late response is dropped as expired.
+inline constexpr util::Duration kForwarderUpstreamTimeout =
+    util::Duration::seconds(5);
 
 struct ForwarderStats {
   std::uint64_t client_queries = 0;
@@ -40,13 +37,13 @@ struct ForwarderStats {
 
 class RecursiveForwarder : public DnsNode {
  public:
+  /// Relays to `upstream` (a resolver or the next forwarder).
   RecursiveForwarder(netsim::Simulator& sim, netsim::HostId host,
-                     ForwarderConfig cfg);
+                     util::Ipv4 upstream);
 
   void start();
 
   [[nodiscard]] const ForwarderStats& stats() const { return fstats_; }
-  [[nodiscard]] const DnsCache& cache() const { return cache_; }
 
  protected:
   void on_message(const netsim::Datagram& dgram, dnswire::Message msg) override;
@@ -62,15 +59,13 @@ class RecursiveForwarder : public DnsNode {
   };
 
   void handle_query(const netsim::Datagram& dgram, const dnswire::Message& msg);
-  void handle_response(const netsim::Datagram& dgram,
-                       const dnswire::Message& msg);
-  void deliver_response(const Pending& p, dnswire::Message resp);
+  void handle_response(const netsim::Datagram& dgram, dnswire::Message msg);
 
   static std::uint32_t key(std::uint16_t port, std::uint16_t txid) {
     return (std::uint32_t{port} << 16) | txid;
   }
 
-  ForwarderConfig cfg_;
+  util::Ipv4 upstream_;
   DnsCache cache_;
   ForwarderStats fstats_;
   std::unordered_map<std::uint32_t, Pending> pending_;

@@ -1,7 +1,7 @@
 #include "nodes/forwarder_bank.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "nodes/dns_node.hpp"
 
@@ -18,12 +18,10 @@ constexpr std::uint16_t kPortBase = 32768;
 constexpr std::uint32_t kPortSpan = 32768;
 }  // namespace
 
-ForwarderBank::ForwarderBank(netsim::Simulator& sim,
-                             util::Duration upstream_timeout)
-    : sim_(&sim), upstream_timeout_(upstream_timeout) {}
-
 void ForwarderBank::add_member(netsim::HostId host, const MemberConfig& mc) {
-  assert(!sealed_);
+  if (sealed_) {
+    throw std::logic_error("ForwarderBank::add_member after seal");
+  }
   addr_.push_back(mc.addr);
   upstream_.push_back(mc.upstream);
   rewrite_target_.push_back(mc.rewrite_target);
@@ -58,7 +56,9 @@ std::size_t ForwarderBank::member_of(util::Ipv4 addr) const {
 }
 
 void ForwarderBank::on_datagram(const netsim::Datagram& dgram) {
-  assert(sealed_);
+  if (!sealed_) {
+    throw std::logic_error("ForwarderBank received a datagram before seal");
+  }
   rx_arena_.reset();
   tx_arena_.reset();
   const auto parsed = dnswire::decode_into(rx_arena_, *dgram.payload);
@@ -94,7 +94,7 @@ void ForwarderBank::handle_query(const netsim::Datagram& dgram,
   p.client_port = dgram.src_port;
   p.client_txid = msg.header.id;
   p.member = static_cast<std::uint32_t>(member);
-  p.deadline = sim_->now() + upstream_timeout_;
+  p.deadline = sim_->now() + kForwarderUpstreamTimeout;
   peak_pending_ = std::max(peak_pending_, pending_.size());
   ++stats_.forwarded;
 

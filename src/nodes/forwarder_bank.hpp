@@ -1,16 +1,18 @@
 #pragma once
-// Bulk recursive-forwarder plane for million-host worlds: one
-// ForwarderBank serves every recursive forwarder of a virtual shard as
-// dense index-addressed rows instead of one heap-allocated
-// RecursiveForwarder node (~300 B + cache + arenas each) per host.
+// The recursive-forwarder population of every world: one ForwarderBank
+// serves every recursive forwarder of a virtual shard as dense
+// index-addressed rows instead of one heap-allocated node (~300 B +
+// cache + arenas each) per host.
 //
 // Behavioural contract: a bank member is a cacheless recursive
 // forwarder — it relays the client's question upstream from its own
 // address, matches the upstream response by (port, txid), restores the
 // client txid, applies the member's middlebox knobs (rewrite / strip),
-// and answers the client from the address the query arrived on. The
-// census classifies members exactly like RecursiveForwarder nodes
-// (caching never matters for a census: each member is probed once).
+// and answers the client from the address the query arrived on. A
+// query with other than one question is dropped (the caching
+// RecursiveForwarder node answers FORMERR). Caching never matters for
+// a census member: the scanner probes its address directly, and a
+// retry that reaches it again is relayed again.
 //
 // Shard safety: the topology builder creates one bank per virtual
 // shard, so a bank's members always land on one execution shard
@@ -39,14 +41,15 @@ class ForwarderBank final : public netsim::App {
     bool strip_second_record = false;
   };
 
-  ForwarderBank(netsim::Simulator& sim,
-                util::Duration upstream_timeout = util::Duration::seconds(5));
+  explicit ForwarderBank(netsim::Simulator& sim) : sim_(&sim) {}
 
   /// Registers a member host (already in the network, announcing
   /// `mc.addr`) and binds this bank as its port-53 + wildcard app.
+  /// Throws std::logic_error once the bank is sealed.
   void add_member(netsim::HostId host, const MemberConfig& mc);
   /// Builds the address lookup index. Call once after the last
-  /// add_member and before the first packet.
+  /// add_member; a datagram reaching an unsealed bank throws
+  /// std::logic_error.
   void seal();
 
   void on_datagram(const netsim::Datagram& dgram) override;
@@ -85,7 +88,6 @@ class ForwarderBank final : public netsim::App {
   void sweep_expired();
 
   netsim::Simulator* sim_;
-  util::Duration upstream_timeout_;
 
   // Member rows (SoA: the hot lookup path touches only addr_).
   std::vector<util::Ipv4> addr_;

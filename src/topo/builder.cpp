@@ -516,6 +516,7 @@ std::unique_ptr<Deployment> TopologyBuilder::build(const TopologyConfig& cfg) {
   netsim::SimConfig sim_cfg = cfg.sim;
   sim_cfg.seed = cfg.seed ^ 0xD1B54A32D192ED03ull;
   d->sim_ = std::make_unique<netsim::Simulator>(sim_cfg);
+  d->forwarder_banks_.resize(netsim::Simulator::kVirtualShards);
 
   BuildState st;
   st.d = d.get();
@@ -652,56 +653,41 @@ std::unique_ptr<Deployment> TopologyBuilder::build(const TopologyConfig& cfg) {
       int& used = used_rf[asn];
       const Ipv4 addr = next_addr_in(st, ctx, asn, used, 200);
       const HostId host = net.add_host(asn, {addr});
-      nodes::ForwarderConfig fc;
+      nodes::ForwarderBank::MemberConfig mc;
+      mc.addr = addr;
       const bool to_isp = st.rng.chance(0.5);
       ResolverProject project;
       if (to_isp) {
-        fc.upstream = isp_resolver_for(asn);
+        mc.upstream = isp_resolver_for(asn);
         project = ResolverProject::other;
       } else {
         project = pick_project(st, profile.mix);
-        fc.upstream = project == ResolverProject::other
+        mc.upstream = project == ResolverProject::other
                           ? st.rng.pick(ctx.national_resolver_addrs)
                           : service_addr_of(st, project);
       }
       const bool manipulated = i >= rf_count;
       if (manipulated) {
         if (st.rng.chance(0.5)) {
-          fc.rewrite_answers = true;
-          fc.rewrite_target = Ipv4{203, 0, 113, 99};
+          mc.rewrite_answers = true;
+          mc.rewrite_target = Ipv4{203, 0, 113, 99};
         } else {
-          fc.strip_second_record = true;
+          mc.strip_second_record = true;
         }
       }
-      if (d->cfg_.bulk_population) {
-        // Bulk plane: the forwarder becomes a row in its virtual
-        // shard's bank (shard-safe for every shard count, since a
-        // virtual shard never splits across execution shards).
-        if (d->forwarder_banks_.empty()) {
-          d->forwarder_banks_.resize(netsim::Simulator::kVirtualShards);
-        }
-        auto& bank = d->forwarder_banks_[st.sim->virtual_shard_of_as(asn)];
-        if (!bank) bank = std::make_unique<nodes::ForwarderBank>(*st.sim);
-        nodes::ForwarderBank::MemberConfig mc;
-        mc.addr = addr;
-        mc.upstream = fc.upstream;
-        mc.rewrite_target = fc.rewrite_target;
-        mc.rewrite_answers = fc.rewrite_answers;
-        mc.strip_second_record = fc.strip_second_record;
-        bank->add_member(host, mc);
-      } else {
-        auto fwd =
-            std::make_unique<nodes::RecursiveForwarder>(*st.sim, host, fc);
-        fwd->start();
-        d->forwarders_.push_back(std::move(fwd));
-      }
+      // The forwarder becomes a row in its virtual shard's bank
+      // (shard-safe for every shard count, since a virtual shard never
+      // splits across execution shards).
+      auto& bank = d->forwarder_banks_[st.sim->virtual_shard_of_as(asn)];
+      if (!bank) bank = std::make_unique<nodes::ForwarderBank>(*st.sim);
+      bank->add_member(host, mc);
       GroundTruth gt;
       gt.addr = addr;
       gt.kind = OdnsKind::recursive_forwarder;
       gt.country = profile.code;
       gt.asn = asn;
       gt.host = host;
-      gt.upstream = fc.upstream;
+      gt.upstream = mc.upstream;
       gt.project = project;
       gt.chained = manipulated;  // reused flag: fails strict validation
       d->ground_truth_.push_back(gt);
@@ -720,14 +706,13 @@ std::unique_ptr<Deployment> TopologyBuilder::build(const TopologyConfig& cfg) {
       net.announce(asn, block);
       const Ipv4 addr{block.base().value() + 10};
       const HostId host = net.add_host(asn, {addr});
-      nodes::ForwarderConfig fc;
-      fc.upstream = service_addr_of(
+      const Ipv4 upstream = service_addr_of(
           st, st.rng.chance(0.7) ? ResolverProject::google
                                  : ResolverProject::cloudflare);
-      auto fwd =
-          std::make_unique<nodes::RecursiveForwarder>(*st.sim, host, fc);
+      auto fwd = std::make_unique<nodes::RecursiveForwarder>(*st.sim, host,
+                                                             upstream);
       fwd->start();
-      d->forwarders_.push_back(std::move(fwd));
+      d->chain_relays_.push_back(std::move(fwd));
       chain_rf.emplace(asn, addr);
       return addr;
     };

@@ -43,13 +43,9 @@ struct TopologyConfig {
   std::size_t max_countries = 0;
   int tier1_count = 8;
   int hubs_per_region = 3;
-  /// Bulk population mode for million-host worlds: recursive
-  /// forwarders become dense rows of a per-virtual-shard
-  /// nodes::ForwarderBank instead of individual RecursiveForwarder
-  /// heap nodes. Observable census behaviour is unchanged (banks are
-  /// cacheless, but a census probes each forwarder exactly once);
-  /// worlds built with the flag ON and OFF are different deployments
-  /// and must not be byte-compared against each other.
+  /// No effect: every world builds its recursive forwarders as rows of
+  /// per-virtual-shard nodes::ForwarderBank instances. Kept only
+  /// because benchmark/odns_bench.cpp still sets it.
   bool bulk_population = false;
   /// Multiplies the per-country eyeball AS count (after the sub-linear
   /// scale exponent). Internet-scale worlds use it to push the AS
@@ -118,9 +114,12 @@ class Deployment {
   // they are declared after it (destroyed first).
   std::vector<std::unique_ptr<nodes::AuthServer>> auth_servers_;
   std::vector<std::unique_ptr<nodes::RecursiveResolver>> resolvers_;
-  std::vector<std::unique_ptr<nodes::RecursiveForwarder>> forwarders_;
-  /// Bulk mode: one bank per virtual shard (index = virtual shard),
-  /// each serving that shard's recursive forwarders as dense rows.
+  /// Caching chain relays behind indirect-consolidation transparent
+  /// forwarders (at most one per AS).
+  std::vector<std::unique_ptr<nodes::RecursiveForwarder>> chain_relays_;
+  /// One bank per virtual shard (index = virtual shard; null when the
+  /// shard has no recursive forwarder), each serving that shard's
+  /// recursive forwarders as dense rows.
   std::vector<std::unique_ptr<nodes::ForwarderBank>> forwarder_banks_;
   std::vector<nodes::TransparentForwarder> transparent_;
 

@@ -116,7 +116,6 @@ topo::TopologyConfig small_world_cfg(std::uint64_t seed) {
   cfg.max_countries = 6;
   cfg.seed = seed;
   cfg.sim.seed = seed;
-  cfg.bulk_population = true;
   return cfg;
 }
 
@@ -202,7 +201,7 @@ TEST(AddrPlane, PostFreezeTailKeepsLookupsExactAndRejectsDuplicates) {
 
 TEST(AddrPlane, WorldConstructionBytesPerHostStaysUnderCeiling) {
   // The memory half of the tentpole, pinned: building a ~100k-host
-  // bulk world must stay under a recorded live-heap ceiling per
+  // world must stay under a recorded live-heap ceiling per
   // ground-truth host. The ceiling is the measured post-flat-plane
   // value plus headroom — a regression back to per-host heap vectors
   // (~100+ bytes/host of node overhead alone) trips it immediately.
@@ -210,7 +209,6 @@ TEST(AddrPlane, WorldConstructionBytesPerHostStaysUnderCeiling) {
   cfg.scale = 0.047;
   cfg.seed = 97;
   cfg.sim.seed = 97;
-  cfg.bulk_population = true;
 
   AllocationScope scope;
   const auto world = topo::TopologyBuilder::build(cfg);

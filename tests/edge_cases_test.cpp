@@ -7,6 +7,7 @@
 #include "classify/classify.hpp"
 #include "honeypot/lab.hpp"
 #include "nodes/forwarder.hpp"
+#include "nodes/forwarder_bank.hpp"
 #include "testutil.hpp"
 
 namespace odns {
@@ -70,16 +71,17 @@ TEST_F(EdgeFixture, SelfRedirectIsKilledByTtl) {
 // ---------------------------------------------------------------------
 
 TEST_F(EdgeFixture, ForwarderWithDeadUpstreamProducesNoAnswer) {
-  const auto fwd_host = world.add_access_host(Ipv4{20, 0, 52, 1});
-  ForwarderConfig fc;
-  fc.upstream = Ipv4{20, 0, 52, 99};  // nobody home
-  RecursiveForwarder fwd(world.sim, fwd_host, fc);
-  fwd.start();
+  ForwarderBank bank(world.sim);
+  ForwarderBank::MemberConfig mc;
+  mc.addr = Ipv4{20, 0, 52, 1};
+  mc.upstream = Ipv4{20, 0, 52, 99};  // nobody home
+  bank.add_member(world.add_access_host(mc.addr), mc);
+  bank.seal();
   stub().query(Ipv4{20, 0, 52, 1}, world.scan_name);
   world.sim.run();
   EXPECT_TRUE(stub().responses().empty());
-  EXPECT_EQ(fwd.stats().forwarded, 1u);
-  EXPECT_EQ(fwd.stats().upstream_responses, 0u);
+  EXPECT_EQ(bank.stats().forwarded, 1u);
+  EXPECT_EQ(bank.stats().upstream_responses, 0u);
 }
 
 TEST_F(EdgeFixture, TransparentForwarderToDeadResolverTimesOutAtScanner) {
@@ -168,9 +170,7 @@ TEST_F(EdgeFixture, TransparentChainThroughRecursiveForwarder) {
   // RF (not the TF, not the resolver) and the mirror record exposes
   // the resolver — the indirect-consolidation signature.
   const auto rf_host = world.add_access_host(Ipv4{20, 0, 57, 2});
-  ForwarderConfig fc;
-  fc.upstream = test::kResolverAddr;
-  RecursiveForwarder rf(world.sim, rf_host, fc);
+  RecursiveForwarder rf(world.sim, rf_host, test::kResolverAddr);
   rf.start();
 
   const auto tf_host = world.add_access_host(Ipv4{20, 0, 57, 1});

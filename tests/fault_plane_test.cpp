@@ -700,7 +700,6 @@ core::CensusConfig faulted_census_cfg(std::uint64_t seed) {
   cfg.topology.sim.seed = seed;
   cfg.topology.sim.loss_rate = 0.02;
   cfg.topology.sim.faults = chaos_faults();
-  cfg.topology.bulk_population = true;
   cfg.scan_timeout = util::Duration::seconds(2);
   cfg.scan_max_retries = 1;
   cfg.scan_retry_backoff = util::Duration::millis(500);
@@ -770,7 +769,6 @@ TEST(FaultedCensus, RetriesMonotonicallyRecoverPerAsCoverage) {
     cfg.topology.seed = 4;
     cfg.topology.sim.seed = 4;
     cfg.topology.sim.loss_rate = 0.05;
-    cfg.topology.bulk_population = true;
     cfg.scan_timeout = util::Duration::seconds(2);
     cfg.scan_max_retries = retries;
     cfg.scan_retry_backoff = util::Duration::millis(500);
@@ -808,7 +806,6 @@ TEST(FaultedCensus, RetriesAreInertOnALosslessWorld) {
     cfg.topology.seed = 4;
     cfg.topology.sim.seed = 4;
     cfg.scan_timeout = util::Duration::seconds(2);
-    cfg.topology.bulk_population = true;
     cfg.scan_max_retries = retries;
     cfg.scan_retry_backoff = util::Duration::millis(500);
     return core::run_census(cfg);
@@ -826,7 +823,6 @@ TEST(FaultedCensus, DegradationReportIsCleanOnAFaultFreeRun) {
   cfg.topology.max_countries = 5;
   cfg.topology.seed = 2;
   cfg.topology.sim.seed = 2;
-  cfg.topology.bulk_population = true;
   cfg.scan_timeout = util::Duration::seconds(2);
   const auto result = core::run_census(cfg);
   const auto& d = result.degradation;

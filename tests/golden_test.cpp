@@ -190,7 +190,6 @@ core::CensusConfig streaming_cfg(const CensusGolden& g, std::uint32_t shards) {
   cfg.topology.max_countries = 10;
   cfg.topology.seed = g.seed;
   cfg.topology.sim.seed = g.seed;
-  cfg.topology.bulk_population = true;
   cfg.topology.sim.shard_threads = true;
   cfg.sim_shards = shards;
   cfg.shard_interleaved_targets = true;

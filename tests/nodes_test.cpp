@@ -2,10 +2,13 @@
 
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
+#include <stdexcept>
 #include <string_view>
 #include <vector>
 
 #include "nodes/cache.hpp"
+#include "nodes/forwarder_bank.hpp"
 #include "nodes/ratelimit.hpp"
 #include "testutil.hpp"
 
@@ -362,9 +365,7 @@ TEST_F(AuthFixture, ResolverChasesCnames) {
 
 TEST_F(AuthFixture, RecursiveForwarderRewritesSource) {
   const auto fwd_host = world.add_access_host(Ipv4{20, 0, 2, 1});
-  ForwarderConfig fc;
-  fc.upstream = test::kResolverAddr;
-  RecursiveForwarder fwd(world.sim, fwd_host, fc);
+  RecursiveForwarder fwd(world.sim, fwd_host, test::kResolverAddr);
   fwd.start();
 
   const auto resp = query_and_wait(Ipv4{20, 0, 2, 1}, "scan.odns-study.net");
@@ -378,9 +379,7 @@ TEST_F(AuthFixture, RecursiveForwarderRewritesSource) {
 
 TEST_F(AuthFixture, RecursiveForwarderServesFromCache) {
   const auto fwd_host = world.add_access_host(Ipv4{20, 0, 2, 1});
-  ForwarderConfig fc;
-  fc.upstream = test::kResolverAddr;
-  RecursiveForwarder fwd(world.sim, fwd_host, fc);
+  RecursiveForwarder fwd(world.sim, fwd_host, test::kResolverAddr);
   fwd.start();
   query_and_wait(Ipv4{20, 0, 2, 1}, "scan.odns-study.net");
   query_and_wait(Ipv4{20, 0, 2, 1}, "scan.odns-study.net");
@@ -388,30 +387,19 @@ TEST_F(AuthFixture, RecursiveForwarderServesFromCache) {
   EXPECT_EQ(fwd.stats().forwarded, 1u);
 }
 
-TEST_F(AuthFixture, ManipulatingForwarderRewritesARecords) {
-  const auto fwd_host = world.add_access_host(Ipv4{20, 0, 2, 2});
-  ForwarderConfig fc;
-  fc.upstream = test::kResolverAddr;
-  fc.rewrite_answers = true;
-  fc.rewrite_target = Ipv4{203, 0, 113, 99};
-  RecursiveForwarder fwd(world.sim, fwd_host, fc);
-  fwd.start();
-  const auto resp = query_and_wait(Ipv4{20, 0, 2, 2}, "scan.odns-study.net");
-  for (const auto addr : resp.answer_addresses()) {
-    EXPECT_EQ(addr, (Ipv4{203, 0, 113, 99}));
+/// An empty bank; add_member() gives it a new access host at `addr`
+/// relaying to `upstream`. Tests seal it themselves.
+class BankFixture : public AuthFixture {
+ protected:
+  void add_member(Ipv4 addr, Ipv4 upstream,
+                  ForwarderBank::MemberConfig mc = {}) {
+    mc.addr = addr;
+    mc.upstream = upstream;
+    bank.add_member(world.add_access_host(addr), mc);
   }
-}
 
-TEST_F(AuthFixture, StrippingForwarderDropsControlRecord) {
-  const auto fwd_host = world.add_access_host(Ipv4{20, 0, 2, 3});
-  ForwarderConfig fc;
-  fc.upstream = test::kResolverAddr;
-  fc.strip_second_record = true;
-  RecursiveForwarder fwd(world.sim, fwd_host, fc);
-  fwd.start();
-  const auto resp = query_and_wait(Ipv4{20, 0, 2, 3}, "scan.odns-study.net");
-  EXPECT_EQ(resp.answers.size(), 1u);
-}
+  ForwarderBank bank{world.sim};
+};
 
 /// Answers every query with hand-written, uncompressed wire bytes: the
 /// question ["a.b","example","net"] and one A record owned by
@@ -449,29 +437,202 @@ class DottedUpstream : public netsim::App {
   netsim::HostId host_;
 };
 
-TEST_F(AuthFixture, RecursiveForwarderRelaysDottedLabelsIntact) {
-  // The forwarder re-encodes the upstream answer; the dotted question
-  // and the split answer owner must both reach the stub unchanged.
-  const auto up_host =
-      world.sim.net().add_host(test::kResolverAsn, {Ipv4{8, 8, 8, 104}});
-  DottedUpstream upstream(world.sim, up_host);
-  world.sim.bind_udp(up_host, kDnsPort, &upstream);
-  const auto fwd_host = world.add_access_host(Ipv4{20, 0, 2, 4});
-  ForwarderConfig fc;
-  fc.upstream = Ipv4{8, 8, 8, 104};
-  RecursiveForwarder fwd(world.sim, fwd_host, fc);
-  fwd.start();
+/// Queries `relay` for the dotted name through an upstream answering
+/// with DottedUpstream's bytes, and checks that the dotted question
+/// and the split answer owner both reach the stub unchanged.
+class DottedRelayFixture : public BankFixture {
+ protected:
+  static constexpr Ipv4 kUpstream{8, 8, 8, 104};
 
-  const auto dotted = *Name::from_labels({"a.b", "example", "net"});
-  const auto split = *Name::from_labels({"a", "b", "example", "net"});
-  stub->query(Ipv4{20, 0, 2, 4}, dotted);
+  void SetUp() override {
+    BankFixture::SetUp();
+    const auto up_host =
+        world.sim.net().add_host(test::kResolverAsn, {kUpstream});
+    upstream = std::make_unique<DottedUpstream>(world.sim, up_host);
+    world.sim.bind_udp(up_host, kDnsPort, upstream.get());
+  }
+
+  void expect_dotted_labels_intact(Ipv4 relay) {
+    const auto dotted = *Name::from_labels({"a.b", "example", "net"});
+    const auto split = *Name::from_labels({"a", "b", "example", "net"});
+    stub->query(relay, dotted);
+    world.sim.run();
+    ASSERT_EQ(stub->responses().size(), 1u);
+    const auto& resp = stub->responses().front().message;
+    ASSERT_EQ(resp.questions.size(), 1u);
+    ASSERT_EQ(resp.answers.size(), 1u);
+    EXPECT_EQ(resp.questions[0].name.labels(), dotted.labels());
+    EXPECT_EQ(resp.answers[0].name.labels(), split.labels());
+  }
+
+  std::unique_ptr<DottedUpstream> upstream;
+};
+
+TEST_F(DottedRelayFixture, RecursiveForwarderRelaysDottedLabelsIntact) {
+  // The forwarder re-encodes the upstream answer.
+  const auto fwd_host = world.add_access_host(Ipv4{20, 0, 2, 4});
+  RecursiveForwarder fwd(world.sim, fwd_host, kUpstream);
+  fwd.start();
+  expect_dotted_labels_intact(Ipv4{20, 0, 2, 4});
+}
+
+// ---------------------------------------------------------------------
+// ForwarderBank: the recursive-forwarder population
+// ---------------------------------------------------------------------
+
+TEST_F(BankFixture, ForwarderBankAnswersFromMemberWithClientTxid) {
+  add_member(Ipv4{20, 0, 4, 1}, test::kResolverAddr);
+  add_member(Ipv4{20, 0, 4, 2}, test::kResolverAddr);
+  bank.seal();
+
+  const auto txid = stub->query(Ipv4{20, 0, 4, 2}, world.scan_name);
   world.sim.run();
   ASSERT_EQ(stub->responses().size(), 1u);
-  const auto& resp = stub->responses().front().message;
-  ASSERT_EQ(resp.questions.size(), 1u);
+  const auto& resp = stub->responses().front();
+  // Answered from the probed member, under the stub's own txid, with
+  // the resolver in the dynamic record: a recursive forwarder.
+  EXPECT_EQ(resp.from, (Ipv4{20, 0, 4, 2}));
+  EXPECT_EQ(resp.from_port, kDnsPort);
+  EXPECT_EQ(resp.message.header.id, txid);
+  ASSERT_EQ(resp.message.answers.size(), 2u);
+  EXPECT_EQ(resp.message.answer_addresses()[0], test::kResolverAddr);
+  EXPECT_EQ(resp.message.answer_addresses()[1], test::kControlAddr);
+  EXPECT_EQ(bank.member_count(), 2u);
+  EXPECT_EQ(bank.stats().client_queries, 1u);
+  EXPECT_EQ(bank.stats().forwarded, 1u);
+  EXPECT_EQ(bank.stats().upstream_responses, 1u);
+  EXPECT_EQ(bank.pending(), 0u);
+}
+
+TEST_F(BankFixture, ManipulatingForwarderRewritesARecords) {
+  ForwarderBank::MemberConfig mc;
+  mc.rewrite_answers = true;
+  mc.rewrite_target = Ipv4{203, 0, 113, 99};
+  add_member(Ipv4{20, 0, 2, 2}, test::kResolverAddr, mc);
+  bank.seal();
+  const auto resp = query_and_wait(Ipv4{20, 0, 2, 2}, "scan.odns-study.net");
+  ASSERT_EQ(resp.answers.size(), 2u);
+  for (const auto addr : resp.answer_addresses()) {
+    EXPECT_EQ(addr, (Ipv4{203, 0, 113, 99}));
+  }
+}
+
+TEST_F(BankFixture, StrippingForwarderDropsControlRecord) {
+  ForwarderBank::MemberConfig mc;
+  mc.strip_second_record = true;
+  add_member(Ipv4{20, 0, 2, 3}, test::kResolverAddr, mc);
+  bank.seal();
+  const auto resp = query_and_wait(Ipv4{20, 0, 2, 3}, "scan.odns-study.net");
   ASSERT_EQ(resp.answers.size(), 1u);
-  EXPECT_EQ(resp.questions[0].name.labels(), dotted.labels());
-  EXPECT_EQ(resp.answers[0].name.labels(), split.labels());
+  EXPECT_EQ(resp.answer_addresses()[0], test::kResolverAddr);
+}
+
+TEST_F(DottedRelayFixture, ForwarderBankRelaysDottedLabelsIntact) {
+  // The bank re-encodes the upstream answer from its rx view.
+  add_member(Ipv4{20, 0, 2, 5}, kUpstream);
+  bank.seal();
+  expect_dotted_labels_intact(Ipv4{20, 0, 2, 5});
+}
+
+TEST_F(BankFixture, ForwarderBankDropsMultiQuestionQuery) {
+  add_member(Ipv4{20, 0, 4, 3}, test::kResolverAddr);
+  bank.seal();
+  auto query = dnswire::make_query(7, world.scan_name, RrType::a);
+  query.questions.push_back(query.questions.front());
+  netsim::SendOptions opts;
+  opts.dst = Ipv4{20, 0, 4, 3};
+  opts.src_port = 20001;
+  opts.dst_port = kDnsPort;
+  opts.payload = dnswire::encode(query);
+  world.sim.send_udp(client_host, std::move(opts));
+  world.sim.run();
+  // No FORMERR (the caching node's answer) and nothing relayed.
+  EXPECT_TRUE(stub->responses().empty());
+  EXPECT_EQ(bank.stats().client_queries, 1u);
+  EXPECT_EQ(bank.stats().forwarded, 0u);
+}
+
+/// Answers each query `delay` after it arrives.
+class LateUpstream : public netsim::App, public netsim::TimerTarget {
+ public:
+  LateUpstream(netsim::Simulator& sim, netsim::HostId host,
+               util::Duration delay)
+      : sim_(&sim), host_(host), delay_(delay) {}
+
+  void on_datagram(const netsim::Datagram& dgram) override {
+    const auto query = dnswire::decode(*dgram.payload);
+    if (!query) return;
+    auto resp = dnswire::make_response(query.value());
+    resp.answers.push_back(ResourceRecord::a(
+        query.value().questions.front().name, Ipv4{192, 0, 2, 8}, 60));
+    held_.push_back({dgram.src, dgram.src_port, dnswire::encode(resp)});
+    sim_->schedule_timer(delay_, this, held_.size() - 1);
+  }
+
+  void on_timer(std::uint64_t index, std::uint64_t /*unused*/) override {
+    auto& h = held_[index];
+    netsim::SendOptions opts;
+    opts.dst = h.client;
+    opts.src_port = kDnsPort;
+    opts.dst_port = h.client_port;
+    opts.payload = std::move(h.wire);
+    sim_->send_udp(host_, std::move(opts));
+  }
+
+ private:
+  struct Held {
+    Ipv4 client;
+    std::uint16_t client_port = 0;
+    std::vector<std::uint8_t> wire;
+  };
+
+  netsim::Simulator* sim_;
+  netsim::HostId host_;
+  util::Duration delay_;
+  std::vector<Held> held_;
+};
+
+TEST_F(BankFixture, ForwarderBankCountsLateUpstreamResponseAsExpired) {
+  const Ipv4 late_addr{8, 8, 8, 105};
+  const auto late_host =
+      world.sim.net().add_host(test::kResolverAsn, {late_addr});
+  LateUpstream late(world.sim, late_host,
+                    kForwarderUpstreamTimeout + Duration::seconds(1));
+  world.sim.bind_udp(late_host, kDnsPort, &late);
+  add_member(Ipv4{20, 0, 4, 4}, late_addr);
+  bank.seal();
+
+  stub->query(Ipv4{20, 0, 4, 4}, world.scan_name);
+  world.sim.run();
+  EXPECT_TRUE(stub->responses().empty());
+  EXPECT_EQ(bank.stats().forwarded, 1u);
+  EXPECT_EQ(bank.stats().upstream_responses, 1u);
+  EXPECT_EQ(bank.stats().expired, 1u);
+  EXPECT_EQ(bank.pending(), 0u);
+}
+
+TEST_F(BankFixture, ForwarderBankRejectsAddMemberAfterSeal) {
+  add_member(Ipv4{20, 0, 4, 5}, test::kResolverAddr);
+  bank.seal();
+  EXPECT_THROW(add_member(Ipv4{20, 0, 4, 6}, test::kResolverAddr),
+               std::logic_error);
+  EXPECT_EQ(bank.member_count(), 1u);
+}
+
+TEST_F(BankFixture, ForwarderBankRejectsDatagramBeforeSeal) {
+  add_member(Ipv4{20, 0, 4, 7}, test::kResolverAddr);
+  const auto payload =
+      dnswire::encode(dnswire::make_query(9, world.scan_name, RrType::a));
+  netsim::Datagram dgram;
+  dgram.src = Ipv4{20, 0, 0, 1};
+  dgram.dst = Ipv4{20, 0, 4, 7};
+  dgram.src_port = 20002;
+  dgram.dst_port = kDnsPort;
+  dgram.payload = &payload;
+  EXPECT_THROW(bank.on_datagram(dgram), std::logic_error);
+  bank.seal();
+  EXPECT_NO_THROW(bank.on_datagram(dgram));
+  EXPECT_EQ(bank.stats().forwarded, 1u);
 }
 
 TEST_F(AuthFixture, TransparentForwarderNeverSeesResponse) {

@@ -1,7 +1,7 @@
 // Scale-invariance harness for the Internet-scale census: the 10k ->
-// 100k (-> opt-in 1M) scale sweep over bulk-population worlds, the
+// 100k (-> opt-in 1M) scale sweep over census worlds, the
 // serving-cost partition lever, and the streaming memory audit. The
-// claim under test: the bulk forwarder plane and the streaming
+// claim under test: the forwarder-bank plane and the streaming
 // correlation cadence change *how* the census executes, never *what*
 // it measures. That both correlation cadences land on the same census
 // is pinned by the goldens (tests/golden_test.cpp).
@@ -62,7 +62,6 @@ TierResult run_tier(double scale, std::uint64_t pps, bool retain) {
   cfg.topology.scale = scale;
   cfg.topology.seed = 97;
   cfg.topology.sim.seed = 97;
-  cfg.topology.bulk_population = true;
   cfg.sim_shards = 4;
   cfg.shard_interleaved_targets = true;
   cfg.streaming_correlation = true;
@@ -201,7 +200,6 @@ TEST(ScaleCensus, ServingCostWeightsReduceBusiestShardOnRelayHeavyWorld) {
     cfg.topology.max_countries = 2;
     cfg.topology.seed = 5;
     cfg.topology.sim.seed = 5;
-    cfg.topology.bulk_population = true;
     cfg.sim_shards = 4;
     cfg.shard_interleaved_targets = true;
     cfg.streaming_correlation = true;
