@@ -1,18 +1,10 @@
-// Netsim hot-path benchmark: seven A/B workloads, each measuring one
-// fast path against its baseline on the same traffic.
-//
-// Route-cache workloads (Network route cache disabled vs. enabled):
-//
-//  * repeated-destination scan — one vantage host re-probing a fixed
-//    set of unicast targets, the shape of every §3/§4 scan campaign;
-//  * mixed anycast — half the targets are anycast groups, exercising
-//    the nearest-PoP resolution path (public resolvers à la 8.8.8.8).
-//
-// Besides timing, every workload is re-run with a packet-trace tap in
-// both modes and the traces, counters, and router-hop sequences are
-// required to be byte-identical — a fast path must never change a
-// decision, only the cost of making it. Results are recorded at the
-// repo root as BENCH_netsim.json (see docs/benchmarks.md).
+// Netsim hot-path benchmark: five A/B workloads, each measuring one
+// fast path against its baseline on the same traffic. Besides timing,
+// every workload is re-run with a packet trace in both modes and the
+// traces, counters, and router-hop sequences are required to be
+// byte-identical — a fast path must never change a decision, only the
+// cost of making it. Results are recorded at the repo root as
+// BENCH_netsim.json (see docs/benchmarks.md).
 //
 // Sharded workloads (1-shard run vs. N-shard ShardPool run,
 // docs/architecture.md "Sharded execution"):
@@ -55,8 +47,8 @@
 //    records an ungated coverage sweep (loss 1%/5% × retries off/on)
 //    documenting graceful degradation and recovery.
 //
-// usage: bench_netsim [--packets=N] [--ases=N] [--hops=N] [--dests=N]
-//                     [--seed=N] [--shards=N] [--json=FILE]
+// usage: bench_netsim [--packets=N] [--ases=N] [--hops=N] [--seed=N]
+//                     [--shards=N] [--json=FILE]
 //                     [--min-speedup=F] [--census-scale=F]
 //
 // Exits 64 on a malformed or out-of-range flag value, 1 on a
@@ -117,7 +109,6 @@ struct Opts {
   std::uint64_t packets = 200000;
   std::uint32_t ases = 64;
   int hops = 3;
-  std::uint32_t dests = 32;
   std::uint64_t seed = 2021;
   std::uint32_t shards = 4;
   std::string json_path;
@@ -145,8 +136,6 @@ struct Opts {
         o.ases = parse_value<std::uint32_t>(flag, val);
       } else if (flag == "--hops=") {
         o.hops = parse_value<int>(flag, val);
-      } else if (flag == "--dests=") {
-        o.dests = parse_value<std::uint32_t>(flag, val);
       } else if (flag == "--seed=") {
         o.seed = parse_value<std::uint64_t>(flag, val);
       } else if (flag == "--shards=") {
@@ -161,15 +150,15 @@ struct Opts {
         o.census_scale = parse_value<double>(flag, val);
       } else {
         std::cout << "usage: bench_netsim [--packets=N] [--ases=N] "
-                     "[--hops=N] [--dests=N] [--seed=N] [--shards=N] "
+                     "[--hops=N] [--seed=N] [--shards=N] "
                      "[--json=FILE] [--min-speedup=F] "
                      "[--max-rss-regression=KB] [--census-scale=F]\n";
         std::exit(arg == "--help" ? 0 : 64);
       }
     }
-    if (o.packets == 0 || o.ases < 4 || o.dests == 0 || o.hops < 1 ||
+    if (o.packets == 0 || o.ases < 4 || o.hops < 1 ||
         o.shards < 2 || !(o.census_scale > 0.0)) {
-      std::cerr << "bench_netsim: need --packets>=1, --ases>=4, --dests>=1, "
+      std::cerr << "bench_netsim: need --packets>=1, --ases>=4, "
                    "--hops>=1, --shards>=2, --census-scale>0\n";
       std::exit(64);
     }
@@ -185,84 +174,12 @@ class NullSink : public netsim::App {
 using util::fnv1a64;
 constexpr std::uint64_t kFnvBasis = util::kFnv1aBasis;
 
-/// The world under test plus the target list for one workload.
-struct World {
-  std::unique_ptr<Simulator> sim;
-  HostId scanner = netsim::kInvalidHost;
-  std::vector<Ipv4> targets;
-  NullSink sink;
-};
-
-/// Ring-of-ASes topology with a few chords; destinations spread evenly
-/// around the ring, optionally alternating with 3-member anycast
-/// groups. Identical for every (seed, opts) pair by construction.
-World build_world(const Opts& opts, bool anycast) {
-  World w;
-  netsim::SimConfig cfg;
-  cfg.seed = opts.seed;
-  w.sim = std::make_unique<Simulator>(cfg);
-  auto& net = w.sim->net();
-  for (std::uint32_t i = 1; i <= opts.ases; ++i) {
-    netsim::AsConfig as;
-    as.asn = i;
-    as.internal_hops = opts.hops;
-    net.add_as(as);
-    net.announce(i, Prefix{Ipv4{10, static_cast<std::uint8_t>(i % 250), 0, 0},
-                           16});
-  }
-  for (std::uint32_t i = 1; i <= opts.ases; ++i) {
-    net.link(i, i % opts.ases + 1);  // ring
-    if (i % 7 == 0 && i + opts.ases / 3 <= opts.ases) {
-      net.link(i, i + opts.ases / 3);  // chord
-    }
-  }
-  auto host_addr = [&](std::uint32_t asn, std::uint8_t lo) {
-    return Ipv4{10, static_cast<std::uint8_t>(asn % 250),
-                static_cast<std::uint8_t>(asn / 250), lo};
-  };
-  w.scanner = net.add_host(1, {host_addr(1, 1)});
-  for (std::uint32_t j = 0; j < opts.dests; ++j) {
-    // Spread destinations over ASes 2..ases (skipping the vantage AS).
-    const std::uint32_t asn = 2 + (j * (opts.ases - 1)) / opts.dests;
-    if (anycast && j % 2 == 1) {
-      const Ipv4 group{9, 9, static_cast<std::uint8_t>(j % 250), 1};
-      for (std::uint32_t m = 0; m < 3; ++m) {
-        const std::uint32_t masn = 2 + (asn - 2 + m * opts.ases / 3) %
-                                           (opts.ases - 1);
-        const auto member = net.add_host(
-            masn, {host_addr(masn, static_cast<std::uint8_t>(100 + j % 100))});
-        net.join_anycast(group, member);
-        w.sim->bind_udp(member, 53, &w.sink);
-      }
-      w.targets.push_back(group);
-    } else {
-      const auto host = net.add_host(
-          asn, {host_addr(asn, static_cast<std::uint8_t>(2 + j % 200))});
-      w.sim->bind_udp(host, 53, &w.sink);
-      w.targets.push_back(host_addr(asn, static_cast<std::uint8_t>(2 + j % 200)));
-    }
-  }
-  return w;
-}
-
 struct RunResult {
   netsim::SimCounters counters;
-  netsim::RouteCacheStats cache_stats;
   std::uint64_t trace_hash = kFnvBasis;
   std::uint64_t route_hash = kFnvBasis;
   double seconds = 0.0;
 };
-
-void attach_trace_tap(Simulator& sim, RunResult& r) {
-  sim.add_tap([&r](netsim::TapEvent ev, const netsim::Packet& p) {
-    r.trace_hash = fnv1a64(r.trace_hash, static_cast<std::uint64_t>(ev));
-    r.trace_hash = fnv1a64(r.trace_hash, p.src.value());
-    r.trace_hash = fnv1a64(r.trace_hash, p.dst.value());
-    r.trace_hash = fnv1a64(r.trace_hash,
-                         static_cast<std::uint64_t>(p.ttl) << 32 |
-                             std::uint64_t{p.src_port} << 16 | p.dst_port);
-  });
-}
 
 void hash_routes(Simulator& sim, const std::vector<Ipv4>& targets,
                  RunResult& r) {
@@ -276,38 +193,6 @@ void hash_routes(Simulator& sim, const std::vector<Ipv4>& targets,
       r.route_hash = fnv1a64(r.route_hash, hop.value());
     }
   }
-}
-
-/// Sends `packets` probes round-robin over the targets and drains the
-/// event queue. The timed section covers injection + routing + delivery
-/// — the full per-packet fast path.
-RunResult run_workload(const Opts& opts, bool anycast, bool cached,
-                       bool traced, std::uint64_t packets) {
-  World w = build_world(opts, anycast);
-  auto& sim = *w.sim;
-  sim.net().set_route_cache_enabled(cached);
-  RunResult r;
-  if (traced) attach_trace_tap(sim, r);
-  // Paced injection: drain the queue every burst so the event heap
-  // stays scan-sized instead of ballooning to the whole campaign.
-  constexpr std::uint64_t kBurst = 4096;
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t p = 0; p < packets; ++p) {
-    netsim::SendOptions send;
-    send.dst = w.targets[p % w.targets.size()];
-    send.src_port = static_cast<std::uint16_t>(40000 + (p & 0xFFF));
-    send.dst_port = 53;
-    send.ttl = 255;
-    sim.send_udp(w.scanner, std::move(send));
-    if ((p + 1) % kBurst == 0) sim.run();
-  }
-  sim.run();
-  const auto t1 = std::chrono::steady_clock::now();
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.counters = sim.counters();
-  r.cache_stats = sim.net().route_cache_stats();
-  hash_routes(sim, w.targets, r);
-  return r;
 }
 
 // --- sharded census-style workloads ---------------------------------
@@ -516,8 +401,7 @@ ShardedRun run_sharded_workload(const Opts& opts, bool relay,
 }
 
 /// One A/B row. The labels name the two modes being compared so the
-/// JSON keys stay self-describing: "uncached"/"cached" for the route-
-/// cache rows.
+/// JSON keys stay self-describing.
 struct WorkloadReport {
   std::string name;
   std::string baseline_label;
@@ -526,9 +410,6 @@ struct WorkloadReport {
   double fast_pps = 0.0;
   double speedup = 0.0;
   bool identical = false;
-  bool has_cache_stats = false;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   // Sharded rows only: wall-clock throughput of the sharded run (the
   // critical-path number is fast_pps) and mailbox-fabric statistics.
   bool has_shard_stats = false;
@@ -561,54 +442,6 @@ struct WorkloadReport {
   double coverage_loss5_r0 = 0.0;
   double coverage_loss5_r2 = 0.0;
 };
-
-/// Shared A/B scaffolding: times both modes (no tap in the hot loop,
-/// best-of-3 to guard against scheduler noise on shared machines),
-/// then re-runs both with a full trace tap and requires the traced
-/// pair AND the timed pair to be byte-identical. `run(fast, traced,
-/// packets)` executes one workload pass in the given mode.
-template <typename RunFn>
-WorkloadReport ab_workload(const Opts& opts, const std::string& name,
-                           const std::string& baseline_label,
-                           const std::string& fast_label, RunFn run) {
-  constexpr int kRepeats = 3;
-  WorkloadReport rep;
-  rep.name = name;
-  rep.baseline_label = baseline_label;
-  rep.fast_label = fast_label;
-  RunResult baseline, fast;
-  for (int rep_i = 0; rep_i < kRepeats; ++rep_i) {
-    auto b = run(/*fast=*/false, /*traced=*/false, opts.packets);
-    auto f = run(/*fast=*/true, /*traced=*/false, opts.packets);
-    if (rep_i == 0 || b.seconds < baseline.seconds) baseline = std::move(b);
-    if (rep_i == 0 || f.seconds < fast.seconds) fast = std::move(f);
-  }
-  rep.baseline_pps = static_cast<double>(opts.packets) / baseline.seconds;
-  rep.fast_pps = static_cast<double>(opts.packets) / fast.seconds;
-  rep.speedup = rep.fast_pps / rep.baseline_pps;
-  const std::uint64_t vpackets = std::min<std::uint64_t>(opts.packets, 50000);
-  const auto vb = run(false, true, vpackets);
-  const auto vf = run(true, true, vpackets);
-  rep.identical = vb.counters == vf.counters &&
-                  vb.trace_hash == vf.trace_hash &&
-                  vb.route_hash == vf.route_hash &&
-                  baseline.counters == fast.counters &&
-                  baseline.route_hash == fast.route_hash;
-  rep.cache_hits = fast.cache_stats.hits;
-  rep.cache_misses = fast.cache_stats.misses;
-  return rep;
-}
-
-WorkloadReport bench_workload(const Opts& opts, const std::string& name,
-                              bool anycast) {
-  WorkloadReport rep = ab_workload(
-      opts, name, "uncached", "cached",
-      [&](bool fast, bool traced, std::uint64_t packets) {
-        return run_workload(opts, anycast, /*cached=*/fast, traced, packets);
-      });
-  rep.has_cache_stats = true;
-  return rep;
-}
 
 /// Sharded A/B: the 1-shard run vs. the N-shard run on the
 /// *same* workload. The sharded side's throughput is the parallel
@@ -1041,10 +874,6 @@ void print_report(const WorkloadReport& r) {
             << "  " << r.fast_label << ":   "
             << static_cast<std::uint64_t>(r.fast_pps) << unit << "\n"
             << "  speedup:  " << r.speedup << "x\n";
-  if (r.has_cache_stats) {
-    std::cout << "  cache:    " << r.cache_hits << " hits / "
-              << r.cache_misses << " misses\n";
-  }
   if (r.has_shard_stats) {
     std::cout << "  shards:   " << r.shards << " (wall "
               << static_cast<std::uint64_t>(r.sharded_wall_pps) << unit
@@ -1079,7 +908,7 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
       << "  \"unit\": \"packets_per_second\",\n"
       << "  \"config\": {\"packets\": " << opts.packets
       << ", \"ases\": " << opts.ases << ", \"internal_hops\": " << opts.hops
-      << ", \"dests\": " << opts.dests << ", \"seed\": " << opts.seed
+      << ", \"seed\": " << opts.seed
       << ", \"shards\": " << opts.shards
       << ", \"census_scale\": " << opts.census_scale
       << ", \"cores\": " << std::thread::hardware_concurrency() << "},\n"
@@ -1091,10 +920,6 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
         << ", \"" << r.fast_label
         << "_pps\": " << static_cast<std::uint64_t>(r.fast_pps)
         << ", \"speedup\": " << r.speedup;
-    if (r.has_cache_stats) {
-      out << ", \"cache_hits\": " << r.cache_hits
-          << ", \"cache_misses\": " << r.cache_misses;
-    }
     if (r.has_shard_stats) {
       out << ", \"shards\": " << r.shards << ", \"sharded_wall_pps\": "
           << static_cast<std::uint64_t>(r.sharded_wall_pps)
@@ -1131,13 +956,10 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
 int main(int argc, char** argv) {
   const Opts opts = Opts::parse(argc, argv);
   std::cout << "bench_netsim: packet-plane fast paths (ases="
-            << opts.ases << " hops=" << opts.hops << " dests=" << opts.dests
+            << opts.ases << " hops=" << opts.hops
             << " packets=" << opts.packets << " seed=" << opts.seed << ")\n\n";
 
   std::vector<WorkloadReport> reps;
-  reps.push_back(bench_workload(opts, "repeated_destination_scan",
-                                /*anycast=*/false));
-  reps.push_back(bench_workload(opts, "mixed_anycast", /*anycast=*/true));
   reps.push_back(bench_sharded_workload(opts, "sharded_census_scan",
                                         /*relay=*/false));
   reps.push_back(bench_sharded_workload(opts, "sharded_cross_shard_relay",

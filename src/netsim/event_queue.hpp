@@ -52,8 +52,8 @@ class PacketSink {
                           util::Ipv4 router, Asn origin_as) = 0;
   /// A maximal run of consecutive delivery events from one same-
   /// timestamp cohort, in sequence order (a single delivery is a run
-  /// of one). The Simulator amortizes route-memo and node dispatch
-  /// across the run (docs/event-engine.md, "Batch delivery").
+  /// of one). The Simulator amortizes node dispatch across the run
+  /// (docs/event-engine.md, "Batch delivery").
   virtual void deliver_batch_event(std::span<DeliverItem> batch) = 0;
 };
 

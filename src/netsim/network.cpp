@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cassert>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -16,6 +14,8 @@ constexpr util::Ipv4 kRouterPoolBase{100, 64, 0, 1};
 constexpr std::uint32_t kRouterPoolLimit =
     (std::uint32_t{100} << 24 | 128u << 16) - 1;  // end of 100.64/10
 constexpr std::uint32_t kNoRouterOwner = 0xFFFFFFFFu;
+// BFS parent of the source AS (and of unreached ASes).
+constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
 
 // Tail merge threshold. Below it, adds are duplicate-checked eagerly
 // (binary search of the frozen table + a linear tail scan) and lookups
@@ -165,6 +165,7 @@ void Network::join_anycast(util::Ipv4 addr, HostId host) {
       anycast_.begin(), anycast_.end(), addr,
       [](util::Ipv4 a, const auto& e) { return a < e.first; });
   anycast_.emplace(it, addr, host);
+  anycast_dirty_ = true;
   bump_epoch();
 }
 
@@ -180,7 +181,9 @@ AsInfo* Network::find_as_mutable(Asn asn) {
 
 std::size_t Network::as_index(Asn asn) const {
   auto it = asn_to_index_.find(asn);
-  assert(it != asn_to_index_.end());
+  if (it == asn_to_index_.end()) {
+    throw std::out_of_range("as_index: unknown ASN " + std::to_string(asn));
+  }
   return it->second;
 }
 
@@ -254,30 +257,72 @@ bool Network::is_anycast(util::Ipv4 addr) const {
   return it != anycast_.end() && it->first == addr;
 }
 
-HostId Network::resolve_destination(util::Ipv4 addr, Asn from_as) const {
-  return resolve_destination(default_cache_, addr, from_as);
-}
+void Network::freeze_routing() const {
+  const bool graph_moved = adj_epoch_ != graph_epoch_;
+  if (graph_moved) {
+    adj_off_.assign(ases_.size() + 1, 0);
+    adj_.clear();
+    for (std::size_t i = 0; i < ases_.size(); ++i) {
+      for (Asn nb : ases_[i].neighbors) {
+        adj_.push_back(asn_to_index_.find(nb)->second);
+      }
+      adj_off_[i + 1] = static_cast<std::uint32_t>(adj_.size());
+    }
+    adj_epoch_ = graph_epoch_;
+  }
+  if (!graph_moved && !anycast_dirty_) return;
 
-HostId Network::resolve_destination(RouteCache& cache, util::Ipv4 addr,
-                                    Asn from_as) const {
-  const auto first = std::lower_bound(
-      anycast_.begin(), anycast_.end(), addr,
-      [](const auto& e, util::Ipv4 a) { return e.first < a; });
-  if (first != anycast_.end() && first->first == addr) {
-    // Nearest-PoP selection: the anycast member whose AS is fewest AS
-    // hops from the source, ties broken by member order (deterministic).
-    HostId best = kInvalidHost;
-    int best_dist = std::numeric_limits<int>::max();
-    for (auto it = first; it != anycast_.end() && it->first == addr; ++it) {
-      const int d = as_distance(cache, from_as, hosts_[it->second].asn);
-      if (d >= 0 && d < best_dist) {
-        best_dist = d;
-        best = it->second;
+  // One multi-source BFS per group, seeded with the member ASes in
+  // member order. Inductively each BFS level is queued in label order,
+  // so an AS takes the label of its first-queued predecessor: the
+  // lowest-order member among those fewest hops away. `link` is
+  // symmetric, so hops from the member equal hops to it — exactly the
+  // nearest-PoP rule (fewest AS hops, then member order), and
+  // kInvalidHost where no member is reachable.
+  const std::size_t n = ases_.size();
+  anycast_groups_.clear();
+  for (const auto& [addr, host] : anycast_) {
+    if (anycast_groups_.empty() || anycast_groups_.back() != addr) {
+      anycast_groups_.push_back(addr);
+    }
+  }
+  nearest_.assign(anycast_groups_.size() * n, kInvalidHost);
+  std::vector<std::uint32_t> queue;
+  queue.reserve(n);
+  auto member = anycast_.begin();
+  for (std::size_t g = 0; g < anycast_groups_.size(); ++g) {
+    HostId* nearest = nearest_.data() + g * n;
+    queue.clear();
+    for (; member != anycast_.end() && member->first == anycast_groups_[g];
+         ++member) {
+      const auto s = asn_to_index_.find(hosts_[member->second].asn)->second;
+      if (nearest[s] != kInvalidHost) continue;
+      nearest[s] = member->second;
+      queue.push_back(s);
+    }
+    for (std::size_t head = 0; head < queue.size(); ++head) {
+      const auto u = queue[head];
+      for (auto e = adj_off_[u]; e < adj_off_[u + 1]; ++e) {
+        if (nearest[adj_[e]] == kInvalidHost) {
+          nearest[adj_[e]] = nearest[u];
+          queue.push_back(adj_[e]);
+        }
       }
     }
-    return best;
   }
-  return unicast_owner(addr);
+  anycast_dirty_ = false;
+}
+
+HostId Network::resolve_destination(util::Ipv4 addr, Asn from_as) const {
+  freeze_routing();
+  const auto g = std::lower_bound(anycast_groups_.begin(),
+                                  anycast_groups_.end(), addr);
+  if (g == anycast_groups_.end() || *g != addr) return unicast_owner(addr);
+  const auto from = asn_to_index_.find(from_as);
+  if (from == asn_to_index_.end()) return kInvalidHost;
+  return nearest_[static_cast<std::size_t>(g - anycast_groups_.begin()) *
+                      ases_.size() +
+                  from->second];
 }
 
 std::optional<Asn> Network::router_owner(util::Ipv4 addr) const {
@@ -301,17 +346,18 @@ bool Network::source_is_legitimate(Asn asn, util::Ipv4 src) const {
 }
 
 const RouteCache::BfsEntry& Network::bfs_for(RouteCache& cache,
-                                             Asn src) const {
+                                             std::uint32_t src) const {
+  freeze_routing();
   auto [bfs_it, bfs_inserted] = cache.bfs.try_emplace(src);
   auto& entry = bfs_it->second;
   if (!bfs_inserted && entry.graph_epoch == graph_epoch_) return entry;
   if (bfs_inserted) {
     // FIFO bound: evict the oldest source AS once over the cap. Only
-    // scratch is dropped — route/span entries derived from it stay
-    // cached — and a re-missed source recomputes identically.
+    // scratch is dropped — span entries derived from it stay cached —
+    // and a re-missed source recomputes identically.
     cache.bfs_order.push_back(src);
     while (cache.bfs.size() > RouteCache::kMaxBfsEntries) {
-      const Asn victim = cache.bfs_order.front();
+      const auto victim = cache.bfs_order.front();
       cache.bfs_order.pop_front();
       if (victim != src) cache.bfs.erase(victim);
     }
@@ -320,16 +366,15 @@ const RouteCache::BfsEntry& Network::bfs_for(RouteCache& cache,
   constexpr auto kUnreached = std::numeric_limits<std::uint16_t>::max();
   entry.graph_epoch = graph_epoch_;
   entry.dist.assign(ases_.size(), kUnreached);
-  entry.parent.assign(ases_.size(), 0xFFFFFFFFu);
-  std::deque<std::uint32_t> queue;
-  const auto s = static_cast<std::uint32_t>(as_index(src));
-  entry.dist[s] = 0;
-  queue.push_back(s);
-  while (!queue.empty()) {
-    const auto u = queue.front();
-    queue.pop_front();
-    for (Asn nb : ases_[u].neighbors) {
-      const auto v = static_cast<std::uint32_t>(as_index(nb));
+  entry.parent.assign(ases_.size(), kNoParent);
+  std::vector<std::uint32_t> queue;
+  queue.reserve(ases_.size());
+  entry.dist[src] = 0;
+  queue.push_back(src);
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const auto u = queue[head];
+    for (auto e = adj_off_[u]; e < adj_off_[u + 1]; ++e) {
+      const auto v = adj_[e];
       if (entry.dist[v] == kUnreached) {
         entry.dist[v] = static_cast<std::uint16_t>(entry.dist[u] + 1);
         entry.parent[v] = u;
@@ -341,92 +386,51 @@ const RouteCache::BfsEntry& Network::bfs_for(RouteCache& cache,
 }
 
 int Network::as_distance(Asn from, Asn to) const {
-  return as_distance(default_cache_, from, to);
-}
-
-int Network::as_distance(RouteCache& cache, Asn from, Asn to) const {
-  if (!asn_to_index_.contains(from) || !asn_to_index_.contains(to)) return -1;
-  const auto& bfs = bfs_for(cache, from);
-  const auto d = bfs.dist[as_index(to)];
+  const auto f = asn_to_index_.find(from);
+  const auto t = asn_to_index_.find(to);
+  if (f == asn_to_index_.end() || t == asn_to_index_.end()) return -1;
+  const auto d = bfs_for(default_cache_, f->second).dist[t->second];
   return d == std::numeric_limits<std::uint16_t>::max() ? -1 : d;
-}
-
-std::vector<Asn> Network::as_path(RouteCache& cache, Asn from, Asn to) const {
-  const auto& bfs = bfs_for(cache, from);
-  const auto t = as_index(to);
-  if (bfs.dist[t] == std::numeric_limits<std::uint16_t>::max()) return {};
-  std::vector<Asn> rev;
-  for (auto cur = static_cast<std::uint32_t>(t); cur != 0xFFFFFFFFu;
-       cur = bfs.parent[cur]) {
-    rev.push_back(ases_[cur].cfg.asn);
-    if (ases_[cur].cfg.asn == from) break;
-  }
-  std::reverse(rev.begin(), rev.end());
-  return rev;
 }
 
 std::optional<Route> Network::route(HostId from, util::Ipv4 dst) const {
   return route_from_as(hosts_[from].asn, dst);
 }
 
-std::shared_ptr<const PathSpan> Network::build_span(RouteCache& cache,
-                                                    Asn from, Asn to) const {
-  auto span = std::make_shared<PathSpan>();
-  span->as_path = as_path(cache, from, to);
-  if (span->as_path.empty()) return nullptr;
-  std::size_t total = 0;
-  for (Asn asn : span->as_path) total += ases_[as_index(asn)].router_ips.size();
-  span->router_hops.reserve(total);
-  for (Asn asn : span->as_path) {
-    const auto& info = ases_[as_index(asn)];
-    span->router_hops.insert(span->router_hops.end(), info.router_ips.begin(),
-                             info.router_ips.end());
-  }
-  return span;
-}
-
-std::shared_ptr<const PathSpan> Network::span_for(RouteCache& cache, Asn from,
-                                                  Asn to) const {
-  const auto key = static_cast<std::uint64_t>(as_index(from)) << 32 |
-                   static_cast<std::uint64_t>(as_index(to));
-  auto& entry = cache.spans[key];
-  if (entry.epoch != epoch_) {
-    entry.epoch = epoch_;
-    entry.span = build_span(cache, from, to);
-  }
-  return entry.span;
-}
-
-void Network::compute_route(RouteCache& cache, RouteCache::RouteEntry& entry,
-                            Asn from, util::Ipv4 dst) const {
-  entry.epoch = epoch_;
-  entry.span = nullptr;
-  entry.dst_host = resolve_destination(cache, dst, from);
-  if (entry.dst_host == kInvalidHost) return;
-  const Asn dst_as = hosts_[entry.dst_host].asn;
-  entry.span = route_cache_enabled_ ? span_for(cache, from, dst_as)
-                                    : build_span(cache, from, dst_as);
-}
-
-const RouteCache::RouteEntry& Network::lookup_route(RouteCache& cache,
-                                                    Asn from,
-                                                    util::Ipv4 dst) const {
-  if (!route_cache_enabled_) {
-    compute_route(cache, cache.scratch, from, dst);
-    return cache.scratch;
-  }
-  const auto key = static_cast<std::uint64_t>(from) << 32 |
-                   static_cast<std::uint64_t>(dst.value());
-  auto [it, inserted] = cache.routes.try_emplace(key);
-  RouteCache::RouteEntry& entry = it->second;
-  if (!inserted && entry.epoch == epoch_) {
+const PathSpan* Network::span_for(RouteCache& cache, std::uint32_t from,
+                                  std::uint32_t to) const {
+  const auto key = static_cast<std::uint64_t>(from) << 32 | to;
+  auto [it, inserted] = cache.spans.try_emplace(key);
+  RouteCache::SpanEntry& entry = it->second;
+  if (!inserted && entry.graph_epoch == graph_epoch_) {
     ++cache.stats.hits;
-    return entry;
+  } else {
+    if (!inserted) ++cache.stats.stale_evictions;
+    ++cache.stats.misses;
+    entry.graph_epoch = graph_epoch_;
+    PathSpan& span = entry.span;
+    span.as_path.clear();
+    span.router_hops.clear();
+    const auto& bfs = bfs_for(cache, from);
+    if (bfs.dist[to] != std::numeric_limits<std::uint16_t>::max()) {
+      // Walk the parent chain twice: once for the AS path and the hop
+      // total, once to fill each AS's router chain from the back.
+      std::size_t total = 0;
+      for (auto cur = to; cur != kNoParent; cur = bfs.parent[cur]) {
+        span.as_path.push_back(ases_[cur].cfg.asn);
+        total += ases_[cur].router_ips.size();
+      }
+      std::reverse(span.as_path.begin(), span.as_path.end());
+      span.router_hops.resize(total);
+      auto out = span.router_hops.end();
+      for (auto cur = to; cur != kNoParent; cur = bfs.parent[cur]) {
+        const auto& ips = ases_[cur].router_ips;
+        out -= static_cast<std::ptrdiff_t>(ips.size());
+        std::copy(ips.begin(), ips.end(), out);
+      }
+    }
   }
-  if (!inserted) ++cache.stats.stale_evictions;
-  ++cache.stats.misses;
-  compute_route(cache, entry, from, dst);
-  return entry;
+  return entry.span.as_path.empty() ? nullptr : &entry.span;
 }
 
 std::optional<RouteView> Network::route_view(Asn from, util::Ipv4 dst) const {
@@ -435,10 +439,13 @@ std::optional<RouteView> Network::route_view(Asn from, util::Ipv4 dst) const {
 
 std::optional<RouteView> Network::route_view(RouteCache& cache, Asn from,
                                              util::Ipv4 dst) const {
-  const RouteCache::RouteEntry& entry = lookup_route(cache, from, dst);
-  if (entry.span == nullptr) return std::nullopt;
-  return RouteView{&entry.span->router_hops, &entry.span->as_path,
-                   entry.dst_host};
+  const HostId dst_host = resolve_destination(dst, from);
+  if (dst_host == kInvalidHost) return std::nullopt;
+  const PathSpan* span =
+      span_for(cache, static_cast<std::uint32_t>(as_index(from)),
+               static_cast<std::uint32_t>(as_index(hosts_[dst_host].asn)));
+  if (span == nullptr) return std::nullopt;
+  return RouteView{&span->router_hops, &span->as_path, dst_host};
 }
 
 std::optional<Route> Network::route_from_as(Asn from, util::Ipv4 dst) const {

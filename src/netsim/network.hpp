@@ -8,16 +8,17 @@
 // gives hop-accurate TTL semantics (what DNSRoute++ measures) without
 // simulating per-router FIBs.
 //
-// Route lookups fill an epoch-tagged RouteCache (route_cache.hpp).
-// Every cache-touching method has two shapes: the classic one, which
-// uses the Network-owned default cache (single-threaded callers), and
-// a `const` overload taking an explicit RouteCache& so a sharded
-// simulator can hand every shard a private cache — after construction
-// the Network itself is then immutable shared state, safe to read from
-// any number of shard threads concurrently.
+// A route lookup is two steps: resolve the destination host (anycast
+// table read, else the flat address plane), then look up the hop span
+// for the (source AS, destination AS) pair in an epoch-tagged
+// RouteCache (route_cache.hpp). The classic shapes use the
+// Network-owned default cache (single-threaded callers); the `const`
+// overload taking an explicit RouteCache& lets a sharded simulator
+// hand every shard a private cache. Once `freeze_routing()` has run,
+// the Network itself is immutable shared state, safe to read from any
+// number of shard threads concurrently.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -100,6 +101,12 @@ class Network {
   /// Adds `host` as a member of the anycast group for `addr`. Lookups
   /// resolve to the member closest (AS hops) to the querying AS.
   void join_anycast(util::Ipv4 addr, HostId host);
+  /// Rebuilds the read-only routing tables if the AS graph or the
+  /// anycast membership moved: the CSR adjacency the BFS walks, and one
+  /// nearest-member table per anycast group. Called lazily by every
+  /// lookup; the topology builder and the sharded simulator call it
+  /// before shard threads start, so those threads only read.
+  void freeze_routing() const;
 
   // --- lookups -----------------------------------------------------
   [[nodiscard]] const Host& host(HostId id) const { return hosts_[id]; }
@@ -119,13 +126,13 @@ class Network {
   [[nodiscard]] const std::vector<Asn>& all_asns() const { return asn_order_; }
   [[nodiscard]] std::size_t as_count() const { return ases_.size(); }
   /// Dense index of an ASN in construction order (stable, 0-based).
+  /// Throws std::out_of_range on an unknown ASN.
   [[nodiscard]] std::size_t as_index(Asn asn) const;
 
   /// Exact-match host owning `addr` (unicast), or the nearest anycast
   /// member seen from `from_as`. kInvalidHost if nobody owns it.
+  /// Ties between equally near members break on member order.
   [[nodiscard]] HostId resolve_destination(util::Ipv4 addr, Asn from_as) const;
-  [[nodiscard]] HostId resolve_destination(RouteCache& cache, util::Ipv4 addr,
-                                           Asn from_as) const;
   [[nodiscard]] HostId unicast_owner(util::Ipv4 addr) const;
   [[nodiscard]] bool is_anycast(util::Ipv4 addr) const;
 
@@ -142,7 +149,6 @@ class Network {
 
   /// AS-level distance (hop count) between two ASes; -1 if unreachable.
   [[nodiscard]] int as_distance(Asn from, Asn to) const;
-  [[nodiscard]] int as_distance(RouteCache& cache, Asn from, Asn to) const;
 
   /// Computes the router-level route from a host to an IP address.
   /// Returns nullopt when the destination does not resolve or no AS
@@ -153,47 +159,23 @@ class Network {
   [[nodiscard]] std::optional<Route> route_from_as(Asn from,
                                                    util::Ipv4 dst) const;
 
-  /// Zero-copy route lookup for the per-packet hot path. The returned
-  /// view borrows the cached hop/AS-path vectors; it stays valid until
-  /// the next topology mutation (or, with the cache disabled, the next
-  /// route lookup). Routing decisions are byte-identical to `route()`.
+  /// Zero-copy route lookup for the per-packet hot path: the resolved
+  /// destination host plus a view of the cached hop span. The view
+  /// stays valid until the next `add_as` or `link`. `route()` and
+  /// `route_from_as()` copy it.
   [[nodiscard]] std::optional<RouteView> route_view(Asn from,
                                                     util::Ipv4 dst) const;
   /// Per-shard variant: fills/serves `cache` instead of the built-in
   /// default cache. Thread-safe as long as each cache is driven by one
-  /// thread and the topology is not mutated concurrently; with the
-  /// cache switch disabled it recomputes into `cache.scratch`.
+  /// thread, `freeze_routing()` ran after the last mutation, and the
+  /// topology is not mutated concurrently.
   [[nodiscard]] std::optional<RouteView> route_view(RouteCache& cache,
                                                     Asn from,
                                                     util::Ipv4 dst) const;
-  /// Entry-level variant of route_view for the batch plane's per-shard
-  /// route memo: identical lookup/stats semantics, but hands back the
-  /// cache entry so the caller can pin its span shared_ptr across
-  /// rehashes. With the cache disabled the reference aliases
-  /// `cache.scratch` and is clobbered by the next lookup.
-  [[nodiscard]] const RouteCache::RouteEntry& route_entry(
-      RouteCache& cache, Asn from, util::Ipv4 dst) const {
-    return lookup_route(cache, from, dst);
-  }
-  /// The cache behind the classic API shapes, so single-shard batch
-  /// callers memoize against the same stats the tests observe.
-  [[nodiscard]] RouteCache& default_cache() const { return default_cache_; }
 
-  /// A/B switch for benchmarking and equivalence tests: with the cache
-  /// off, every lookup recomputes the route from scratch (the pre-cache
-  /// behaviour). Routing results are identical either way. Applies to
-  /// the default cache and to every caller-supplied RouteCache.
-  void set_route_cache_enabled(bool enabled) {
-    route_cache_enabled_ = enabled;
-    if (!enabled) default_cache_.clear();
-  }
-  [[nodiscard]] bool route_cache_enabled() const {
-    return route_cache_enabled_;
-  }
   /// Monotonic counter bumped by every topology mutation (`add_as`,
   /// `link`, `announce`, `add_host`, `add_host_address`,
-  /// `join_anycast`). Cache entries tagged with an older epoch are
-  /// recomputed lazily on their next lookup.
+  /// `join_anycast`).
   [[nodiscard]] std::uint64_t topology_epoch() const { return epoch_; }
   [[nodiscard]] const RouteCacheStats& route_cache_stats() const {
     return default_cache_.stats;
@@ -206,23 +188,16 @@ class Network {
       const;
 
  private:
-  const RouteCache::BfsEntry& bfs_for(RouteCache& cache, Asn src) const;
-  [[nodiscard]] std::vector<Asn> as_path(RouteCache& cache, Asn from,
-                                         Asn to) const;
+  /// BFS over the CSR adjacency from AS index `src`, via the cache's
+  /// FIFO-bounded BFS table.
+  const RouteCache::BfsEntry& bfs_for(RouteCache& cache,
+                                      std::uint32_t src) const;
   util::Ipv4 allocate_router_ip();
   void bump_epoch() { ++epoch_; }
-  /// Builds the concatenated hop span for an AS pair (uncached).
-  [[nodiscard]] std::shared_ptr<const PathSpan> build_span(RouteCache& cache,
-                                                           Asn from,
-                                                           Asn to) const;
-  /// Span for an AS pair, via the epoch-tagged span cache.
-  std::shared_ptr<const PathSpan> span_for(RouteCache& cache, Asn from,
-                                           Asn to) const;
-  /// Fills `entry` with a freshly computed route (stamps the epoch).
-  void compute_route(RouteCache& cache, RouteCache::RouteEntry& entry,
-                     Asn from, util::Ipv4 dst) const;
-  const RouteCache::RouteEntry& lookup_route(RouteCache& cache, Asn from,
-                                             util::Ipv4 dst) const;
+  /// Hop span for an AS-index pair, via the cache's span table;
+  /// nullptr when no AS path exists.
+  const PathSpan* span_for(RouteCache& cache, std::uint32_t from,
+                           std::uint32_t to) const;
 
   /// Appends `addr` to the lookup tail; throws on duplicates when the
   /// check is affordable (see .cpp).
@@ -275,11 +250,24 @@ class Network {
 
   std::uint64_t epoch_ = 1;
   /// Bumped only by graph-shape mutations (add_as / link) — the only
-  /// events that invalidate BFS results. Keeping it separate from
-  /// epoch_ means add_host/announce storms during world construction
-  /// never force BFS recomputation.
+  /// events that invalidate the CSR adjacency, BFS results and spans.
+  /// Keeping it separate from epoch_ means add_host/announce storms
+  /// during world construction never force BFS recomputation.
   std::uint64_t graph_epoch_ = 1;
-  bool route_cache_enabled_ = true;
+
+  // --- frozen routing tables (freeze_routing) -----------------------
+  /// CSR adjacency over AS indices: the neighbors of AS `i` are
+  /// adj_[adj_off_[i] .. adj_off_[i + 1]), in `link` order.
+  mutable std::vector<std::uint32_t> adj_off_;
+  mutable std::vector<std::uint32_t> adj_;
+  /// graph_epoch_ the CSR adjacency was built at (0: never).
+  mutable std::uint64_t adj_epoch_ = 0;
+  /// Distinct anycast addresses, sorted; group g's nearest-member
+  /// table is nearest_[g * as_count .. (g + 1) * as_count).
+  mutable std::vector<util::Ipv4> anycast_groups_;
+  mutable std::vector<HostId> nearest_;
+  /// Set by join_anycast; the tables are also rebuilt with the CSR.
+  mutable bool anycast_dirty_ = false;
   /// Cache behind the classic (cache-less) API shapes; shard 0 /
   /// single-threaded callers share it.
   mutable RouteCache default_cache_;

@@ -18,10 +18,9 @@ inline constexpr HostId kInvalidHost = 0xFFFFFFFFu;
 enum class Protocol : std::uint8_t { udp, icmp };
 
 /// Borrowed handle onto a route served from Network's route cache: the
-/// hop/AS-path vectors are owned by the cache, so the per-packet fast
-/// path never copies them. Valid until the next topology mutation (or,
-/// with the cache disabled, the next route lookup); consume it before
-/// yielding to the event loop.
+/// hop/AS-path vectors are owned by the cache's span table, so the
+/// per-packet fast path never copies them. Valid until the next
+/// `add_as` or `link`; consume it before yielding to the event loop.
 struct RouteView {
   const std::vector<util::Ipv4>* router_hops = nullptr;
   const std::vector<Asn>* as_path = nullptr;

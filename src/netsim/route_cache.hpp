@@ -2,26 +2,25 @@
 // Route-cache storage, factored out of Network so a sharded simulator
 // can give every shard a private instance (no shared `mutable` maps
 // across threads). Network stays the single owner of the *logic* —
-// cache-taking overloads of `route_view` etc. fill these structures —
+// the cache-taking overload of `route_view` fills these structures —
 // while this class is dumb epoch-tagged storage:
 //
-//   * route entries:  (source ASN, destination IP) -> span + dst host
-//   * span entries:   (source AS, destination AS)  -> router-hop span
-//   * BFS entries:    source AS -> distances/parents over the AS graph
+//   * span entries:  (source AS, destination AS) -> router-hop span
+//   * BFS entries:   source AS -> distances/parents over the AS graph
 //
-// Invalidation contract (docs/architecture.md, "Routing fast path"):
-// route and span entries are stamped with Network::topology_epoch();
-// BFS entries with the graph epoch (bumped only by add_as/link, the
-// mutations that change the AS graph shape). A lookup that finds an
-// older stamp recomputes the entry in place — there is no
-// mutation-time scan, so world construction stays cheap and the scan
-// phase runs entirely on warm entries. Under sharding each shard's
-// cache converges independently; entries are never shared between
-// caches, so no locking is needed anywhere on the per-packet path.
+// Destination hosts are not cached here: they come from the flat
+// address plane or from the frozen anycast tables (Network::
+// freeze_routing). Both entry kinds are stamped with the graph epoch,
+// which only add_as/link bump — the mutations that change a span. A
+// lookup that finds an older stamp recomputes the entry in place;
+// there is no mutation-time scan, so world construction stays cheap
+// and the scan phase runs entirely on warm entries. Under sharding
+// each shard's cache converges independently; entries are never
+// shared between caches, so no locking is needed anywhere on the
+// per-packet path.
 
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -30,9 +29,10 @@
 
 namespace odns::netsim {
 
-/// Route-cache observability: `hits` are served without recomputation,
-/// `misses` fill a fresh entry, `stale_evictions` count entries that
-/// were lazily recomputed because the topology epoch moved past them.
+/// Route-cache observability, counted at the span lookup: `hits` are
+/// served without recomputation, `misses` fill a fresh entry,
+/// `stale_evictions` count entries that were lazily recomputed because
+/// the graph epoch moved past them.
 struct RouteCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
@@ -41,8 +41,7 @@ struct RouteCacheStats {
 
 /// Precomputed router-hop span for one (source AS, destination AS)
 /// pair: the AS path plus the concatenation of every traversed AS's
-/// internal router chain. Shared (via shared_ptr) by all route-cache
-/// entries whose destinations live in the same AS.
+/// internal router chain. An empty `as_path` means no AS path exists.
 struct PathSpan {
   std::vector<Asn> as_path;
   std::vector<util::Ipv4> router_hops;
@@ -51,13 +50,8 @@ struct PathSpan {
 class RouteCache {
  public:
   struct SpanEntry {
-    std::uint64_t epoch = 0;
-    std::shared_ptr<const PathSpan> span;  // nullptr: no AS path
-  };
-  struct RouteEntry {
-    std::uint64_t epoch = 0;
-    std::shared_ptr<const PathSpan> span;  // nullptr: unroutable
-    HostId dst_host = kInvalidHost;
+    std::uint64_t graph_epoch = 0;
+    PathSpan span;
   };
   struct BfsEntry {
     std::uint64_t graph_epoch = 0;
@@ -66,36 +60,24 @@ class RouteCache {
   };
 
   /// FIFO bound on live BFS entries. A BfsEntry is O(AS count) —
-  /// ~90 KB in a 15k-AS world — and route/span entries cache the
-  /// derived results, so the full per-source scratch is only needed on
-  /// span misses. Unbounded, "every forwarder AS ever probed" retains
+  /// ~90 KB in a 15k-AS world — and span entries cache the derived
+  /// results, so the full per-source scratch is only needed on span
+  /// misses. Unbounded, "every forwarder AS ever probed" retains
   /// O(ASes²) bytes (~1.3 GB at million-host scale); bounded, the hot
   /// working set (concurrent probe lifetimes per shard) stays resident
   /// and cold sources are recomputed deterministically on re-miss.
   static constexpr std::size_t kMaxBfsEntries = 1024;
 
-  void clear() {
-    routes.clear();
-    spans.clear();
-    bfs.clear();
-    bfs_order.clear();
-  }
-
-  [[nodiscard]] const RouteCacheStats& cache_stats() const { return stats; }
-
   // Storage is public to its driver (Network); everything here is an
   // implementation detail of the routing fast path, not API.
-  // (source ASN << 32 | destination IP) -> cached route; stale entries
-  // (epoch mismatch) are recomputed in place on their next lookup.
-  std::unordered_map<std::uint64_t, RouteEntry> routes;
-  // (source AS index << 32 | destination AS index) -> hop span.
+  // (source AS index << 32 | destination AS index) -> hop span. Nodes
+  // are never erased, so a span's vectors stay put until a stale entry
+  // is recomputed in place.
   std::unordered_map<std::uint64_t, SpanEntry> spans;
-  // source ASN -> BFS over the AS adjacency graph. Bounded by
+  // source AS index -> BFS over the AS adjacency graph. Bounded by
   // kMaxBfsEntries via bfs_order (insertion-order eviction).
-  std::unordered_map<Asn, BfsEntry> bfs;
-  std::deque<Asn> bfs_order;
-  // Scratch entry used when the cache is disabled (uncached baseline).
-  RouteEntry scratch;
+  std::unordered_map<std::uint32_t, BfsEntry> bfs;
+  std::deque<std::uint32_t> bfs_order;
   RouteCacheStats stats;
 };
 

@@ -39,29 +39,11 @@ struct Simulator::Shard final : private PacketSink {
     owner->deliver_batch(*this, batch);
   }
 
-  /// Last route served on this shard's inject path. Consecutive
-  /// injects for the same (origin AS, destination) — response bursts
-  /// out of a delivery batch, relay runs — skip the cache probe
-  /// entirely; the epoch stamp invalidates it on any topology
-  /// mutation. The raw span pointer is safe under that guard: cache
-  /// entries are never erased, and an entry's span is only replaced
-  /// when its epoch is stale — which implies the topology epoch moved
-  /// and the memo no longer matches. A null span with a matching key
-  /// memoizes "unroutable".
-  struct RouteMemo {
-    std::uint64_t epoch = ~std::uint64_t{0};
-    Asn from = 0;
-    util::Ipv4 dst;
-    const PathSpan* span = nullptr;
-    HostId dst_host = kInvalidHost;
-  };
-
   Simulator* owner;
   std::uint32_t index;
   EventQueue events;
   SimCounters counters;
   RouteCache route_cache;
-  RouteMemo route_memo;
   std::uint64_t trace_seq = 0;
   std::uint64_t trace_dropped = 0;
   std::vector<TraceRecord> trace;

@@ -50,6 +50,8 @@ util::Duration Simulator::lookahead() const {
 }
 
 void Simulator::freeze_partition() {
+  // Shard threads only read the routing tables: build them here.
+  net_.freeze_routing();
   if (partition_epoch_ == net_.topology_epoch() &&
       host_shard_.size() == net_.host_count()) {
     return;

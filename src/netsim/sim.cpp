@@ -465,39 +465,12 @@ void Simulator::inject(Shard& sh, Packet pkt, Asn origin_as,
     return;
   }
 
-  // Cached zero-copy lookup, fronted by a per-shard one-entry route
-  // memo: batch cohorts inject response and relay bursts with the same
-  // (origin AS, destination) back-to-back, so the common case skips
-  // even the cache probe. A memo hit counts as a cache hit — the entry
-  // it pins was served from cached state and would have hit — so
-  // observable stats match the classic path exactly. Single-shard runs
-  // memoize against the Network's default cache (the classic
-  // observable-stats path); sharded runs use this shard's private one.
-  std::optional<RouteView> route;
-  if (net_.route_cache_enabled()) {
-    RouteCache& cache = single_shard() ? net_.default_cache() : sh.route_cache;
-    Shard::RouteMemo& memo = sh.route_memo;
-    const std::uint64_t epoch = net_.topology_epoch();
-    if (memo.epoch == epoch && memo.from == origin_as && memo.dst == pkt.dst) {
-      ++cache.stats.hits;
-    } else {
-      const RouteCache::RouteEntry& entry =
-          net_.route_entry(cache, origin_as, pkt.dst);
-      memo.epoch = epoch;  // == entry.epoch: lookup stamps the entry
-      memo.from = origin_as;
-      memo.dst = pkt.dst;
-      memo.span = entry.span.get();
-      memo.dst_host = entry.dst_host;
-    }
-    if (memo.span != nullptr) {
-      route = RouteView{&memo.span->router_hops, &memo.span->as_path,
-                        memo.dst_host};
-    }
-  } else {
-    route = single_shard()
-                ? net_.route_view(origin_as, pkt.dst)
-                : net_.route_view(sh.route_cache, origin_as, pkt.dst);
-  }
+  // Zero-copy lookup. Single-shard runs use the Network's default
+  // cache (the classic observable-stats path); sharded runs use this
+  // shard's private one.
+  const std::optional<RouteView> route =
+      single_shard() ? net_.route_view(origin_as, pkt.dst)
+                     : net_.route_view(sh.route_cache, origin_as, pkt.dst);
   if (!route) {
     ++sh.counters.dropped_no_route;
     emit(sh, TapEvent::dropped_no_route, pkt);

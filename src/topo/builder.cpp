@@ -893,10 +893,6 @@ std::unique_ptr<Deployment> TopologyBuilder::build(const TopologyConfig& cfg) {
     if (bank) bank->seal();
   }
 
-  // Merge the bulk address tail into the frozen lookup table now, off
-  // the packet path (and surface duplicate-address bugs at build time).
-  d->sim_->net().freeze_addr_plane();
-
   // IXP peering post-pass: each resolver project peers directly with a
   // project-specific fraction of national transit networks. Denser
   // edge presence shortens forwarder→resolver paths (Fig. 6 ordering:
@@ -912,6 +908,12 @@ std::unique_ptr<Deployment> TopologyBuilder::build(const TopologyConfig& cfg) {
       ++next_pop;
     }
   }
+
+  // Merge the bulk address tail into the frozen lookup table and build
+  // the routing tables now, off the packet path (and surface
+  // duplicate-address bugs at build time).
+  d->sim_->net().freeze_addr_plane();
+  d->sim_->net().freeze_routing();
 
   return d;
 }

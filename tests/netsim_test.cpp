@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <functional>
+#include <limits>
+#include <map>
+#include <optional>
 #include <stdexcept>
 
 #include "netsim/event_queue.hpp"
@@ -132,6 +136,12 @@ TEST_F(NetworkFixture, AsDistance) {
   EXPECT_EQ(net().as_distance(1, 999), -1);
 }
 
+TEST_F(NetworkFixture, AsIndexThrowsOnUnknownAsn) {
+  EXPECT_EQ(net().as_index(1), 0u);
+  EXPECT_EQ(net().as_index(4), 3u);
+  EXPECT_THROW((void)net().as_index(999), std::out_of_range);
+}
+
 TEST_F(NetworkFixture, RouteConcatenatesInternalHops) {
   const auto route = net().route(a_, Ipv4{10, 3, 0, 1});
   ASSERT_TRUE(route.has_value());
@@ -175,6 +185,56 @@ TEST_F(NetworkFixture, AnycastPicksNearestMember) {
   const auto m2 = net().add_host(2, {Ipv4{10, 3, 0, 10}});
   net().join_anycast(anycast, m2);
   EXPECT_EQ(net().resolve_destination(anycast, 1), m2);
+}
+
+TEST_F(NetworkFixture, AnycastTieBreaksOnMemberOrder) {
+  // AS3 and AS4 are both 2 hops from AS1 and 1 hop from AS2. The AS4
+  // member joins first, so it wins every tie — member order decides,
+  // not host id or AS order.
+  const Ipv4 anycast{9, 9, 9, 9};
+  const auto m3 = net().add_host(3, {Ipv4{10, 3, 0, 9}});
+  const auto m4 = net().add_host(4, {Ipv4{10, 4, 0, 9}});
+  net().join_anycast(anycast, m4);
+  net().join_anycast(anycast, m3);
+  EXPECT_EQ(net().resolve_destination(anycast, 1), m4);
+  EXPECT_EQ(net().resolve_destination(anycast, 2), m4);
+  EXPECT_EQ(net().resolve_destination(anycast, 3), m3);  // 0 hops
+  EXPECT_EQ(net().resolve_destination(anycast, 4), m4);
+  EXPECT_EQ(net().resolve_destination(anycast, 999), kInvalidHost);
+}
+
+TEST_F(NetworkFixture, RoutingFollowsMutationsAfterFirstLookup) {
+  const Ipv4 anycast{9, 9, 9, 9};
+  const auto m3 = net().add_host(3, {Ipv4{10, 3, 0, 9}});
+  const auto m4 = net().add_host(4, {Ipv4{10, 4, 0, 9}});
+  net().join_anycast(anycast, m3);
+  net().join_anycast(anycast, m4);
+  ASSERT_EQ(net().route_view(1, anycast)->dst_host, m3);
+
+  // link: AS4 moves to 1 hop from AS1, so its member wins.
+  net().link(1, 4);
+  auto view = net().route_view(1, anycast);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->dst_host, m4);
+  EXPECT_EQ(*view->as_path, (std::vector<Asn>{1, 4}));
+
+  // join_anycast: a member inside the source AS is 0 hops away.
+  const auto m1 = net().add_host(1, {Ipv4{10, 1, 0, 9}});
+  net().join_anycast(anycast, m1);
+  view = net().route_view(1, anycast);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->dst_host, m1);
+  EXPECT_EQ(*view->as_path, (std::vector<Asn>{1}));
+  EXPECT_EQ(net().route_view(2, anycast)->dst_host, m3);
+
+  // add_host: an address nobody owned becomes routable.
+  const Ipv4 fresh{10, 3, 0, 77};
+  EXPECT_FALSE(net().route_view(1, fresh).has_value());
+  const auto owner = net().add_host(3, {fresh});
+  view = net().route_view(1, fresh);
+  ASSERT_TRUE(view.has_value());
+  EXPECT_EQ(view->dst_host, owner);
+  EXPECT_EQ(*view->as_path, (std::vector<Asn>{1, 2, 3}));
 }
 
 TEST_F(NetworkFixture, DuplicateAddressThrows) {
@@ -412,7 +472,7 @@ TEST(SimulatorLoss, LossRateDropsRoughlyProportionally) {
 }
 
 // ---------------------------------------------------------------------
-// Route cache: epoch invalidation and cached/uncached equivalence
+// Route cache: epoch invalidation and equivalence with a reference
 // ---------------------------------------------------------------------
 
 TEST_F(NetworkFixture, RouteCacheHitsOnRepeatAndInvalidatesOnLink) {
@@ -478,10 +538,66 @@ TEST_F(NetworkFixture, RouteViewBorrowsCacheStorage) {
   EXPECT_EQ(view->as_path, view2->as_path);
 }
 
-TEST(RouteCache, CachedMatchesUncachedOnRandomizedTopology) {
+/// Test-local routing reference: a plain BFS in neighbor order from the
+/// source AS, the nearest-PoP member loop (fewest AS hops, then member
+/// order) and an owner map — nothing shared with Network's tables.
+struct ReferenceRouter {
+  const Network* net;
+  std::map<Ipv4, HostId> owners;
+  std::map<Ipv4, std::vector<HostId>> members;  // in join order
+
+  std::map<Asn, std::pair<int, Asn>> bfs(Asn src) const {  // dist, parent
+    std::map<Asn, std::pair<int, Asn>> seen{{src, {0, src}}};
+    std::deque<Asn> queue{src};
+    while (!queue.empty()) {
+      const Asn u = queue.front();
+      queue.pop_front();
+      for (const Asn v : net->find_as(u)->neighbors) {
+        if (seen.try_emplace(v, seen[u].first + 1, u).second) {
+          queue.push_back(v);
+        }
+      }
+    }
+    return seen;
+  }
+
+  std::optional<Route> route(Asn from, Ipv4 dst) const {
+    const auto tree = bfs(from);
+    HostId dst_host = kInvalidHost;
+    if (const auto g = members.find(dst); g != members.end()) {
+      int best = std::numeric_limits<int>::max();
+      for (const HostId m : g->second) {
+        const auto it = tree.find(net->host(m).asn);
+        if (it != tree.end() && it->second.first < best) {
+          best = it->second.first;
+          dst_host = m;
+        }
+      }
+    } else if (const auto o = owners.find(dst); o != owners.end()) {
+      dst_host = o->second;
+    }
+    if (dst_host == kInvalidHost) return std::nullopt;
+    const auto reached = tree.find(net->host(dst_host).asn);
+    if (reached == tree.end()) return std::nullopt;
+    Route r;
+    r.dst_host = dst_host;
+    for (Asn cur = reached->first;; cur = tree.at(cur).second) {
+      r.as_path.insert(r.as_path.begin(), cur);
+      if (cur == from) break;
+    }
+    for (const Asn asn : r.as_path) {
+      const auto& ips = net->find_as(asn)->router_ips;
+      r.router_hops.insert(r.router_hops.end(), ips.begin(), ips.end());
+    }
+    return r;
+  }
+};
+
+TEST(RouteCache, MatchesReferenceOnRandomizedTopology) {
   util::Rng rng(20211207);
   Simulator sim;
   Network& net = sim.net();
+  ReferenceRouter ref{&net, {}, {}};
   constexpr int kAses = 24;
   for (int i = 1; i <= kAses; ++i) {
     AsConfig cfg;
@@ -500,53 +616,56 @@ TEST(RouteCache, CachedMatchesUncachedOnRandomizedTopology) {
              static_cast<Asn>(rng.uniform_int(1, kAses - 2)));
   }
   std::vector<Ipv4> dsts;
+  const auto add_host = [&](Asn asn, Ipv4 addr) {
+    const HostId h = net.add_host(asn, {addr});
+    ref.owners[addr] = h;
+    return h;
+  };
   for (int i = 1; i <= kAses; ++i) {
     const Ipv4 addr{10, static_cast<std::uint8_t>(i), 0, 1};
-    net.add_host(static_cast<Asn>(i), {addr});
+    add_host(static_cast<Asn>(i), addr);
     dsts.push_back(addr);
   }
   const Ipv4 any{9, 9, 9, 9};
-  net.join_anycast(any, net.add_host(3, {Ipv4{10, 3, 9, 9}}));
-  net.join_anycast(any, net.add_host(7, {Ipv4{10, 7, 9, 9}}));
-  net.join_anycast(any, net.add_host(17, {Ipv4{10, 17, 9, 9}}));
+  const auto join = [&](Asn asn, Ipv4 addr) {
+    const HostId h = add_host(asn, addr);
+    net.join_anycast(any, h);
+    ref.members[any].push_back(h);
+  };
+  join(17, Ipv4{10, 17, 9, 9});
+  join(3, Ipv4{10, 3, 9, 9});
+  join(7, Ipv4{10, 7, 9, 9});
   dsts.push_back(any);
-  dsts.push_back(Ipv4{172, 16, 0, 1});  // nobody owns this
+  const Ipv4 unowned{172, 16, 0, 1};
+  dsts.push_back(unowned);
 
-  const auto snapshot = [&](bool cached) {
-    net.set_route_cache_enabled(cached);
-    std::vector<std::optional<Route>> out;
-    for (int from = 1; from <= kAses; ++from) {
-      for (const auto d : dsts) {
-        out.push_back(net.route_from_as(static_cast<Asn>(from), d));
+  const auto expect_matches_reference = [&] {
+    for (int pass = 0; pass < 2; ++pass) {  // cold, then all span hits
+      for (int from = 1; from <= kAses; ++from) {
+        for (const auto d : dsts) {
+          const auto asn = static_cast<Asn>(from);
+          const auto got = net.route_from_as(asn, d);
+          const auto want = ref.route(asn, d);
+          ASSERT_EQ(got.has_value(), want.has_value())
+              << "from " << from << " to " << d.to_string();
+          if (!got) continue;
+          EXPECT_EQ(got->dst_host, want->dst_host) << from;
+          EXPECT_EQ(got->as_path, want->as_path) << from;
+          EXPECT_EQ(got->router_hops, want->router_hops) << from;
+        }
       }
     }
-    return out;
   };
-  const auto expect_identical = [&] {
-    const auto cold = snapshot(true);
-    const auto warm = snapshot(true);  // second pass: all cache hits
-    const auto uncached = snapshot(false);
-    net.set_route_cache_enabled(true);
-    ASSERT_EQ(cold.size(), uncached.size());
-    for (std::size_t i = 0; i < cold.size(); ++i) {
-      ASSERT_EQ(cold[i].has_value(), uncached[i].has_value()) << i;
-      ASSERT_EQ(warm[i].has_value(), uncached[i].has_value()) << i;
-      if (!cold[i].has_value()) continue;
-      EXPECT_EQ(cold[i]->router_hops, uncached[i]->router_hops) << i;
-      EXPECT_EQ(cold[i]->as_path, uncached[i]->as_path) << i;
-      EXPECT_EQ(cold[i]->dst_host, uncached[i]->dst_host) << i;
-      EXPECT_EQ(warm[i]->router_hops, uncached[i]->router_hops) << i;
-      EXPECT_EQ(warm[i]->as_path, uncached[i]->as_path) << i;
-      EXPECT_EQ(warm[i]->dst_host, uncached[i]->dst_host) << i;
-    }
-  };
-  expect_identical();
-  // Mutate (connect an isolated AS, add an anycast member) and
-  // re-verify: no stale entries may survive the epoch bump.
+  expect_matches_reference();
+  // Mutate after lookups — connect an isolated AS, add an anycast
+  // member, give the unowned address an owner — and re-verify: no
+  // stale entry may survive.
   net.link(1, static_cast<Asn>(kAses));
-  expect_identical();
-  net.join_anycast(any, net.add_host(kAses, {Ipv4{10, 24, 9, 9}}));
-  expect_identical();
+  expect_matches_reference();
+  join(kAses, Ipv4{10, 24, 9, 9});
+  expect_matches_reference();
+  add_host(static_cast<Asn>(kAses - 1), unowned);
+  expect_matches_reference();
 }
 
 TEST_F(NetworkFixture, TapObservesEvents) {

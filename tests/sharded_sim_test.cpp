@@ -251,13 +251,52 @@ TEST(ShardedDeterminism, PerShardRouteCachesServeTheHotPath) {
   EXPECT_GT(shards_with_traffic, 1u);  // the work really is spread out
 }
 
-TEST(ShardedDeterminism, UncachedRoutingMatchesCachedUnderSharding) {
-  const auto cached = run_mini_scan(sharded_cfg(4, true), 5);
-  MiniWorld world(sharded_cfg(4, true));
-  world.sim.net().set_route_cache_enabled(false);
+/// MiniWorld whose routing tables and partition are frozen by a first
+/// run before an anycast group is built: a second resolver in the
+/// access AS and the MiniWorld resolver both join `kAnycast`, and
+/// transparent forwarders relay to it — from the access AS (nearest
+/// member 0 hops away) and from the scanner AS (both members 2 hops
+/// away, so member order decides). Four capture vantages probe in the
+/// same window, so on 4 shards the first lookups after the join run
+/// on several shard threads at once.
+RunFingerprint run_anycast_joined_after_build(SimConfig cfg) {
+  constexpr Ipv4 kAnycast{8, 8, 8, 53};
+  MiniWorld world(cfg);
+  netsim::SendOptions warmup;
+  warmup.dst = test::kResolverAddr;
+  warmup.dst_port = 9;  // unbound: answered by port-unreachable
+  world.sim.send_udp(world.scanner_host, std::move(warmup));
+  // An explicit deadline leaves every shard clock at the same instant.
+  world.sim.run_until(util::SimTime::origin() + Duration::seconds(1));
+
+  auto& net = world.sim.net();
+  const HostId second = world.add_access_host(Ipv4{20, 0, 9, 250});
+  nodes::ResolverConfig rc;
+  rc.open = true;
+  rc.root_hints = {test::kRootAddr};
+  nodes::RecursiveResolver resolver(world.sim, second, rc, 78);
+  resolver.start();
+  net.join_anycast(kAnycast, world.resolver_host);
+  net.join_anycast(kAnycast, second);
+
   std::vector<std::unique_ptr<TransparentForwarder>> tfs;
-  const auto targets = build_scan_targets(world, 5, tfs);
-  EXPECT_EQ(scan_fingerprint(world, targets, false, 1), cached);
+  std::vector<Ipv4> targets;
+  for (int i = 0; i < 4; ++i) {
+    const Ipv4 addr{20, 0, 9, static_cast<std::uint8_t>(1 + i)};
+    const HostId host = i < 3 ? world.add_access_host(addr)
+                              : net.add_host(test::kScannerAsn, {addr});
+    tfs.push_back(
+        std::make_unique<TransparentForwarder>(world.sim, host, kAnycast));
+    tfs.back()->install();
+    targets.push_back(addr);
+  }
+  return scan_fingerprint(world, targets, false, 4);
+}
+
+TEST(ShardedDeterminism, AnycastJoinedAfterBuildMatchesSequentialRun) {
+  const auto sequential = run_anycast_joined_after_build(sharded_cfg(1, false));
+  EXPECT_NE(sequential.transactions.find("8.8.8.53"), std::string::npos);
+  EXPECT_EQ(run_anycast_joined_after_build(sharded_cfg(4, true)), sequential);
 }
 
 TEST(ShardedDeterminism, ClocksSynchronizeAtExplicitDeadlines) {
