@@ -38,7 +38,7 @@ CensusResult run_census(const CensusConfig& cfg) {
   auto& sim = result.world->sim();
 
   const std::vector<util::Ipv4> targets = result.world->scan_targets();
-  if (cfg.weighted_partition && sim.shard_count() > 1) {
+  if (sim.shard_count() > 1) {
     // Balance the AS partition by expected event load: the dominant
     // per-shard cost of a census is serving + capturing its probe
     // targets. With serving-cost weights a forwarder target counts

@@ -49,14 +49,10 @@ struct CensusConfig {
   /// docs/architecture.md. The field stays only because the end-to-end
   /// benchmark (benchmark/odns_bench.cpp) sets it.
   std::uint32_t vantages = 0;
-  /// Weighted virtual-shard partition: derive per-virtual-shard load
-  /// hints from the probe-target counts and balance the AS partition
-  /// by expected event load instead of round-robin (see
-  /// netsim::Simulator::set_partition_load_hints). Execution-only; on
-  /// by default for sharded runs.
-  bool weighted_partition = true;
-  /// Weight each probe target by its serving cost instead of counting
-  /// every target once: a forwarder relays the probe upstream (and a
+  /// Sharded runs balance the AS partition by expected event load (see
+  /// netsim::Simulator::set_partition_load_hints). This lever weights
+  /// each probe target by its serving cost instead of counting every
+  /// target once: a forwarder relays the probe upstream (and a
   /// transparent forwarder additionally triggers the off-path public
   /// response), so forwarder-heavy virtual shards execute roughly twice
   /// the events per target of resolver-only ones. Execution-only —
@@ -114,7 +110,7 @@ struct DegradationReport {
   std::uint64_t ases_dark = 0;
   /// Aggregated scanner statistics (sent/retried/duplicate/late/...).
   scan::ScannerStats scan;
-  /// Tap records dropped by the bounded trace ring.
+  /// Trace records dropped by the per-shard trace cap.
   std::uint64_t trace_dropped = 0;
   /// Packet-plane counters (loss, outage, jitter, corruption, ...).
   netsim::SimCounters net;

@@ -144,7 +144,16 @@ void EventQueue::step() {
   // handlers schedule new events, which may grow the pool and would
   // invalidate any reference still held into it.
   const std::uint32_t slot = item & 0x3FFFFFFFu;
-  if (static_cast<Kind>(item >> 30) == Kind::icmp) {
+  const Kind kind = static_cast<Kind>(item >> 30);
+  if (kind == Kind::deliver) {
+    PacketEvent& ev = packet_pool_[slot];
+    Packet pkt = std::move(ev.pkt);
+    const HostId host = ev.dst_host;
+    release_packet(slot);
+    sink_->deliver_event(std::move(pkt), host);
+    return;
+  }
+  if (kind == Kind::icmp) {
     PacketEvent& ev = packet_pool_[slot];
     Packet offender = std::move(ev.pkt);
     const IcmpType type = ev.icmp_type;
@@ -162,53 +171,11 @@ void EventQueue::step() {
   target->on_timer(arg_a, arg_b);
 }
 
-std::size_t EventQueue::step_batch() {
-  if (empty()) return 0;
-  const util::SimTime at = peek_at();
-  std::size_t n = 0;
-  // Handlers that schedule at the batch timestamp (zero-delay sends
-  // clamp to it) extend the batch; bucket append order keeps them
-  // after everything already pending, so the total order is unchanged.
-  //
-  // Maximal runs of consecutive delivery events are pulled out of the
-  // head bucket *before* dispatch and handed to the sink as one span —
-  // same events, same sequence order, one virtual call. Anything the
-  // run's handlers schedule at this timestamp lands in a bucket
-  // ordered after the extracted run.
-  while (!empty() && peek_at() == at) {
-    const TimeRef top = time_heap_.front();
-    Bucket& b = buckets_[top.bucket];
-    if (static_cast<Kind>(b.items[b.head] >> 30) != Kind::deliver) {
-      step();
-      ++n;
-      continue;
-    }
-    now_ = util::SimTime::from_nanos(top.at);
-    batch_scratch_.clear();
-    while (b.head < b.items.size()) {
-      const std::uint32_t item = b.items[b.head];
-      if (static_cast<Kind>(item >> 30) != Kind::deliver) break;
-      const std::uint32_t slot = item & 0x3FFFFFFFu;
-      PacketEvent& ev = packet_pool_[slot];
-      batch_scratch_.push_back(DeliverItem{std::move(ev.pkt), ev.dst_host});
-      release_packet(slot);
-      ++b.head;
-    }
-    const std::size_t run = batch_scratch_.size();
-    executed_ += run;
-    n += run;
-    // Retire before dispatch, like step(): a handler scheduling at this
-    // timestamp must start a fresh bucket ordered after this one.
-    if (b.head == b.items.size()) retire_top_bucket();
-    sink_->deliver_batch_event(batch_scratch_);
-  }
-  return n;
-}
-
 std::uint64_t EventQueue::run_before(util::SimTime end) {
   std::uint64_t n = 0;
   while (!empty() && peek_at() < end) {
-    n += step_batch();
+    step();
+    ++n;
   }
   return n;
 }
@@ -216,7 +183,8 @@ std::uint64_t EventQueue::run_before(util::SimTime end) {
 std::uint64_t EventQueue::run(util::SimTime deadline) {
   std::uint64_t n = 0;
   while (!empty() && peek_at() <= deadline) {
-    n += step_batch();
+    step();
+    ++n;
   }
   if (now_ < deadline && deadline < util::SimTime::far_future()) {
     // The clock advances to an explicit deadline (remaining events are

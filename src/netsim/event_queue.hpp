@@ -17,20 +17,12 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "netsim/packet.hpp"
 #include "util/time.hpp"
 
 namespace odns::netsim {
-
-/// One delivery extracted from a same-timestamp cohort: the packet
-/// plus its destination host, handed to the sink as part of a batch.
-struct DeliverItem {
-  Packet pkt;
-  HostId host = kInvalidHost;
-};
 
 /// Receiver of typed timer events. Implementations interpret the two
 /// argument words themselves (connection keys, generations, target
@@ -50,11 +42,7 @@ class PacketSink {
   virtual ~PacketSink() = default;
   virtual void icmp_event(IcmpType type, Packet&& offender,
                           util::Ipv4 router, Asn origin_as) = 0;
-  /// A maximal run of consecutive delivery events from one same-
-  /// timestamp cohort, in sequence order (a single delivery is a run
-  /// of one). The Simulator amortizes node dispatch across the run
-  /// (docs/event-engine.md, "Batch delivery").
-  virtual void deliver_batch_event(std::span<DeliverItem> batch) = 0;
+  virtual void deliver_event(Packet&& pkt, HostId host) = 0;
 };
 
 class EventQueue {
@@ -92,15 +80,8 @@ class EventQueue {
   }
   [[nodiscard]] std::size_t free_slots() const { return free_count_; }
 
-  /// Drains every event at the earliest pending timestamp in one pass —
-  /// including events that handlers schedule at that same (clamped)
-  /// timestamp, which join the batch in sequence order. Consecutive
-  /// deliveries reach the sink as one run. Returns the number executed
-  /// (0 on an empty queue).
-  std::size_t step_batch();
-
-  /// Runs events batch-wise until the queue drains or `deadline` is
-  /// passed. Returns the number of events executed.
+  /// Runs events in (time, sequence) order until the queue drains or
+  /// `deadline` is passed. Returns the number of events executed.
   std::uint64_t run(util::SimTime deadline = util::SimTime::far_future());
 
   /// Window drain for the sharded simulator: runs events strictly
@@ -136,7 +117,7 @@ class EventQueue {
   /// A cohort of events pending at one timestamp, in insertion
   /// (= sequence) order. Items carry the event kind in their top bits
   /// and the slab slot below (see pack_item). `head` advances as the
-  /// batch drains; retired buckets keep their vector capacity on a
+  /// cohort drains; retired buckets keep their vector capacity on a
   /// freelist.
   struct Bucket {
     std::int64_t at_nanos = 0;
@@ -197,8 +178,7 @@ class EventQueue {
   TimerEvent& acquire_timer(util::SimTime at);
   void release_packet(std::uint32_t slot);
   void release_timer(std::uint32_t slot);
-  /// Runs the earliest event, which is not a delivery (step_batch
-  /// extracts those as runs); advances the clock.
+  /// Runs the earliest event and advances the clock to its time.
   void step();
   void retire_top_bucket();
 
@@ -213,7 +193,6 @@ class EventQueue {
   std::vector<TimeRef> time_heap_;  // via std::push_heap/pop_heap
   std::array<CacheEntry, kCacheSize> tcache_{};
 
-  std::vector<DeliverItem> batch_scratch_;  // reused across cohorts
   PacketSink* sink_ = nullptr;
   util::SimTime now_ = util::SimTime::origin();
   std::uint64_t next_seq_ = 0;

@@ -11,6 +11,7 @@
 //   * one SPSC inbox per source shard (cross-shard packet events).
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "netsim/event_queue.hpp"
@@ -35,8 +36,8 @@ struct Simulator::Shard final : private PacketSink {
                   Asn origin_as) override {
     owner->send_icmp(*this, type, router, offender, origin_as);
   }
-  void deliver_batch_event(std::span<DeliverItem> batch) override {
-    owner->deliver_batch(*this, batch);
+  void deliver_event(Packet&& pkt, HostId host) override {
+    owner->deliver(*this, std::move(pkt), host);
   }
 
   Simulator* owner;
@@ -49,7 +50,6 @@ struct Simulator::Shard final : private PacketSink {
   std::vector<TraceRecord> trace;
   ShardStats stats;
   std::vector<SpscMailbox> inbox;  // indexed by source shard
-  std::vector<Datagram> batch_dgrams;  // deliver_batch scratch
 };
 
 }  // namespace odns::netsim

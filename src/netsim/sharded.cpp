@@ -1,6 +1,6 @@
 // Sharded execution runtime of the Simulator: AS-granular partition,
 // the conservative time-window loop, mailbox admission, and the
-// (time, shard, seq) trace merge. The protocol (lookahead choice,
+// (time, shard, seq) trace merge. The protocol (window length,
 // window safety argument, admission order) is documented in
 // docs/event-engine.md, "Cross-shard merge rule"; the architecture
 // walk-through lives in docs/architecture.md, "Sharded execution".
@@ -37,17 +37,6 @@ double thread_cpu_seconds() {
 }
 
 }  // namespace
-
-util::Duration Simulator::lookahead() const {
-  // The window may never exceed the true minimum cross-shard latency
-  // (one router hop): a larger configured value would let a window
-  // execute past a pending cross-shard arrival, which the admission
-  // clamp would then silently re-date. Clamp rather than trust.
-  if (cfg_.lookahead > util::Duration::nanos(0)) {
-    return std::min(cfg_.lookahead, cfg_.hop_latency);
-  }
-  return cfg_.hop_latency;
-}
 
 void Simulator::freeze_partition() {
   // Shard threads only read the routing tables: build them here.
@@ -241,9 +230,10 @@ void Simulator::admit_mailboxes(Shard& sh) {
 
 void Simulator::run_windows(util::SimTime deadline, bool advance_clocks) {
   freeze_partition();
-  // Positive: the constructor rejects a sharded config without a
-  // positive hop latency, and lookahead() never exceeds it.
-  const util::Duration window = lookahead();
+  // The window is one router hop, the minimum cross-shard latency
+  // (shards split the world AS-granularly). Positive: the constructor
+  // rejects a sharded config without a positive hop latency.
+  const util::Duration window = cfg_.hop_latency;
   const bool explicit_deadline = deadline < util::SimTime::far_future();
   const bool threaded = cfg_.shard_threads;
   if (threaded) pool_.ensure_started(shard_count());

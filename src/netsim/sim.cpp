@@ -254,19 +254,10 @@ std::uint64_t Simulator::redirect_relays(HostId host) const {
   return total;
 }
 
-void Simulator::add_tap(Tap tap) {
-  if (!single_shard()) {
-    throw std::logic_error(
-        "add_tap is single-shard only; use the packet trace recorder");
-  }
-  taps_.push_back(std::move(tap));
-}
-
 void Simulator::emit(Shard& sh, TapEvent ev, const Packet& pkt) {
   if (trace_enabled_) {
     if (sh.trace.size() >= trace_limit_) {
       ++sh.trace_dropped;
-      for (const auto& tap : taps_) tap(ev, pkt);
       return;
     }
     TraceRecord r;
@@ -282,7 +273,6 @@ void Simulator::emit(Shard& sh, TapEvent ev, const Packet& pkt) {
     r.dst_port = pkt.dst_port;
     sh.trace.push_back(r);
   }
-  for (const auto& tap : taps_) tap(ev, pkt);
 }
 
 bool Simulator::loss_drop(Asn origin_as, const Packet& pkt,
@@ -627,51 +617,6 @@ void Simulator::deliver(Shard& sh, Packet pkt, HostId host) {
   }
 
   app->on_datagram(datagram_of(pkt));
-}
-
-App* Simulator::batchable_app(const Packet& pkt, HostId host) {
-  if (pkt.proto != Protocol::udp) return nullptr;
-  HostState* st = find_state(host);
-  if (st == nullptr) return nullptr;
-  if (st->has_redirect_on(pkt.dst_port)) return nullptr;
-  if (App* app = st->find_socket(pkt.dst_port)) return app;
-  return st->wildcard;  // nullptr falls back to scalar (port unreachable)
-}
-
-void Simulator::deliver_batch(Shard& sh, std::span<DeliverItem> items) {
-  std::size_t i = 0;
-  while (i < items.size()) {
-    DeliverItem& first = items[i];
-    assert(single_shard() || host_shard_[first.host] == sh.index);
-    App* app = batchable_app(first.pkt, first.host);
-    if (app == nullptr) {
-      // ICMP, transparent-forwarder relays, and unbound ports keep the
-      // scalar path — they re-inject or answer synchronously, which the
-      // run grouping must not reorder around.
-      deliver(sh, std::move(first.pkt), first.host);
-      ++i;
-      continue;
-    }
-    // Maximal run for one (host, port) binding. The binding cannot
-    // change under the run: apps must not rebind their own socket or
-    // install a redirect for their own port from inside a batch
-    // (App::on_batch contract), so resolving it once is exact.
-    std::size_t j = i;
-    sh.batch_dgrams.clear();
-    while (j < items.size()) {
-      DeliverItem& item = items[j];
-      if (item.host != first.host || item.pkt.proto != Protocol::udp ||
-          item.pkt.dst_port != first.pkt.dst_port) {
-        break;
-      }
-      ++sh.counters.delivered;
-      emit(sh, TapEvent::delivered, item.pkt);
-      sh.batch_dgrams.push_back(datagram_of(item.pkt));
-      ++j;
-    }
-    app->on_batch(std::span<const Datagram>(sh.batch_dgrams));
-    i = j;
-  }
 }
 
 }  // namespace odns::netsim

@@ -48,16 +48,6 @@ class App {
  public:
   virtual ~App() = default;
   virtual void on_datagram(const Datagram& dgram) = 0;
-  /// Batch entry point: a run of same-instant datagrams for this app on
-  /// one (host, port) binding, in delivery order. The default is the
-  /// scalar loop, so apps opt in only when they can amortize per-
-  /// message work (arena reuse, shared classification). Payload
-  /// pointers are valid only for the duration of the call. An app must
-  /// not rebind its own socket or install a redirect for its own port
-  /// from inside a batch (docs/architecture.md, "Batch packet plane").
-  virtual void on_batch(std::span<const Datagram> batch) {
-    for (const auto& dgram : batch) on_datagram(dgram);
-  }
 };
 
 using IcmpHandler = std::function<void(const Packet&)>;
@@ -78,8 +68,6 @@ enum class TapEvent : std::uint8_t {
   corrupted,
 };
 
-using Tap = std::function<void(TapEvent, const Packet&)>;
-
 struct SimConfig {
   /// Latency of one router hop. Must be positive on a multi-shard
   /// simulator: it is the window length of the conservative barrier.
@@ -99,12 +87,6 @@ struct SimConfig {
   /// SPSC ring slots per directed shard pair; overflow spills to an
   /// unbounded side vector (counted, never dropped or blocking).
   std::uint32_t mailbox_capacity = 4096;
-  /// Conservative window length. Zero = auto: hop_latency, the minimum
-  /// cross-shard link latency (every cross-shard event is at least one
-  /// router hop away, since shards split the world AS-granularly).
-  /// Values above hop_latency are clamped down to it — a longer window
-  /// would violate the conservative-admission invariant.
-  util::Duration lookahead = util::Duration::nanos(0);
 
   // --- fault plane ("Fault plane & graceful degradation",
   // docs/architecture.md) --------------------------------------------
@@ -138,7 +120,7 @@ struct SimCounters {
 
 /// One built-in packet-trace record. `(at, shard, seq)` is the
 /// documented cross-shard total order; the remaining fields identify
-/// the packet decision the tap observed.
+/// the packet decision the record observes.
 struct TraceRecord {
   std::int64_t at = 0;
   std::uint32_t shard = 0;
@@ -308,14 +290,6 @@ class Simulator {
   /// std::invalid_argument when `from` has no address.
   void send_udp(HostId from, SendOptions opts);
 
-  /// External taps are invoked synchronously on the emitting shard's
-  /// thread; they are supported on single-shard simulators (the
-  /// classic observability path). On a multi-shard simulator the call
-  /// throws std::logic_error: taps would run concurrently from every
-  /// shard thread. Sharded runs use the built-in trace recorder below
-  /// instead, which is per-shard and lock-free.
-  void add_tap(Tap tap);
-
   // --- built-in packet trace ----------------------------------------
   void set_packet_trace_enabled(bool on) { trace_enabled_ = on; }
   [[nodiscard]] bool packet_trace_enabled() const { return trace_enabled_; }
@@ -389,10 +363,6 @@ class Simulator {
       }
       return nullptr;
     }
-    [[nodiscard]] bool has_redirect_on(std::uint16_t port) const {
-      if (has_redirect && redirect_port == port) return true;
-      return extra && extra->redirects.find(port) != extra->redirects.end();
-    }
   };
 
   /// Grows the dense host-state table on demand and returns the slot.
@@ -405,7 +375,6 @@ class Simulator {
   }
 
   [[nodiscard]] bool single_shard() const { return shards_.size() == 1; }
-  [[nodiscard]] util::Duration lookahead() const;
   /// (Re)computes host/AS -> shard maps; idempotent per topology epoch.
   void freeze_partition();
   [[nodiscard]] std::uint32_t shard_of_as(Asn asn) const;
@@ -431,14 +400,6 @@ class Simulator {
   /// originated traffic (ICMP), which is exempt from SAV.
   void inject(Shard& sh, Packet pkt, Asn origin_as, bool from_router);
   void deliver(Shard& sh, Packet pkt, HostId host);
-  /// Batch delivery ("Batch packet plane", docs/architecture.md):
-  /// processes a cohort run, grouping consecutive same-(host, port) UDP
-  /// packets into one App::on_batch call; redirects, ICMP, and unbound
-  /// ports take the per-packet deliver() in order.
-  void deliver_batch(Shard& sh, std::span<DeliverItem> items);
-  /// The app a packet would dispatch to if it takes the batchable fast
-  /// path (plain UDP, no redirect on its port); nullptr otherwise.
-  [[nodiscard]] App* batchable_app(const Packet& pkt, HostId host);
   void send_icmp(Shard& sh, IcmpType type, util::Ipv4 from,
                  const Packet& offender, Asn origin_as);
   /// Routes a packet-plane event to its owning shard: locally when
@@ -475,7 +436,6 @@ class Simulator {
   /// Adverse-network decisions (stateless hashes + per-AS unreachable
   /// buckets, each touched only by the AS's owning shard).
   FaultPlane faults_;
-  std::vector<Tap> taps_;
   bool trace_enabled_ = false;
   std::size_t trace_limit_ = SIZE_MAX;  // per shard
   // Partition maps, valid while partition_epoch_ == net_.topology_epoch().

@@ -36,13 +36,10 @@ class Recorder : public PacketSink, public TimerTarget {
     Ipv4 router;
     Asn origin_as;
   };
-  void deliver_batch_event(std::span<DeliverItem> batch) override {
-    batch_sizes.push_back(batch.size());
-    for (auto& item : batch) {
-      order.push_back("deliver:" + std::to_string(item.host));
-      deliveries.push_back(Delivery{item.pkt.src, item.pkt.dst, item.host,
-                                    std::move(item.pkt.payload)});
-    }
+  void deliver_event(Packet&& pkt, HostId host) override {
+    order.push_back("deliver:" + std::to_string(host));
+    deliveries.push_back(
+        Delivery{pkt.src, pkt.dst, host, std::move(pkt.payload)});
   }
   void icmp_event(IcmpType type, Packet&&, Ipv4 router, Asn origin) override {
     order.push_back("icmp:" + std::to_string(origin));
@@ -55,7 +52,6 @@ class Recorder : public PacketSink, public TimerTarget {
   }
 
   std::vector<std::string> order;
-  std::vector<std::size_t> batch_sizes;
   std::vector<Delivery> deliveries;
   std::vector<Icmp> icmps;
   std::vector<std::pair<std::uint64_t, std::uint64_t>> fired;
@@ -78,8 +74,7 @@ TEST(EventEngineTest, KindsInterleaveBySequence) {
   q.bind_sink(&rec);
 
   // Every kind at the same timestamp: execution must follow scheduling
-  // order exactly (the seq tie-break), with the two consecutive
-  // deliveries reaching the sink as one run.
+  // order exactly (the seq tie-break).
   const auto at = SimTime::from_nanos(100);
   q.schedule_timer(at, &rec, 0, 0);
   q.schedule_timer(at, &rec, 7, 9);
@@ -95,11 +90,10 @@ TEST(EventEngineTest, KindsInterleaveBySequence) {
                   Asn{42});
   q.schedule_timer(at, &rec, 1, 0);
 
-  EXPECT_EQ(q.step_batch(), 6u);
+  EXPECT_EQ(q.run(at), 6u);
   EXPECT_EQ(rec.order,
             (std::vector<std::string>{"timer:0", "timer:7", "deliver:5",
                                       "deliver:6", "icmp:42", "timer:1"}));
-  EXPECT_EQ(rec.batch_sizes, (std::vector<std::size_t>{2}));
   EXPECT_EQ(rec.fired[1], (std::pair<std::uint64_t, std::uint64_t>{7, 9}));
   ASSERT_EQ(rec.deliveries.size(), 2u);
   EXPECT_EQ(rec.deliveries[0].payload, (std::vector<std::uint8_t>{1, 2, 3}));
@@ -108,11 +102,11 @@ TEST(EventEngineTest, KindsInterleaveBySequence) {
   EXPECT_TRUE(q.empty());
 }
 
-TEST(EventEngineTest, BatchAbsorbsSameTimestampReschedules) {
+TEST(EventEngineTest, RunAbsorbsSameTimestampReschedules) {
   EventQueue q;
   Recorder rec;
   // The first handler schedules two more events, one "in the past" —
-  // both clamp to the batch timestamp and must run after everything
+  // both clamp to the current timestamp and must run after everything
   // already pending there, in scheduling order.
   rec.hook = [&](std::uint64_t a) {
     if (a != 0) return;
@@ -121,11 +115,11 @@ TEST(EventEngineTest, BatchAbsorbsSameTimestampReschedules) {
   };
   q.schedule_timer(SimTime::from_nanos(50), &rec, 0, 0);
   q.schedule_timer(SimTime::from_nanos(50), &rec, 1, 0);
-  EXPECT_EQ(q.step_batch(), 4u);
+  EXPECT_EQ(q.run(SimTime::from_nanos(50)), 4u);
   EXPECT_EQ(rec.order, (std::vector<std::string>{"timer:0", "timer:1",
                                                  "timer:2", "timer:3"}));
   EXPECT_EQ(q.now(), SimTime::from_nanos(50));
-  EXPECT_EQ(q.step_batch(), 0u);  // empty queue: nothing to run
+  EXPECT_EQ(q.run(SimTime::from_nanos(50)), 0u);  // empty: nothing to run
 }
 
 TEST(EventEngineTest, PoolSlotsAreRecycled) {

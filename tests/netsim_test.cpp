@@ -668,9 +668,8 @@ TEST(RouteCache, MatchesReferenceOnRandomizedTopology) {
   expect_matches_reference();
 }
 
-TEST_F(NetworkFixture, TapObservesEvents) {
-  std::vector<TapEvent> events;
-  sim_.add_tap([&](TapEvent ev, const Packet&) { events.push_back(ev); });
+TEST_F(NetworkFixture, TraceRecorderObservesEvents) {
+  sim_.set_packet_trace_enabled(true);
   SinkApp sink;
   sim_.bind_udp(c_, 53, &sink);
   SendOptions opts;
@@ -678,9 +677,45 @@ TEST_F(NetworkFixture, TapObservesEvents) {
   opts.dst_port = 53;
   sim_.send_udp(a_, std::move(opts));
   sim_.run();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0], TapEvent::sent);
-  EXPECT_EQ(events[1], TapEvent::delivered);
+  const auto trace = sim_.merged_trace();
+  ASSERT_EQ(trace.size(), 2u);
+  EXPECT_EQ(trace[0].ev, TapEvent::sent);
+  EXPECT_EQ(trace[1].ev, TapEvent::delivered);
+  EXPECT_EQ(trace[1].dst, (Ipv4{10, 3, 0, 1}).value());
+}
+
+TEST_F(NetworkFixture, SameInstantDeliveriesDispatchOneAtATime) {
+  // Each delivery runs its app before the next one is delivered, so
+  // an echo's reply is recorded between the two arrivals.
+  sim_.set_packet_trace_enabled(true);
+  EchoApp echo(sim_, c_);
+  SinkApp sink;
+  sim_.bind_udp(c_, 53, &echo);
+  sim_.bind_udp_wildcard(a_, &sink);
+  for (const std::uint16_t src_port : {1000, 1001}) {
+    SendOptions opts;
+    opts.dst = Ipv4{10, 3, 0, 1};
+    opts.src_port = src_port;
+    opts.dst_port = 53;
+    sim_.send_udp(a_, std::move(opts));
+  }
+  sim_.run();
+  ASSERT_EQ(echo.received.size(), 2u);
+  const auto trace = sim_.merged_trace();
+  std::int64_t arrival = -1;
+  for (const auto& r : trace) {
+    if (r.ev == TapEvent::delivered) {
+      arrival = r.at;
+      break;
+    }
+  }
+  std::vector<TapEvent> at_arrival;
+  for (const auto& r : trace) {
+    if (r.at == arrival) at_arrival.push_back(r.ev);
+  }
+  EXPECT_EQ(at_arrival,
+            (std::vector<TapEvent>{TapEvent::delivered, TapEvent::sent,
+                                   TapEvent::delivered, TapEvent::sent}));
 }
 
 // ---------------------------------------------------------------------
@@ -700,13 +735,6 @@ TEST(SimulatorContract, ShardedConfigNeedsPositiveHopLatency) {
 
 TEST_F(NetworkFixture, BindingANullAppThrows) {
   EXPECT_THROW(sim_.bind_udp(c_, 53, nullptr), std::invalid_argument);
-}
-
-TEST(SimulatorContract, TapsAreRejectedOnShardedSimulators) {
-  SimConfig cfg;
-  cfg.shards = 2;
-  Simulator sim(cfg);
-  EXPECT_THROW(sim.add_tap([](TapEvent, const Packet&) {}), std::logic_error);
 }
 
 TEST_F(NetworkFixture, VantageCaptureNeedsMembersAndAnOwnedAddress) {
