@@ -145,15 +145,16 @@ void BM_CacheLookup(benchmark::State& state) {
   std::vector<dnswire::Name> names;
   for (int i = 0; i < 1024; ++i) {
     auto name = *dnswire::Name::parse("h" + std::to_string(i) + ".example");
-    cache.put(name, dnswire::RrType::a,
-              {dnswire::ResourceRecord::a(name, Ipv4{10, 0, 0, 1}, 3600)},
-              now);
+    const auto rr = dnswire::ResourceRecord::a(name, Ipv4{10, 0, 0, 1}, 3600);
+    dnswire::WireArena arena;
+    const auto view = dnswire::view_of(arena, rr);
+    cache.put(dnswire::wire_key(name, dnswire::RrType::a), {&view, 1}, now);
     names.push_back(std::move(name));
   }
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        cache.get(names[i++ & 1023], dnswire::RrType::a, now));
+    benchmark::DoNotOptimize(cache.get(
+        dnswire::wire_key(names[i++ & 1023], dnswire::RrType::a), now));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

@@ -76,7 +76,8 @@ AttackScenarioResult run_attack_scenario(CensusResult& census,
   if (zone == nullptr) {
     throw std::runtime_error("attack: no zone serves the amp name");
   }
-  if (zone->find(*amp_name, dnswire::RrType::txt) == nullptr) {
+  if (zone->find(dnswire::wire_key(*amp_name, dnswire::RrType::txt)) ==
+      nullptr) {
     zone->add_record(dnswire::ResourceRecord::txt(
         *amp_name, amp_txt_strings(cfg.amp_txt_bytes), zone->default_ttl));
   }

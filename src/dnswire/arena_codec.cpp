@@ -393,16 +393,34 @@ std::size_t rr_bound(const RecordView& rr, std::size_t& label_slots) {
   return bound;
 }
 
-NameView name_view_of(WireArena& arena, const Name& name) {
+template <typename Labels>
+std::string folded_wire_key(const Labels& labels, std::optional<RrType> type) {
+  std::string key;
+  for (const auto& label : labels) {
+    key.push_back(static_cast<char>(label.size()));
+    for (const char c : label) key.push_back(util::ascii_fold(c));
+  }
+  key.push_back('\0');
+  if (type) {
+    const auto t = static_cast<std::uint16_t>(*type);
+    key.push_back(static_cast<char>(t >> 8));
+    key.push_back(static_cast<char>(t & 0xFF));
+  }
+  return key;
+}
+
+}  // namespace
+
+NameView view_of(WireArena& arena, const Name& name) {
   const auto& labels = name.labels();
   const auto out = arena.alloc_array<std::string_view>(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i) out[i] = labels[i];
   return NameView{out};
 }
 
-RecordView record_view_of(WireArena& arena, const ResourceRecord& rr) {
+RecordView view_of(WireArena& arena, const ResourceRecord& rr) {
   RecordView view;
-  view.name = name_view_of(arena, rr.name);
+  view.name = view_of(arena, rr.name);
   view.type = rr.type;
   view.klass = rr.klass;
   view.ttl = rr.ttl;
@@ -414,11 +432,11 @@ RecordView record_view_of(WireArena& arena, const ResourceRecord& rr) {
           view.rdata.a_addr = rd.addr;
         } else if constexpr (std::is_same_v<T, NsRecord>) {
           view.rdata.tag = RdataView::Tag::name;
-          view.rdata.name = name_view_of(arena, rd.host);
+          view.rdata.name = view_of(arena, rd.host);
         } else if constexpr (std::is_same_v<T, CnameRecord> ||
                              std::is_same_v<T, PtrRecord>) {
           view.rdata.tag = RdataView::Tag::name;
-          view.rdata.name = name_view_of(arena, rd.target);
+          view.rdata.name = view_of(arena, rd.target);
         } else if constexpr (std::is_same_v<T, TxtRecord>) {
           view.rdata.tag = RdataView::Tag::txt;
           const auto out =
@@ -429,8 +447,8 @@ RecordView record_view_of(WireArena& arena, const ResourceRecord& rr) {
           view.rdata.txt = out;
         } else if constexpr (std::is_same_v<T, SoaRecord>) {
           SoaView* soa = arena.alloc<SoaView>();
-          soa->mname = name_view_of(arena, rd.mname);
-          soa->rname = name_view_of(arena, rd.rname);
+          soa->mname = view_of(arena, rd.mname);
+          soa->rname = view_of(arena, rd.rname);
           soa->serial = rd.serial;
           soa->refresh = rd.refresh;
           soa->retry = rd.retry;
@@ -450,50 +468,50 @@ RecordView record_view_of(WireArena& arena, const ResourceRecord& rr) {
   return view;
 }
 
-ResourceRecord materialize_rr(const RecordView& rr) {
+ResourceRecord RecordView::to_record() const {
   ResourceRecord out;
-  out.name = rr.name.to_name();
-  out.type = rr.type;
-  out.klass = rr.klass;
-  out.ttl = rr.ttl;
-  switch (rr.rdata.tag) {
+  out.name = name.to_name();
+  out.type = type;
+  out.klass = klass;
+  out.ttl = ttl;
+  switch (rdata.tag) {
     case RdataView::Tag::a:
-      out.rdata = ARecord{rr.rdata.a_addr};
+      out.rdata = ARecord{rdata.a_addr};
       break;
     case RdataView::Tag::name:
-      if (rr.type == RrType::ns) {
-        out.rdata = NsRecord{rr.rdata.name.to_name()};
-      } else if (rr.type == RrType::cname) {
-        out.rdata = CnameRecord{rr.rdata.name.to_name()};
+      if (type == RrType::ns) {
+        out.rdata = NsRecord{rdata.name.to_name()};
+      } else if (type == RrType::cname) {
+        out.rdata = CnameRecord{rdata.name.to_name()};
       } else {
-        out.rdata = PtrRecord{rr.rdata.name.to_name()};
+        out.rdata = PtrRecord{rdata.name.to_name()};
       }
       break;
     case RdataView::Tag::txt: {
       TxtRecord txt;
-      txt.strings.reserve(rr.rdata.txt.size());
-      for (const auto& s : rr.rdata.txt) txt.strings.emplace_back(s);
+      txt.strings.reserve(rdata.txt.size());
+      for (const auto& s : rdata.txt) txt.strings.emplace_back(s);
       out.rdata = std::move(txt);
       break;
     }
     case RdataView::Tag::soa: {
       SoaRecord soa;
-      soa.mname = rr.rdata.soa->mname.to_name();
-      soa.rname = rr.rdata.soa->rname.to_name();
-      soa.serial = rr.rdata.soa->serial;
-      soa.refresh = rr.rdata.soa->refresh;
-      soa.retry = rr.rdata.soa->retry;
-      soa.expire = rr.rdata.soa->expire;
-      soa.minimum = rr.rdata.soa->minimum;
+      soa.mname = rdata.soa->mname.to_name();
+      soa.rname = rdata.soa->rname.to_name();
+      soa.serial = rdata.soa->serial;
+      soa.refresh = rdata.soa->refresh;
+      soa.retry = rdata.soa->retry;
+      soa.expire = rdata.soa->expire;
+      soa.minimum = rdata.soa->minimum;
       out.rdata = std::move(soa);
       break;
     }
     case RdataView::Tag::opt:
-      out.rdata = OptRecord{rr.rdata.udp_payload_size};
+      out.rdata = OptRecord{rdata.udp_payload_size};
       break;
     case RdataView::Tag::raw: {
       RawRecord raw;
-      raw.data.assign(rr.rdata.raw.begin(), rr.rdata.raw.end());
+      raw.data.assign(rdata.raw.begin(), rdata.raw.end());
       out.rdata = std::move(raw);
       break;
     }
@@ -501,13 +519,24 @@ ResourceRecord materialize_rr(const RecordView& rr) {
   return out;
 }
 
-}  // namespace
+std::string wire_key(const NameView& name, std::optional<RrType> type) {
+  return folded_wire_key(name.labels, type);
+}
+
+std::string wire_key(const Name& name, std::optional<RrType> type) {
+  return folded_wire_key(name.labels(), type);
+}
 
 bool NameView::equals(const Name& other) const {
-  const auto& theirs = other.labels();
-  if (labels.size() != theirs.size()) return false;
-  for (std::size_t i = 0; i < labels.size(); ++i) {
-    if (!util::iequals_ascii(labels[i], theirs[i])) return false;
+  return labels.size() == other.labels().size() && is_subdomain_of(other);
+}
+
+bool NameView::is_subdomain_of(const Name& zone) const {
+  const auto& theirs = zone.labels();
+  if (theirs.size() > labels.size()) return false;
+  const auto offset = labels.size() - theirs.size();
+  for (std::size_t i = 0; i < theirs.size(); ++i) {
+    if (!util::iequals_ascii(labels[offset + i], theirs[i])) return false;
   }
   return true;
 }
@@ -635,6 +664,25 @@ std::span<const std::uint8_t> encode_into(WireArena& arena,
   return out.first(enc.size());
 }
 
+MessageView make_query(std::uint16_t id, const QuestionView& question,
+                       bool recursion_desired) {
+  MessageView out;
+  out.header.id = id;
+  out.header.rd = recursion_desired;
+  out.questions = {&question, 1};
+  return out;
+}
+
+MessageView make_response(const MessageView& query, Rcode rcode) {
+  MessageView out;
+  out.header.id = query.header.id;
+  out.header.qr = true;
+  out.header.rd = query.header.rd;
+  out.header.rcode = rcode;
+  out.questions = query.questions;
+  return out;
+}
+
 Message materialize(const MessageView& msg) {
   Message out;
   out.header = msg.header;
@@ -647,14 +695,14 @@ Message materialize(const MessageView& msg) {
     out.questions.push_back(std::move(question));
   }
   out.answers.reserve(msg.answers.size());
-  for (const auto& rr : msg.answers) out.answers.push_back(materialize_rr(rr));
+  for (const auto& rr : msg.answers) out.answers.push_back(rr.to_record());
   out.authorities.reserve(msg.authorities.size());
   for (const auto& rr : msg.authorities) {
-    out.authorities.push_back(materialize_rr(rr));
+    out.authorities.push_back(rr.to_record());
   }
   out.additionals.reserve(msg.additionals.size());
   for (const auto& rr : msg.additionals) {
-    out.additionals.push_back(materialize_rr(rr));
+    out.additionals.push_back(rr.to_record());
   }
   return out;
 }
@@ -664,22 +712,22 @@ MessageView view_of(WireArena& arena, const Message& msg) {
   view.header = msg.header;
   const auto questions = arena.alloc_array<QuestionView>(msg.questions.size());
   for (std::size_t i = 0; i < msg.questions.size(); ++i) {
-    questions[i].name = name_view_of(arena, msg.questions[i].name);
+    questions[i].name = view_of(arena, msg.questions[i].name);
     questions[i].type = msg.questions[i].type;
     questions[i].klass = msg.questions[i].klass;
   }
   view.questions = questions;
-  auto section = [&](const std::vector<ResourceRecord>& rrs) {
-    const auto out = arena.alloc_array<RecordView>(rrs.size());
-    for (std::size_t i = 0; i < rrs.size(); ++i) {
-      out[i] = record_view_of(arena, rrs[i]);
-    }
-    return std::span<const RecordView>(out);
-  };
-  view.answers = section(msg.answers);
-  view.authorities = section(msg.authorities);
-  view.additionals = section(msg.additionals);
+  view.answers = view_of(arena, msg.answers);
+  view.authorities = view_of(arena, msg.authorities);
+  view.additionals = view_of(arena, msg.additionals);
   return view;
+}
+
+std::span<RecordView> view_of(WireArena& arena,
+                              std::span<const ResourceRecord> rrs) {
+  const auto out = arena.alloc_array<RecordView>(rrs.size());
+  for (std::size_t i = 0; i < rrs.size(); ++i) out[i] = view_of(arena, rrs[i]);
+  return out;
 }
 
 }  // namespace odns::dnswire

@@ -8,8 +8,9 @@
 // spans, no per-RR vectors — and encode_into() serializes a
 // MessageView, compressing every owner name and every name inside
 // NS/CNAME/PTR/SOA rdata against earlier suffixes (compared label by
-// label, case-folded). Readers that only inspect a message keep the
-// view; materialize() builds an owned Message where a node needs one.
+// label, case-folded). Every node reads the view; a node that stores
+// records copies them one by one (RecordView::to_record()), and
+// materialize() builds a whole owned Message only for decode().
 // tests/golden_test.cpp pins the encoded bytes and the decode verdicts
 // over seeded corpora.
 //
@@ -20,7 +21,9 @@
 // must never be stored across messages.
 
 #include <cstdint>
+#include <optional>
 #include <span>
+#include <string>
 #include <string_view>
 
 #include "dnswire/codec.hpp"
@@ -38,6 +41,9 @@ struct NameView {
   std::span<const std::string_view> labels;
 
   [[nodiscard]] bool equals(const Name& other) const;
+  /// True if this name is `zone` or ends in `zone` (case-folded;
+  /// "a.example.com" is under "example.com").
+  [[nodiscard]] bool is_subdomain_of(const Name& zone) const;
   /// Uncompressed wire length (length bytes + labels + terminator).
   [[nodiscard]] std::size_t wire_length() const;
   /// Materializes an owning Name (allocates; cold paths only).
@@ -80,6 +86,9 @@ struct RecordView {
   RrClass klass = RrClass::in;
   std::uint32_t ttl = 0;
   RdataView rdata;
+
+  /// Owning copy of the record (allocates; for records a node stores).
+  [[nodiscard]] ResourceRecord to_record() const;
 };
 
 struct MessageView {
@@ -100,12 +109,37 @@ util::Result<MessageView, DecodeError> decode_into(
 std::span<const std::uint8_t> encode_into(WireArena& arena,
                                           const MessageView& msg);
 
-/// Owning copy of a view (allocates; for nodes that keep owned state).
+/// make_query() for views: a one-question query that borrows
+/// `question`, which must outlive the view.
+MessageView make_query(std::uint16_t id, const QuestionView& question,
+                       bool recursion_desired = true);
+MessageView make_query(std::uint16_t, QuestionView&&, bool = true) = delete;
+
+/// make_response() for views: a response skeleton echoing the query's
+/// id, RD bit and question section (borrowed from `query`).
+MessageView make_response(const MessageView& query,
+                          Rcode rcode = Rcode::noerror);
+
+/// Owning copy of a view (allocates; the decode() bridge).
 Message materialize(const MessageView& msg);
 
 /// A view over an owned Message: labels/spans reference the
 /// Message's own storage plus `arena` for the section arrays. Valid
 /// while both the Message and the arena epoch live.
 MessageView view_of(WireArena& arena, const Message& msg);
+/// The same, for an owned name, record or record sequence.
+NameView view_of(WireArena& arena, const Name& name);
+RecordView view_of(WireArena& arena, const ResourceRecord& rr);
+std::span<RecordView> view_of(WireArena& arena,
+                              std::span<const ResourceRecord> rrs);
+
+/// The one map key for DNS names (DnsCache, the resolver's in-flight
+/// table, Zone): the name's uncompressed wire encoding with ASCII
+/// letters folded to lower case, followed by `type` in network order
+/// when one is given. Length bytes keep the label boundaries, so
+/// ["a.b","net"] and ["a","b","net"], which share the dotted spelling
+/// "a.b.net", never share a key.
+std::string wire_key(const NameView& name, std::optional<RrType> type);
+std::string wire_key(const Name& name, std::optional<RrType> type);
 
 }  // namespace odns::dnswire

@@ -49,17 +49,6 @@ std::string Name::to_string() const {
   return util::join(labels_, ".");
 }
 
-bool Name::is_subdomain_of(const Name& zone) const {
-  if (zone.labels_.size() > labels_.size()) return false;
-  const auto offset = labels_.size() - zone.labels_.size();
-  for (std::size_t i = 0; i < zone.labels_.size(); ++i) {
-    if (!util::iequals_ascii(labels_[offset + i], zone.labels_[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
 std::optional<Name> Name::prepend(std::string_view label) const {
   std::vector<std::string> labels;
   labels.reserve(labels_.size() + 1);
@@ -68,24 +57,12 @@ std::optional<Name> Name::prepend(std::string_view label) const {
   return from_labels(std::move(labels));
 }
 
-Name Name::parent() const {
-  Name p;
-  if (labels_.size() > 1) {
-    p.labels_.assign(labels_.begin() + 1, labels_.end());
-  }
-  return p;
-}
-
 bool Name::operator==(const Name& other) const {
   if (labels_.size() != other.labels_.size()) return false;
   for (std::size_t i = 0; i < labels_.size(); ++i) {
     if (!util::iequals_ascii(labels_[i], other.labels_[i])) return false;
   }
   return true;
-}
-
-std::string Name::canonical() const {
-  return util::ascii_lower(to_string());
 }
 
 }  // namespace odns::dnswire

@@ -1,7 +1,8 @@
 #pragma once
-// Domain names as label sequences. Comparison and hashing are ASCII
+// Domain names as label sequences. Comparison is ASCII
 // case-insensitive (RFC 1035 §2.3.3); presentation parsing enforces the
-// 63-octet label and 255-octet name limits.
+// 63-octet label and 255-octet name limits. Maps key names by
+// dnswire::wire_key (arena_codec.hpp), never by the dotted text.
 
 #include <cstddef>
 #include <cstdint>
@@ -37,31 +38,14 @@ class Name {
   /// "www.example.com" (no trailing dot); "." for the root.
   [[nodiscard]] std::string to_string() const;
 
-  /// True if this name is `zone` or ends in `zone`
-  /// (e.g. "a.example.com" is under "example.com").
-  [[nodiscard]] bool is_subdomain_of(const Name& zone) const;
-
   /// New name with `label` prepended: prepend("a") on "b.c" -> "a.b.c".
   [[nodiscard]] std::optional<Name> prepend(std::string_view label) const;
 
-  /// Parent name (one label stripped); root's parent is root.
-  [[nodiscard]] Name parent() const;
-
   bool operator==(const Name& other) const;
   bool operator!=(const Name& other) const { return !(*this == other); }
-
-  /// Canonical (case-folded) form for map keys.
-  [[nodiscard]] std::string canonical() const;
 
  private:
   std::vector<std::string> labels_;
 };
 
 }  // namespace odns::dnswire
-
-template <>
-struct std::hash<odns::dnswire::Name> {
-  std::size_t operator()(const odns::dnswire::Name& n) const noexcept {
-    return std::hash<std::string>{}(n.canonical());
-  }
-};

@@ -2,7 +2,39 @@
 
 namespace odns::honeypot {
 
-using dnswire::Message;
+using dnswire::MessageView;
+
+// --- Sensors 1 and 2: relays through the upstream resolver -------------
+
+void SensorBase::relay_query(const netsim::Datagram& dgram,
+                             const MessageView& msg,
+                             std::optional<util::Ipv4> src) {
+  const std::uint16_t port = next_port_;
+  next_port_ = next_port_ >= 50000 ? port_base_
+                                   : static_cast<std::uint16_t>(next_port_ + 1);
+  const std::uint16_t txid = next_txid_++;
+  pending_[(std::uint32_t{port} << 16) | txid] =
+      Pending{dgram.src, dgram.src_port, msg.header.id, dgram.dst};
+  const auto& q = msg.questions.front();
+  const dnswire::QuestionView question{q.name, q.type, dnswire::RrClass::in};
+  send(cfg_.upstream, port, nodes::kDnsPort,
+       dnswire::make_query(txid, question), src);
+}
+
+void SensorBase::relay_response(const netsim::Datagram& dgram,
+                                const MessageView& msg,
+                                std::optional<util::Ipv4> src) {
+  auto it = pending_.find((std::uint32_t{dgram.dst_port} << 16) |
+                          msg.header.id);
+  if (it == pending_.end()) return;
+  const Pending p = it->second;
+  pending_.erase(it);
+  MessageView resp = msg;
+  resp.header.id = p.client_txid;
+  resp.header.ra = true;
+  send(p.client, nodes::kDnsPort, p.client_port, resp,
+       src.value_or(p.arrival_dst));
+}
 
 // --- Sensor 1 ---------------------------------------------------------
 
@@ -11,33 +43,14 @@ void ResolverSensor::start() {
   sim().bind_udp_wildcard(host(), this);
 }
 
-void ResolverSensor::on_message(const netsim::Datagram& dgram, Message msg) {
+void ResolverSensor::on_message_view(const netsim::Datagram& dgram,
+                                     const MessageView& msg) {
   if (dgram.dst_port == nodes::kDnsPort && !msg.header.qr) {
-    if (msg.questions.size() != 1 || !admit(dgram)) return;
-    const std::uint16_t port = next_port_;
-    next_port_ = next_port_ >= 50000 ? 40000
-                                     : static_cast<std::uint16_t>(next_port_ + 1);
-    const std::uint16_t txid = next_txid_++;
-    pending_[(std::uint32_t{port} << 16) | txid] =
-        Pending{dgram.src, dgram.src_port, msg.header.id, dgram.dst};
-    send_message(cfg_.upstream, port, nodes::kDnsPort,
-                 dnswire::make_query(txid, msg.questions.front().name,
-                                     msg.questions.front().type));
-    return;
-  }
-  if (dgram.dst_port != nodes::kDnsPort && msg.header.qr) {
-    auto it = pending_.find((std::uint32_t{dgram.dst_port} << 16) |
-                            msg.header.id);
-    if (it == pending_.end()) return;
-    const Pending p = it->second;
-    pending_.erase(it);
-    Message resp = msg;
-    resp.header.id = p.client_txid;
-    resp.header.ra = true;
+    if (msg.questions.size() == 1 && admit(dgram)) relay_query(dgram, msg);
+  } else if (dgram.dst_port != nodes::kDnsPort && msg.header.qr) {
     // The defining sensor-1 behaviour: answer from the same address
     // that received the query.
-    send_message(p.client, nodes::kDnsPort, p.client_port, resp,
-                 p.arrival_dst);
+    relay_response(dgram, msg);
   }
 }
 
@@ -48,38 +61,20 @@ void InteriorForwarderSensor::start() {
   sim().bind_udp_wildcard(host(), this);
 }
 
-void InteriorForwarderSensor::on_message(const netsim::Datagram& dgram,
-                                         Message msg) {
+void InteriorForwarderSensor::on_message_view(const netsim::Datagram& dgram,
+                                              const MessageView& msg) {
   if (dgram.dst_port == nodes::kDnsPort && !msg.header.qr) {
     // Only the receive address plays transparent-forwarder; queries to
     // the send address are ignored (it is not an advertised service).
-    if (dgram.dst != recv_addr_) return;
-    if (msg.questions.size() != 1 || !admit(dgram)) return;
-    const std::uint16_t port = next_port_;
-    next_port_ = next_port_ >= 50000 ? 41000
-                                     : static_cast<std::uint16_t>(next_port_ + 1);
-    const std::uint16_t txid = next_txid_++;
-    pending_[(std::uint32_t{port} << 16) | txid] =
-        Pending{dgram.src, dgram.src_port, msg.header.id};
-    send_message(cfg_.upstream, port, nodes::kDnsPort,
-                 dnswire::make_query(txid, msg.questions.front().name,
-                                     msg.questions.front().type),
-                 send_addr_);
-    return;
-  }
-  if (dgram.dst_port != nodes::kDnsPort && msg.header.qr) {
-    auto it = pending_.find((std::uint32_t{dgram.dst_port} << 16) |
-                            msg.header.id);
-    if (it == pending_.end()) return;
-    const Pending p = it->second;
-    pending_.erase(it);
-    Message resp = msg;
-    resp.header.id = p.client_txid;
-    resp.header.ra = true;
+    if (dgram.dst == recv_addr_ && msg.questions.size() == 1 &&
+        admit(dgram)) {
+      relay_query(dgram, msg, send_addr_);
+    }
+  } else if (dgram.dst_port != nodes::kDnsPort && msg.header.qr) {
     // Answer from the *other* address of the same /24: stateless
     // response-based campaigns record send_addr, transactional scans
     // attribute the answer to recv_addr.
-    send_message(p.client, nodes::kDnsPort, p.client_port, resp, send_addr_);
+    relay_response(dgram, msg, send_addr_);
   }
 }
 
@@ -89,16 +84,15 @@ void ExteriorForwarderSensor::start() {
   sim().bind_udp(host(), nodes::kDnsPort, this);
 }
 
-void ExteriorForwarderSensor::on_message(const netsim::Datagram& dgram,
-                                         Message msg) {
+void ExteriorForwarderSensor::on_message_view(const netsim::Datagram& dgram,
+                                              const MessageView& msg) {
   if (msg.header.qr || msg.questions.empty()) return;
   if (!admit(dgram)) return;
   ++relayed_;
   // Relay verbatim — same TXID, same client port, and crucially the
   // client's own source address. The public resolver answers the
   // client directly; this sensor never observes the response.
-  send_message(cfg_.upstream, dgram.src_port, nodes::kDnsPort, msg,
-               dgram.src);
+  send(cfg_.upstream, dgram.src_port, nodes::kDnsPort, msg, dgram.src);
 }
 
 }  // namespace odns::honeypot

@@ -4,19 +4,17 @@
 
 namespace odns::nodes {
 
-using dnswire::Message;
+using dnswire::MessageView;
 using dnswire::Name;
+using dnswire::NameView;
 using dnswire::Rcode;
+using dnswire::RecordView;
 using dnswire::ResourceRecord;
 using dnswire::RrType;
 
-std::string Zone::key(const Name& n, RrType t) {
-  return n.canonical() + "/" + std::to_string(static_cast<std::uint16_t>(t));
-}
-
 void Zone::add_record(ResourceRecord rr) {
-  names_[rr.name.canonical()] = true;
-  rrsets_[key(rr.name, rr.type)].push_back(std::move(rr));
+  names_.insert(dnswire::wire_key(rr.name, std::nullopt));
+  rrsets_[dnswire::wire_key(rr.name, rr.type)].push_back(std::move(rr));
 }
 
 void Zone::add_a(const std::string& name, util::Ipv4 addr, std::uint32_t ttl) {
@@ -43,17 +41,16 @@ void Zone::delegate(const Name& child, const Name& ns_host,
   d->glue.push_back(ResourceRecord::a(ns_host, glue_addr, ttl));
 }
 
-const std::vector<ResourceRecord>* Zone::find(const Name& name,
-                                              RrType type) const {
-  auto it = rrsets_.find(key(name, type));
+const std::vector<ResourceRecord>* Zone::find(const std::string& key) const {
+  auto it = rrsets_.find(key);
   return it == rrsets_.end() ? nullptr : &it->second;
 }
 
-bool Zone::has_name(const Name& name) const {
-  return names_.contains(name.canonical());
+bool Zone::has_name(const std::string& name_key) const {
+  return names_.contains(name_key);
 }
 
-const Delegation* Zone::find_delegation(const Name& name) const {
+const Delegation* Zone::find_delegation(const NameView& name) const {
   for (const auto& d : delegations) {
     if (name.is_subdomain_of(d.child)) return &d;
   }
@@ -70,12 +67,13 @@ Zone& AuthServer::add_zone(const Name& origin) {
 }
 
 Zone* AuthServer::zone_for_mutable(const Name& name) {
-  return const_cast<Zone*>(zone_for(name));
+  dnswire::WireArena arena;
+  return const_cast<Zone*>(zone_for(dnswire::view_of(arena, name)));
 }
 
 void AuthServer::start() { sim().bind_udp(host(), kDnsPort, this); }
 
-const Zone* AuthServer::zone_for(const Name& qname) const {
+const Zone* AuthServer::zone_for(const NameView& qname) const {
   // Longest-origin match so that a server hosting both "net" and
   // "odns-study.net" answers authoritatively for the deeper zone.
   const Zone* best = nullptr;
@@ -129,93 +127,87 @@ bool AuthServer::build_mirror_response(dnswire::WireArena& arena,
   return true;
 }
 
-bool AuthServer::on_message_view(const netsim::Datagram& dgram,
-                                 const dnswire::MessageView& msg) {
-  if (msg.header.qr) return true;  // not a query; ignore (as on_message)
-  // Every mirror query is answered here; other queries take the owned
-  // path below. Same order as there: log, then limit, then answer.
-  dnswire::MessageView resp;
-  if (!build_mirror_response(scratch_arena(), msg, dgram.src, resp)) {
-    return false;
-  }
-  if (log_queries_) {
-    query_log_.push_back(QueryLogEntry{msg.questions.front().name.to_name(),
-                                       dgram.src, sim().now()});
-  }
-  if (limiter_ && !limiter_->allow(dgram.src, sim().now())) {
-    ++counters_.rate_limited;
-    return true;  // silently dropped, like the deployed sensors
-  }
-  ++queries_answered_;
-  reply_view(dgram, resp);
-  return true;
-}
-
-void AuthServer::on_message(const netsim::Datagram& dgram, Message msg) {
+void AuthServer::on_message_view(const netsim::Datagram& dgram,
+                                 const MessageView& msg) {
   if (msg.header.qr) return;  // not a query; ignore
   if (msg.questions.size() != 1) {
-    Message resp = dnswire::make_response(msg, Rcode::formerr);
-    reply(dgram, resp);
+    reply(dgram, dnswire::make_response(msg, Rcode::formerr));
     return;
   }
   const auto& q = msg.questions.front();
-
   if (log_queries_) {
-    query_log_.push_back(QueryLogEntry{q.name, dgram.src, sim().now()});
+    query_log_.push_back(
+        QueryLogEntry{q.name.to_name(), dgram.src, sim().now()});
   }
   if (limiter_ && !limiter_->allow(dgram.src, sim().now())) {
     ++counters_.rate_limited;
     return;  // silently dropped, like the deployed sensors
   }
-
-  const Zone* zone = zone_for(q.name);
-  if (zone == nullptr) {
-    ++counters_.refused;
-    Message resp = dnswire::make_response(msg, Rcode::refused);
-    reply(dgram, resp);
-    return;
-  }
-
-  // Delegation below us? Hand out a referral (never authoritative).
-  if (const auto* d = zone->find_delegation(q.name)) {
-    Message resp = dnswire::make_response(msg);
-    resp.header.aa = false;
-    resp.authorities = d->ns_records;
-    resp.additionals = d->glue;
+  MessageView resp;
+  if (build_mirror_response(scratch_arena(), msg, dgram.src, resp)) {
     ++queries_answered_;
-    reply(dgram, resp);
-    return;
+  } else if (const Zone* zone = zone_for(q.name)) {
+    resp = zone_response(*zone, msg, q);
+    ++queries_answered_;
+  } else {
+    ++counters_.refused;
+    resp = dnswire::make_response(msg, Rcode::refused);
   }
+  reply(dgram, resp);
+}
 
-  Message resp = dnswire::make_response(msg);
+MessageView AuthServer::zone_response(const Zone& zone,
+                                      const MessageView& query,
+                                      const dnswire::QuestionView& q) {
+  auto& arena = scratch_arena();
+  MessageView resp = dnswire::make_response(query);
+  // Delegation below us? Hand out a referral (never authoritative).
+  if (const auto* d = zone.find_delegation(q.name)) {
+    resp.authorities = dnswire::view_of(arena, d->ns_records);
+    resp.additionals = dnswire::view_of(arena, d->glue);
+    return resp;
+  }
   resp.header.aa = true;
-  if (const auto* rrs = zone->find(q.name, q.type)) {
-    resp.answers = *rrs;
-  } else if (q.type == RrType::any && zone->has_name(q.name)) {
-    for (auto type : {RrType::a, RrType::ns, RrType::txt, RrType::cname}) {
-      if (const auto* set = zone->find(q.name, type)) {
-        resp.answers.insert(resp.answers.end(), set->begin(), set->end());
-      }
+  const auto find = [&](RrType type) {
+    return zone.find(dnswire::wire_key(q.name, type));
+  };
+  const std::string name_key = dnswire::wire_key(q.name, std::nullopt);
+  if (const auto* rrs = find(q.type)) {
+    resp.answers = dnswire::view_of(arena, *rrs);
+  } else if (q.type == RrType::any && zone.has_name(name_key)) {
+    const std::vector<ResourceRecord>* sets[] = {
+        find(RrType::a), find(RrType::ns), find(RrType::txt),
+        find(RrType::cname)};
+    std::size_t n = 0;
+    for (const auto* set : sets) n += set != nullptr ? set->size() : 0;
+    const auto answers = arena.alloc_array<RecordView>(n);
+    std::size_t i = 0;
+    for (const auto* set : sets) {
+      if (set == nullptr) continue;
+      for (const auto& rr : *set) answers[i++] = dnswire::view_of(arena, rr);
     }
-  } else if (const auto* cname = zone->find(q.name, RrType::cname)) {
-    resp.answers = *cname;
-  } else if (wildcard_a_ && q.name != zone->origin &&
+    resp.answers = answers;
+  } else if (const auto* cname = find(RrType::cname)) {
+    resp.answers = dnswire::view_of(arena, *cname);
+  } else if (wildcard_a_ && !q.name.equals(zone.origin) &&
              (q.type == RrType::a || q.type == RrType::any)) {
     // Destination-encoded scan names: synthesize an answer for any
     // subdomain so the query-based method's unique names all resolve.
-    resp.answers.push_back(
-        ResourceRecord::a(q.name, *wildcard_a_, zone->default_ttl));
-  } else if (zone->has_name(q.name)) {
-    // NODATA: name exists, type does not.
-    resp.authorities.push_back(ResourceRecord::soa(
-        zone->origin, zone->origin, 1, zone->negative_ttl));
+    auto* rr = arena.alloc<RecordView>();
+    rr->name = q.name;
+    rr->ttl = zone.default_ttl;
+    rr->rdata.a_addr = *wildcard_a_;
+    resp.answers = {rr, 1};
   } else {
-    resp.header.rcode = Rcode::nxdomain;
-    resp.authorities.push_back(ResourceRecord::soa(
-        zone->origin, zone->origin, 1, zone->negative_ttl));
+    // NODATA when the name exists (type does not), else NXDOMAIN.
+    if (!zone.has_name(name_key)) resp.header.rcode = Rcode::nxdomain;
+    negative_soa_ =
+        ResourceRecord::soa(zone.origin, zone.origin, 1, zone.negative_ttl);
+    auto* soa = arena.alloc<RecordView>();
+    *soa = dnswire::view_of(arena, negative_soa_);
+    resp.authorities = {soa, 1};
   }
-  ++queries_answered_;
-  reply(dgram, resp);
+  return resp;
 }
 
 }  // namespace odns::nodes

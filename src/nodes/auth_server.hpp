@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "nodes/dns_node.hpp"
@@ -37,16 +38,18 @@ struct Zone {
   void delegate(const dnswire::Name& child, const dnswire::Name& ns_host,
                 util::Ipv4 glue_addr, std::uint32_t ttl = 86400);
 
+  /// The rrset under dnswire::wire_key(name, type), or nullptr.
   [[nodiscard]] const std::vector<dnswire::ResourceRecord>* find(
-      const dnswire::Name& name, dnswire::RrType type) const;
-  [[nodiscard]] bool has_name(const dnswire::Name& name) const;
+      const std::string& key) const;
+  /// Whether any record is owned by the name with this name-only key.
+  [[nodiscard]] bool has_name(const std::string& name_key) const;
   [[nodiscard]] const Delegation* find_delegation(
-      const dnswire::Name& name) const;
+      const dnswire::NameView& name) const;
 
  private:
-  static std::string key(const dnswire::Name& n, dnswire::RrType t);
+  // Keyed by dnswire::wire_key: (name, type) and name alone.
   std::unordered_map<std::string, std::vector<dnswire::ResourceRecord>> rrsets_;
-  std::unordered_map<std::string, bool> names_;
+  std::unordered_set<std::string> names_;
 };
 
 /// Recursive-mirror configuration (§4.1 / Fig. 7).
@@ -102,19 +105,23 @@ class AuthServer : public DnsNode {
   /// returns true. Together with decode_into/encode_into this is the
   /// zero-heap serving unit the allocation audit drives
   /// (tests/alloc_audit_test.cpp), and the only way mirror queries
-  /// are answered.
+  /// are answered. Zone answers are views over the zone's records.
   [[nodiscard]] bool build_mirror_response(dnswire::WireArena& arena,
                                            const dnswire::MessageView& query,
                                            util::Ipv4 client,
                                            dnswire::MessageView& out) const;
 
  protected:
-  bool on_message_view(const netsim::Datagram& dgram,
+  void on_message_view(const netsim::Datagram& dgram,
                        const dnswire::MessageView& msg) override;
-  void on_message(const netsim::Datagram& dgram, dnswire::Message msg) override;
 
  private:
-  const Zone* zone_for(const dnswire::Name& qname) const;
+  const Zone* zone_for(const dnswire::NameView& qname) const;
+  /// `zone`'s answer to the single question `q` of `query` — referral,
+  /// answer, wildcard, NODATA or NXDOMAIN — built in the scratch arena.
+  dnswire::MessageView zone_response(const Zone& zone,
+                                     const dnswire::MessageView& query,
+                                     const dnswire::QuestionView& q);
 
   std::vector<Zone> zones_;
   std::optional<MirrorConfig> mirror_;
@@ -123,6 +130,7 @@ class AuthServer : public DnsNode {
   bool log_queries_ = false;
   std::vector<QueryLogEntry> query_log_;
   std::uint64_t queries_answered_ = 0;
+  dnswire::ResourceRecord negative_soa_;  // backs the reply's SOA view
 };
 
 }  // namespace odns::nodes

@@ -4,13 +4,15 @@
 
 namespace odns::nodes {
 
-std::string DnsCache::key(const dnswire::Name& name, dnswire::RrType type) {
-  return name.canonical() + "/" +
-         std::to_string(static_cast<std::uint16_t>(type));
+std::span<const dnswire::RecordView> CachedAnswer::views(
+    dnswire::WireArena& arena) const {
+  const auto out = dnswire::view_of(arena, records);
+  for (auto& rr : out) rr.ttl = remaining_ttl;
+  return out;
 }
 
-void DnsCache::put(const dnswire::Name& name, dnswire::RrType type,
-                   const std::vector<dnswire::ResourceRecord>& records,
+void DnsCache::put(std::string key,
+                   std::span<const dnswire::RecordView> records,
                    util::SimTime now) {
   if (records.empty()) return;
   std::uint32_t ttl = max_ttl_;
@@ -22,29 +24,28 @@ void DnsCache::put(const dnswire::Name& name, dnswire::RrType type,
     ++stats_.evictions;
   }
   Entry e;
-  e.records = records;
+  e.records.reserve(records.size());
+  for (const auto& rr : records) e.records.push_back(rr.to_record());
   e.expiry = now + util::Duration::seconds(ttl);
   e.original_ttl = ttl;
-  entries_[key(name, type)] = std::move(e);
+  entries_[std::move(key)] = std::move(e);
   ++stats_.inserts;
 }
 
-void DnsCache::put_negative(const dnswire::Name& name, dnswire::RrType type,
-                            dnswire::Rcode rcode, std::uint32_t ttl,
-                            util::SimTime now) {
+void DnsCache::put_negative(std::string key, dnswire::Rcode rcode,
+                            std::uint32_t ttl, util::SimTime now) {
   Entry e;
   e.negative = true;
   e.rcode = rcode;
   e.expiry = now + util::Duration::seconds(std::min(ttl, max_ttl_));
   e.original_ttl = ttl;
-  entries_[key(name, type)] = std::move(e);
+  entries_[std::move(key)] = std::move(e);
   ++stats_.inserts;
 }
 
-std::optional<CachedAnswer> DnsCache::get(const dnswire::Name& name,
-                                          dnswire::RrType type,
+std::optional<CachedAnswer> DnsCache::get(const std::string& key,
                                           util::SimTime now) {
-  auto it = entries_.find(key(name, type));
+  auto it = entries_.find(key);
   if (it == entries_.end()) {
     ++stats_.misses;
     return std::nullopt;
@@ -65,7 +66,6 @@ std::optional<CachedAnswer> DnsCache::get(const dnswire::Name& name,
     ++stats_.negative_hits;
   } else {
     out.records = e.records;
-    for (auto& rr : out.records) rr.ttl = out.remaining_ttl;
     ++stats_.hits;
   }
   return out;

@@ -1,15 +1,17 @@
 #pragma once
 // DNS record cache with TTL decay and RFC 2308 negative caching. Used
 // by recursive resolvers and caching forwarders; cache hit/miss counts
-// feed the paper's Table 2 (method cost comparison).
+// feed the paper's Table 2 (method cost comparison). Entries are keyed
+// by dnswire::wire_key(name, type).
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
-#include "dnswire/message.hpp"
+#include "dnswire/arena_codec.hpp"
 #include "util/time.hpp"
 
 namespace odns::nodes {
@@ -26,11 +28,18 @@ struct CacheStats {
 /// NODATA) entry. Remaining TTL is computed against the clock at
 /// lookup, so cached responses are served with decayed TTLs — the
 /// observable the paper uses to demonstrate response caching (Fig. 7).
+/// `records` borrows the cache's storage (TTLs as stored) and stays
+/// valid until the next put.
 struct CachedAnswer {
-  std::vector<dnswire::ResourceRecord> records;  // empty for negative
+  std::span<const dnswire::ResourceRecord> records;  // empty for negative
   bool negative = false;
   dnswire::Rcode rcode = dnswire::Rcode::noerror;
   std::uint32_t remaining_ttl = 0;
+
+  /// The records as views in `arena`, each with the remaining TTL:
+  /// what a cache hit serves.
+  [[nodiscard]] std::span<const dnswire::RecordView> views(
+      dnswire::WireArena& arena) const;
 };
 
 class DnsCache {
@@ -38,20 +47,17 @@ class DnsCache {
   explicit DnsCache(std::uint32_t max_ttl = 86400, std::size_t max_entries = 1 << 20)
       : max_ttl_(max_ttl), max_entries_(max_entries) {}
 
-  /// Stores a positive record set under (name, type).
-  void put(const dnswire::Name& name, dnswire::RrType type,
-           const std::vector<dnswire::ResourceRecord>& records,
+  /// Stores an owned copy of a positive record set under `key`.
+  void put(std::string key, std::span<const dnswire::RecordView> records,
            util::SimTime now);
 
   /// Stores a negative entry (rcode + SOA-derived TTL).
-  void put_negative(const dnswire::Name& name, dnswire::RrType type,
-                    dnswire::Rcode rcode, std::uint32_t ttl,
+  void put_negative(std::string key, dnswire::Rcode rcode, std::uint32_t ttl,
                     util::SimTime now);
 
-  /// Looks up (name, type); expired entries are treated as misses and
-  /// dropped lazily.
-  std::optional<CachedAnswer> get(const dnswire::Name& name,
-                                  dnswire::RrType type, util::SimTime now);
+  /// Looks up `key`; expired entries are treated as misses and dropped
+  /// lazily.
+  std::optional<CachedAnswer> get(const std::string& key, util::SimTime now);
 
   [[nodiscard]] const CacheStats& stats() const { return stats_; }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -65,8 +71,6 @@ class DnsCache {
     util::SimTime expiry;
     std::uint32_t original_ttl = 0;
   };
-
-  static std::string key(const dnswire::Name& name, dnswire::RrType type);
 
   std::uint32_t max_ttl_;
   std::size_t max_entries_;

@@ -18,32 +18,13 @@ void DnsNode::on_datagram(const netsim::Datagram& dgram) {
   } else {
     ++counters_.queries_in;
   }
-  if (on_message_view(dgram, view)) return;
-  on_message(dgram, dnswire::materialize(view));
+  on_message_view(dgram, view);
 }
 
-void DnsNode::send_message(util::Ipv4 dst, std::uint16_t src_port,
-                           std::uint16_t dst_port, const dnswire::Message& msg,
-                           std::optional<util::Ipv4> src_override) {
-  // Owned messages go through the same encoder as views: view_of
-  // borrows the Message's own label storage, so nothing is copied on
-  // the way in.
-  tx_arena_.reset();
-  send_encoded(dst, src_port, dst_port, dnswire::view_of(tx_arena_, msg),
-               src_override);
-}
-
-void DnsNode::send_view(util::Ipv4 dst, std::uint16_t src_port,
+void DnsNode::send(util::Ipv4 dst, std::uint16_t src_port,
                         std::uint16_t dst_port, const dnswire::MessageView& msg,
                         std::optional<util::Ipv4> src_override) {
   tx_arena_.reset();
-  send_encoded(dst, src_port, dst_port, msg, src_override);
-}
-
-void DnsNode::send_encoded(util::Ipv4 dst, std::uint16_t src_port,
-                           std::uint16_t dst_port,
-                           const dnswire::MessageView& msg,
-                           std::optional<util::Ipv4> src_override) {
   netsim::SendOptions opts;
   opts.dst = dst;
   opts.src_port = src_port;
@@ -59,21 +40,13 @@ void DnsNode::send_encoded(util::Ipv4 dst, std::uint16_t src_port,
   sim_->send_udp(host_, std::move(opts));
 }
 
-void DnsNode::reply(const netsim::Datagram& dgram, const dnswire::Message& msg,
-                    std::optional<util::Ipv4> src_override) {
+void DnsNode::reply(const netsim::Datagram& dgram,
+                         const dnswire::MessageView& msg,
+                         std::optional<util::Ipv4> src_override) {
   // Reply source defaults to the address the query arrived on, which is
   // what distinguishes sensor 1 (same address) from sensor 2 (different
   // address) in the controlled experiment.
-  send_message(dgram.src, /*src_port=*/dgram.dst_port,
-               /*dst_port=*/dgram.src_port, msg,
-               src_override.has_value() ? src_override
-                                        : std::optional<util::Ipv4>(dgram.dst));
-}
-
-void DnsNode::reply_view(const netsim::Datagram& dgram,
-                         const dnswire::MessageView& msg,
-                         std::optional<util::Ipv4> src_override) {
-  send_view(dgram.src, /*src_port=*/dgram.dst_port,
+  send(dgram.src, /*src_port=*/dgram.dst_port,
             /*dst_port=*/dgram.src_port, msg,
             src_override.has_value() ? src_override
                                      : std::optional<util::Ipv4>(dgram.dst));

@@ -4,7 +4,7 @@
 
 namespace odns::nodes {
 
-using dnswire::Message;
+using dnswire::MessageView;
 using dnswire::Rcode;
 
 RecursiveForwarder::RecursiveForwarder(netsim::Simulator& sim,
@@ -17,17 +17,17 @@ void RecursiveForwarder::start() {
   sim().bind_udp_wildcard(host(), this);
 }
 
-void RecursiveForwarder::on_message(const netsim::Datagram& dgram,
-                                    dnswire::Message msg) {
+void RecursiveForwarder::on_message_view(const netsim::Datagram& dgram,
+                                         const MessageView& msg) {
   if (dgram.dst_port == kDnsPort && !msg.header.qr) {
     handle_query(dgram, msg);
   } else if (dgram.dst_port != kDnsPort && msg.header.qr) {
-    handle_response(dgram, std::move(msg));
+    handle_response(dgram, msg);
   }
 }
 
 void RecursiveForwarder::handle_query(const netsim::Datagram& dgram,
-                                      const Message& msg) {
+                                      const MessageView& msg) {
   ++fstats_.client_queries;
   if (msg.questions.size() != 1) {
     reply(dgram, dnswire::make_response(msg, Rcode::formerr));
@@ -35,23 +35,15 @@ void RecursiveForwarder::handle_query(const netsim::Datagram& dgram,
   }
   const auto& q = msg.questions.front();
 
-  if (auto hit = cache_.get(q.name, q.type, sim().now());
-      hit && !hit->negative) {
+  std::string cache_key = dnswire::wire_key(q.name, q.type);
+  if (auto hit = cache_.get(cache_key, sim().now()); hit && !hit->negative) {
     ++fstats_.cache_answers;
-    Message resp = dnswire::make_response(msg);
+    MessageView resp = dnswire::make_response(msg);
     resp.header.ra = true;
-    resp.answers = hit->records;
+    resp.answers = hit->views(scratch_arena());
     reply(dgram, resp);
     return;
   }
-
-  Pending p;
-  p.client = dgram.src;
-  p.client_port = dgram.src_port;
-  p.client_txid = msg.header.id;
-  p.arrival_dst = dgram.dst;
-  p.question = q;
-  p.deadline = sim().now() + kForwarderUpstreamTimeout;
 
   // Source substitution happens implicitly: the upstream query leaves
   // with this host's own address — the defining difference from a
@@ -59,18 +51,20 @@ void RecursiveForwarder::handle_query(const netsim::Datagram& dgram,
   const std::uint16_t port = next_port_;
   next_port_ = next_port_ >= 65535 ? 32768 : static_cast<std::uint16_t>(next_port_ + 1);
   const std::uint16_t txid = next_txid_++;
-  pending_[key(port, txid)] = p;
+  pending_[pending_key(port, txid)] =
+      Pending{dgram.src, dgram.src_port, msg.header.id, dgram.dst,
+              std::move(cache_key), sim().now() + kForwarderUpstreamTimeout};
   ++fstats_.forwarded;
 
-  Message upstream = dnswire::make_query(txid, q.name, q.type);
-  send_message(upstream_, port, kDnsPort, upstream);
+  const dnswire::QuestionView question{q.name, q.type, dnswire::RrClass::in};
+  send(upstream_, port, kDnsPort, dnswire::make_query(txid, question));
 }
 
 void RecursiveForwarder::handle_response(const netsim::Datagram& dgram,
-                                         Message msg) {
-  auto it = pending_.find(key(dgram.dst_port, msg.header.id));
+                                         const MessageView& msg) {
+  auto it = pending_.find(pending_key(dgram.dst_port, msg.header.id));
   if (it == pending_.end()) return;
-  Pending p = it->second;
+  Pending p = std::move(it->second);
   pending_.erase(it);
   ++fstats_.upstream_responses;
   if (sim().now() > p.deadline) {
@@ -78,10 +72,11 @@ void RecursiveForwarder::handle_response(const netsim::Datagram& dgram,
     return;
   }
   if (msg.header.rcode == Rcode::noerror && !msg.answers.empty()) {
-    cache_.put(p.question.name, p.question.type, msg.answers, sim().now());
+    cache_.put(std::move(p.cache_key), msg.answers, sim().now());
   }
-  msg.header.id = p.client_txid;
-  send_message(p.client, kDnsPort, p.client_port, msg, p.arrival_dst);
+  MessageView resp = msg;
+  resp.header.id = p.client_txid;
+  send(p.client, kDnsPort, p.client_port, resp, p.arrival_dst);
 }
 
 }  // namespace odns::nodes

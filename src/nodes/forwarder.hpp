@@ -8,6 +8,8 @@
 // caching same-AS relay the topology builder places behind
 // indirect-consolidation transparent forwarders (TF → RF → public
 // resolver). Its cache answers scanner retries, so it stays a node.
+// Like a bank row, it relays the upstream response view with the
+// client txid restored; it copies out only the answers it caches.
 //
 // TransparentForwarder: an IP-level relay that preserves the client's
 // source address. The response bypasses it entirely. It is implemented
@@ -15,6 +17,7 @@
 // that installs the rule and exposes relay statistics.
 
 #include <cstdint>
+#include <string>
 #include <unordered_map>
 
 #include "nodes/cache.hpp"
@@ -46,7 +49,8 @@ class RecursiveForwarder : public DnsNode {
   [[nodiscard]] const ForwarderStats& stats() const { return fstats_; }
 
  protected:
-  void on_message(const netsim::Datagram& dgram, dnswire::Message msg) override;
+  void on_message_view(const netsim::Datagram& dgram,
+                       const dnswire::MessageView& msg) override;
 
  private:
   struct Pending {
@@ -54,14 +58,16 @@ class RecursiveForwarder : public DnsNode {
     std::uint16_t client_port = 0;
     std::uint16_t client_txid = 0;
     util::Ipv4 arrival_dst;
-    dnswire::Question question;
+    std::string cache_key;  // wire_key of the client's question
     util::SimTime deadline;
   };
 
-  void handle_query(const netsim::Datagram& dgram, const dnswire::Message& msg);
-  void handle_response(const netsim::Datagram& dgram, dnswire::Message msg);
+  void handle_query(const netsim::Datagram& dgram,
+                    const dnswire::MessageView& msg);
+  void handle_response(const netsim::Datagram& dgram,
+                       const dnswire::MessageView& msg);
 
-  static std::uint32_t key(std::uint16_t port, std::uint16_t txid) {
+  static std::uint32_t pending_key(std::uint16_t port, std::uint16_t txid) {
     return (std::uint32_t{port} << 16) | txid;
   }
 

@@ -98,13 +98,9 @@ void ForwarderBank::handle_query(const netsim::Datagram& dgram,
   peak_pending_ = std::max(peak_pending_, pending_.size());
   ++stats_.forwarded;
 
-  // make_query(txid, q.name, q.type) as a view over the client's name.
   const dnswire::QuestionView question{q.name, q.type, dnswire::RrClass::in};
-  MessageView upstream;
-  upstream.header.id = txid;
-  upstream.header.rd = true;
-  upstream.questions = {&question, 1};
-  send(host_[member], upstream_[member], port, kDnsPort, upstream);
+  send(host_[member], upstream_[member], port, kDnsPort,
+       dnswire::make_query(txid, question));
 }
 
 void ForwarderBank::handle_response(const netsim::Datagram& dgram,

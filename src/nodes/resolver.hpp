@@ -2,14 +2,18 @@
 // Iterative (recursive-resolving) DNS server: walks referrals from the
 // root hints, caches positive/negative answers and delegation data,
 // coalesces duplicate in-flight questions, retries and times out.
+// Client queries and upstream responses are read as views; the cache
+// and the in-flight table are keyed by dnswire::wire_key, and only
+// cached records, the question and the CNAME chain are copied out.
 //
 // Open vs. restricted operation is an ACL: restricted resolvers REFUSE
 // sources outside their allow list — which is why transparent
 // forwarders must relay to *open* resolvers to act as ODNS components.
 
 #include <cstdint>
-#include <memory>
 #include <optional>
+#include <span>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -73,7 +77,6 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
 
   [[nodiscard]] const ResolverStats& stats() const { return stats_; }
   [[nodiscard]] const DnsCache& cache() const { return cache_; }
-  DnsCache& cache_mutable() { return cache_; }
   [[nodiscard]] const ResolverConfig& config() const { return cfg_; }
 
   /// (Re)arms response rate limiting — the defense-sweep toggle. A
@@ -84,7 +87,8 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
   }
 
  protected:
-  void on_message(const netsim::Datagram& dgram, dnswire::Message msg) override;
+  void on_message_view(const netsim::Datagram& dgram,
+                       const dnswire::MessageView& msg) override;
 
  private:
   struct Client {
@@ -95,9 +99,15 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
     bool recursion_desired = true;
   };
 
+  /// One resolution, in the slot table `tasks_`. A freed slot bumps
+  /// `serial`, so a TaskRef taken before the free no longer matches.
+  /// A task has at most one upstream query pending: each new query is
+  /// sent only after the previous one's entry was consumed.
   struct Task {
     dnswire::Question original;
+    std::string key;             // wire_key(original): its in-flight entry
     dnswire::Name current_name;  // changes while chasing CNAMEs
+    dnswire::Name cased_name;    // exact case of the pending upstream query
     std::vector<dnswire::ResourceRecord> cname_chain;
     std::vector<Client> clients;
     std::vector<util::Ipv4> servers;
@@ -106,32 +116,37 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
     int cname_depth = 0;
     int referrals = 0;
     std::uint64_t generation = 0;  // invalidates stale timeout events
-    bool done = false;
+    std::uint32_t serial = 0;
   };
-  using TaskPtr = std::shared_ptr<Task>;
+  struct TaskRef {
+    std::uint32_t slot = 0;
+    std::uint32_t serial = 0;
+  };
 
   void handle_client_query(const netsim::Datagram& dgram,
-                           const dnswire::Message& msg);
+                           const dnswire::MessageView& msg);
   void handle_upstream_response(const netsim::Datagram& dgram,
-                                const dnswire::Message& msg);
+                                const dnswire::MessageView& msg);
 
-  void begin_iteration(const TaskPtr& task);
-  void query_current_server(const TaskPtr& task);
-  void on_upstream_timeout(const TaskPtr& task, std::uint64_t generation);
-  void advance_server(const TaskPtr& task);
+  [[nodiscard]] bool live(TaskRef ref) const {
+    return tasks_[ref.slot].serial == ref.serial;
+  }
+  std::uint32_t new_task();
+  void begin_iteration(std::uint32_t slot);
+  void query_current_server(std::uint32_t slot);
+  void on_upstream_timeout(std::uint32_t slot);
+  void advance_server(std::uint32_t slot);
 
-  void finish_positive(const TaskPtr& task,
-                       std::vector<dnswire::ResourceRecord> answers);
-  void finish_negative(const TaskPtr& task, dnswire::Rcode rcode);
-  void finish_servfail(const TaskPtr& task);
-  void respond_all(const TaskPtr& task, dnswire::Rcode rcode,
-                   const std::vector<dnswire::ResourceRecord>& answers);
+  /// Answers every client of the task with its CNAME chain followed by
+  /// `answers` (a SERVFAIL carries no records) and frees its slot.
+  void respond_all(std::uint32_t slot, dnswire::Rcode rcode,
+                   std::span<const dnswire::RecordView> answers = {});
 
   /// RRL gate in front of every client-facing send: pass emits `resp`
   /// unchanged, slip emits a minimal TC=1 echo of the question, drop
-  /// emits nothing. With RRL disabled this is exactly send_message.
+  /// emits nothing. With RRL disabled this is exactly send().
   void send_client_response(util::Ipv4 addr, std::uint16_t port,
-                            const dnswire::Message& resp,
+                            const dnswire::MessageView& resp,
                             std::optional<util::Ipv4> src_override);
 
   /// Best cached name-server addresses for `name`: walks up the label
@@ -142,19 +157,16 @@ class RecursiveResolver : public DnsNode, public netsim::TimerTarget {
     return (std::uint32_t{port} << 16) | txid;
   }
 
-  struct PendingUpstream {
-    TaskPtr task;
-    dnswire::Name cased_name;  // exact case sent (0x20 validation)
-  };
-
   ResolverConfig cfg_;
   DnsCache cache_;
   util::Rng rng_;
   std::uint64_t seed_;  // also seeds the RRL slip hash
   std::optional<ResponseRateLimiter> rrl_;
   ResolverStats stats_;
-  std::unordered_map<std::string, TaskPtr> inflight_;  // by question key
-  std::unordered_map<std::uint32_t, PendingUpstream> pending_upstream_;
+  std::vector<Task> tasks_;
+  std::vector<std::uint32_t> free_slots_;
+  std::unordered_map<std::string, std::uint32_t> inflight_;  // key -> slot
+  std::unordered_map<std::uint32_t, TaskRef> pending_upstream_;
   std::uint16_t next_port_ = 49152;
   std::uint64_t next_generation_ = 1;
 };

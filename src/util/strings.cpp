@@ -5,22 +5,10 @@
 
 namespace odns::util {
 
-std::string ascii_lower(std::string_view s) {
-  std::string out(s);
-  std::transform(out.begin(), out.end(), out.begin(), [](unsigned char c) {
-    return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a')
-                                  : static_cast<char>(c);
-  });
-  return out;
-}
-
 bool iequals_ascii(std::string_view a, std::string_view b) {
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
-    auto fold = [](char c) {
-      return (c >= 'A' && c <= 'Z') ? static_cast<char>(c - 'A' + 'a') : c;
-    };
-    if (fold(a[i]) != fold(b[i])) return false;
+    if (ascii_fold(a[i]) != ascii_fold(b[i])) return false;
   }
   return true;
 }

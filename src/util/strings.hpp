@@ -8,9 +8,11 @@
 
 namespace odns::util {
 
-/// Lowercases ASCII characters only; DNS comparisons are defined over
-/// ASCII case folding (RFC 1035 §2.3.3).
-std::string ascii_lower(std::string_view s);
+/// Lowercases an ASCII letter; DNS comparisons are defined over ASCII
+/// case folding (RFC 1035 §2.3.3).
+constexpr char ascii_fold(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
 
 bool iequals_ascii(std::string_view a, std::string_view b);
 

@@ -1,10 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <initializer_list>
 #include <memory>
 #include <stdexcept>
-#include <string_view>
+#include <string>
 #include <vector>
 
 #include "nodes/cache.hpp"
@@ -28,13 +27,25 @@ using util::SimTime;
 // DnsCache
 // ---------------------------------------------------------------------
 
+/// Stores owned records through the view API the nodes use.
+void put(DnsCache& cache, const Name& name, RrType type,
+         const std::vector<ResourceRecord>& records, SimTime now) {
+  dnswire::WireArena arena;
+  cache.put(dnswire::wire_key(name, type), dnswire::view_of(arena, records),
+            now);
+}
+
+std::optional<CachedAnswer> get(DnsCache& cache, const Name& name, RrType type,
+                                SimTime now) {
+  return cache.get(dnswire::wire_key(name, type), now);
+}
+
 TEST(DnsCacheTest, HitAfterPut) {
   DnsCache cache;
   const auto name = *Name::parse("a.example");
-  cache.put(name, RrType::a,
-            {ResourceRecord::a(name, Ipv4{1, 2, 3, 4}, 300)},
-            SimTime::origin());
-  const auto hit = cache.get(name, RrType::a, SimTime::origin());
+  put(cache, name, RrType::a, {ResourceRecord::a(name, Ipv4{1, 2, 3, 4}, 300)},
+      SimTime::origin());
+  const auto hit = get(cache, name, RrType::a, SimTime::origin());
   ASSERT_TRUE(hit.has_value());
   ASSERT_EQ(hit->records.size(), 1u);
   EXPECT_EQ(hit->remaining_ttl, 300u);
@@ -43,33 +54,33 @@ TEST(DnsCacheTest, HitAfterPut) {
 TEST(DnsCacheTest, TtlDecaysWithClock) {
   DnsCache cache;
   const auto name = *Name::parse("a.example");
-  cache.put(name, RrType::a,
-            {ResourceRecord::a(name, Ipv4{1, 2, 3, 4}, 300)},
-            SimTime::origin());
+  put(cache, name, RrType::a, {ResourceRecord::a(name, Ipv4{1, 2, 3, 4}, 300)},
+      SimTime::origin());
   const auto later = SimTime::origin() + Duration::seconds(250);
-  const auto hit = cache.get(name, RrType::a, later);
+  const auto hit = get(cache, name, RrType::a, later);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->remaining_ttl, 50u);  // the Fig. 7 decayed-TTL effect
-  EXPECT_EQ(hit->records[0].ttl, 50u);
+  dnswire::WireArena arena;
+  EXPECT_EQ(hit->views(arena)[0].ttl, 50u);
 }
 
 TEST(DnsCacheTest, ExpiredEntryIsMiss) {
   DnsCache cache;
   const auto name = *Name::parse("a.example");
-  cache.put(name, RrType::a,
-            {ResourceRecord::a(name, Ipv4{1, 2, 3, 4}, 10)},
-            SimTime::origin());
-  EXPECT_FALSE(cache.get(name, RrType::a,
-                         SimTime::origin() + Duration::seconds(11))
-                   .has_value());
+  put(cache, name, RrType::a, {ResourceRecord::a(name, Ipv4{1, 2, 3, 4}, 10)},
+      SimTime::origin());
+  EXPECT_FALSE(
+      get(cache, name, RrType::a, SimTime::origin() + Duration::seconds(11))
+          .has_value());
   EXPECT_EQ(cache.size(), 0u);  // lazily evicted
 }
 
 TEST(DnsCacheTest, NegativeEntries) {
   DnsCache cache;
   const auto name = *Name::parse("missing.example");
-  cache.put_negative(name, RrType::a, Rcode::nxdomain, 60, SimTime::origin());
-  const auto hit = cache.get(name, RrType::a, SimTime::origin());
+  cache.put_negative(dnswire::wire_key(name, RrType::a), Rcode::nxdomain, 60,
+                     SimTime::origin());
+  const auto hit = get(cache, name, RrType::a, SimTime::origin());
   ASSERT_TRUE(hit.has_value());
   EXPECT_TRUE(hit->negative);
   EXPECT_EQ(hit->rcode, Rcode::nxdomain);
@@ -79,29 +90,38 @@ TEST(DnsCacheTest, NegativeEntries) {
 TEST(DnsCacheTest, TypesAreSeparateKeys) {
   DnsCache cache;
   const auto name = *Name::parse("a.example");
-  cache.put(name, RrType::a,
-            {ResourceRecord::a(name, Ipv4{1, 2, 3, 4}, 300)},
-            SimTime::origin());
-  EXPECT_FALSE(cache.get(name, RrType::ns, SimTime::origin()).has_value());
+  put(cache, name, RrType::a, {ResourceRecord::a(name, Ipv4{1, 2, 3, 4}, 300)},
+      SimTime::origin());
+  EXPECT_FALSE(get(cache, name, RrType::ns, SimTime::origin()).has_value());
 }
 
 TEST(DnsCacheTest, KeyIsCaseInsensitive) {
   DnsCache cache;
-  cache.put(*Name::parse("A.Example"), RrType::a,
-            {ResourceRecord::a(*Name::parse("A.Example"), Ipv4{1, 2, 3, 4},
-                               300)},
-            SimTime::origin());
+  put(cache, *Name::parse("A.Example"), RrType::a,
+      {ResourceRecord::a(*Name::parse("A.Example"), Ipv4{1, 2, 3, 4}, 300)},
+      SimTime::origin());
   EXPECT_TRUE(
-      cache.get(*Name::parse("a.example"), RrType::a, SimTime::origin())
+      get(cache, *Name::parse("a.example"), RrType::a, SimTime::origin())
           .has_value());
+}
+
+TEST(DnsCacheTest, DottedLabelIsNotTheSplitName) {
+  // ["a.b","example","net"] and ["a","b","example","net"] share the
+  // dotted spelling but are different names: no shared entry.
+  DnsCache cache;
+  const auto dotted = *Name::from_labels({"a.b", "example", "net"});
+  const auto split = *Name::from_labels({"a", "b", "example", "net"});
+  cache.put_negative(dnswire::wire_key(split, RrType::a), Rcode::nxdomain, 60,
+                     SimTime::origin());
+  EXPECT_FALSE(get(cache, dotted, RrType::a, SimTime::origin()).has_value());
 }
 
 TEST(DnsCacheTest, CapacityEviction) {
   DnsCache cache(86400, /*max_entries=*/4);
   for (int i = 0; i < 8; ++i) {
     const auto name = *Name::parse("n" + std::to_string(i) + ".example");
-    cache.put(name, RrType::a, {ResourceRecord::a(name, Ipv4{1, 1, 1, 1}, 60)},
-              SimTime::origin());
+    put(cache, name, RrType::a, {ResourceRecord::a(name, Ipv4{1, 1, 1, 1}, 60)},
+        SimTime::origin());
   }
   EXPECT_LE(cache.size(), 4u);
   EXPECT_EQ(cache.stats().evictions, 4u);
@@ -110,12 +130,12 @@ TEST(DnsCacheTest, CapacityEviction) {
 TEST(DnsCacheTest, MinTtlAcrossRecordSet) {
   DnsCache cache;
   const auto name = *Name::parse("two.example");
-  cache.put(name, RrType::a,
-            {ResourceRecord::a(name, Ipv4{1, 1, 1, 1}, 500),
-             ResourceRecord::a(name, Ipv4{2, 2, 2, 2}, 100)},
-            SimTime::origin());
+  put(cache, name, RrType::a,
+      {ResourceRecord::a(name, Ipv4{1, 1, 1, 1}, 500),
+       ResourceRecord::a(name, Ipv4{2, 2, 2, 2}, 100)},
+      SimTime::origin());
   const auto hit =
-      cache.get(name, RrType::a, SimTime::origin() + Duration::seconds(99));
+      get(cache, name, RrType::a, SimTime::origin() + Duration::seconds(99));
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->remaining_ttl, 1u);
 }
@@ -360,6 +380,50 @@ TEST_F(AuthFixture, ResolverChasesCnames) {
 }
 
 // ---------------------------------------------------------------------
+// Dotted labels: ["a.b",...] and ["a","b",...] are different names
+// ---------------------------------------------------------------------
+
+/// The mirror zone also holds an A record for the split name.
+class DottedNameFixture : public AuthFixture {
+ protected:
+  void SetUp() override {
+    AuthFixture::SetUp();
+    world.auth->zone_for_mutable(split)->add_record(
+        ResourceRecord::a(split, Ipv4{192, 0, 2, 7}, 300));
+  }
+
+  const Name dotted = *Name::from_labels({"a.b", "odns-study", "net"});
+  const Name split = *Name::from_labels({"a", "b", "odns-study", "net"});
+};
+
+TEST_F(DottedNameFixture, ZoneDoesNotServeTheSplitNameForTheDottedOne) {
+  stub->query(test::kAuthAddr, dotted);
+  world.sim.run();
+  ASSERT_EQ(stub->responses().size(), 1u);
+  EXPECT_EQ(stub->responses().front().message.header.rcode, Rcode::nxdomain);
+  EXPECT_TRUE(stub->responses().front().message.answers.empty());
+}
+
+TEST_F(DottedNameFixture, ResolverResolvesDottedAndSplitSeparately) {
+  StubClient stub2(world.sim, world.add_access_host(Ipv4{20, 0, 1, 2}));
+  stub2.start();
+  stub->query(test::kResolverAddr, dotted);
+  stub2.query(test::kResolverAddr, split);
+  world.sim.run();
+  // Not coalesced: each client is answered for its own question.
+  EXPECT_EQ(world.resolver->stats().full_resolutions, 2u);
+  ASSERT_EQ(stub->responses().size(), 1u);
+  ASSERT_EQ(stub2.responses().size(), 1u);
+  const auto& to_dotted = stub->responses().front().message;
+  const auto& to_split = stub2.responses().front().message;
+  EXPECT_EQ(to_dotted.questions.at(0).name.labels(), dotted.labels());
+  EXPECT_EQ(to_dotted.header.rcode, Rcode::nxdomain);
+  EXPECT_EQ(to_split.questions.at(0).name.labels(), split.labels());
+  EXPECT_EQ(to_split.answer_addresses(),
+            (std::vector<Ipv4>{Ipv4{192, 0, 2, 7}}));
+}
+
+// ---------------------------------------------------------------------
 // Forwarders
 // ---------------------------------------------------------------------
 
@@ -402,8 +466,9 @@ class BankFixture : public AuthFixture {
 };
 
 /// Answers every query with hand-written, uncompressed wire bytes: the
-/// question ["a.b","example","net"] and one A record owned by
-/// ["a","b","example","net"].
+/// question is the asked name as ["a.b","example","net"] — a split
+/// name's first two labels merged, dotted spelling and case kept — and
+/// one A record is owned by ["a","b","example","net"].
 class DottedUpstream : public netsim::App {
  public:
   DottedUpstream(netsim::Simulator& sim, netsim::HostId host)
@@ -411,16 +476,23 @@ class DottedUpstream : public netsim::App {
 
   void on_datagram(const netsim::Datagram& dgram) override {
     const auto& query = *dgram.payload;
+    const auto asked = dnswire::decode(query);
+    if (!asked || asked.value().questions.size() != 1) return;
+    auto labels = asked.value().questions[0].name.labels();
+    if (labels.size() == 4) {
+      labels[1] = labels[0] + "." + labels[1];
+      labels.erase(labels.begin());
+    }
     std::vector<std::uint8_t> wire{query[0], query[1], 0x81, 0x80, 0, 1,
                                    0,        1,        0,    0,    0, 0};
-    auto name = [&wire](std::initializer_list<std::string_view> labels) {
-      for (const auto l : labels) {
+    auto name = [&wire](const std::vector<std::string>& name_labels) {
+      for (const auto& l : name_labels) {
         wire.push_back(static_cast<std::uint8_t>(l.size()));
         wire.insert(wire.end(), l.begin(), l.end());
       }
       wire.push_back(0);
     };
-    name({"a.b", "example", "net"});
+    name(labels);
     wire.insert(wire.end(), {0, 1, 0, 1});  // A, IN
     name({"a", "b", "example", "net"});
     wire.insert(wire.end(), {0, 1, 0, 1, 0, 0, 0, 60, 0, 4, 192, 0, 2, 7});
@@ -467,6 +539,23 @@ class DottedRelayFixture : public BankFixture {
 
   std::unique_ptr<DottedUpstream> upstream;
 };
+
+TEST_F(DottedRelayFixture, ResolverRejectsMergedLabelEchoUnder0x20) {
+  // The upstream echoes the 0x20-cased split question with its first
+  // two labels merged: the same text, case included, but not the name.
+  nodes::ResolverConfig rc;
+  rc.root_hints = {kUpstream};
+  rc.max_retries = 0;
+  rc.upstream_timeout = Duration::seconds(1);
+  RecursiveResolver resolver(
+      world.sim,
+      world.sim.net().add_host(test::kResolverAsn, {Ipv4{8, 8, 8, 107}}), rc,
+      3);
+  resolver.start();
+  const auto resp = query_and_wait(Ipv4{8, 8, 8, 107}, "a.b.example.net");
+  EXPECT_EQ(resolver.stats().rejected_0x20, 1u);
+  EXPECT_EQ(resp.header.rcode, Rcode::servfail);
+}
 
 TEST_F(DottedRelayFixture, RecursiveForwarderRelaysDottedLabelsIntact) {
   // The forwarder re-encodes the upstream answer.

@@ -1,7 +1,9 @@
 #pragma once
 // Minimal stub client: issues queries toward any DNS speaker and
 // records whatever comes back (from any source — by design, since
-// transparent forwarders produce responses from third parties).
+// transparent forwarders produce responses from third parties). It
+// reads responses as views like every node and keeps an owned copy of
+// each for the tests to inspect.
 
 #include <cstdint>
 #include <vector>
@@ -28,7 +30,14 @@ class StubClient : public DnsNode {
 
   /// Fires a query; returns the transaction id used.
   std::uint16_t query(util::Ipv4 server, const dnswire::Name& name,
-                      dnswire::RrType type = dnswire::RrType::a);
+                      dnswire::RrType type = dnswire::RrType::a) {
+    const std::uint16_t txid = next_txid_++;
+    const std::uint16_t port = next_port_;
+    next_port_ = next_port_ >= 30000 ? 20000 : static_cast<std::uint16_t>(next_port_ + 1);
+    const auto msg = dnswire::make_query(txid, name, type);
+    send(server, port, kDnsPort, dnswire::view_of(scratch_arena(), msg));
+    return txid;
+  }
 
   [[nodiscard]] const std::vector<StubResponse>& responses() const {
     return responses_;
@@ -36,7 +45,13 @@ class StubClient : public DnsNode {
   void clear() { responses_.clear(); }
 
  protected:
-  void on_message(const netsim::Datagram& dgram, dnswire::Message msg) override;
+  void on_message_view(const netsim::Datagram& dgram,
+                       const dnswire::MessageView& msg) override {
+    if (!msg.header.qr) return;
+    responses_.push_back(StubResponse{dgram.src, dgram.src_port,
+                                      dgram.dst_port,
+                                      dnswire::materialize(msg), sim().now()});
+  }
 
  private:
   std::vector<StubResponse> responses_;

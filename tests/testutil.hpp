@@ -15,7 +15,7 @@
 #include "nodes/auth_server.hpp"
 #include "nodes/forwarder.hpp"
 #include "nodes/resolver.hpp"
-#include "nodes/stub.hpp"
+#include "stub_client.hpp"
 #include "netsim/sim.hpp"
 #include "util/rng.hpp"
 
