@@ -1,9 +1,9 @@
-// Netsim hot-path benchmark: five A/B workloads, each measuring one
-// fast path against its baseline on the same traffic. Besides timing,
-// every workload is re-run with a packet trace in both modes and the
-// traces, counters, and router-hop sequences are required to be
-// byte-identical — a fast path must never change a decision, only the
-// cost of making it. Results are recorded at the repo root as
+// Netsim hot-path benchmark: three A/B workloads, each measuring the
+// sharded runtime against the 1-shard engine on the same traffic.
+// Besides timing, every workload is re-run with a packet trace in both
+// modes and the traces, counters, and router-hop sequences are
+// required to be byte-identical — sharding must never change a
+// decision, only the cost of making it. Results are recorded at the repo root as
 // BENCH_netsim.json (see docs/benchmarks.md).
 //
 // Sharded workloads (1-shard run vs. N-shard ShardPool run,
@@ -24,39 +24,17 @@
 // The sharded speedup is reported from the parallel **critical path**
 // (max per-shard CPU seconds, ShardStats::busy_seconds) — the honest
 // multi-core number on any machine, including single-core CI
-// containers where wall-clock cannot parallelize; the wall-clock
-// throughput of the sharded run is recorded alongside. Determinism is
-// checked with the canonical (shard-count-invariant) trace digest.
-//
-// Million-host census (docs/architecture.md "Internet-scale worlds &
-// streaming correlation"):
-//
-//  * million_host_census — the full core::run_census pipeline over the
-//    topology at --census-scale (default: ≥10⁶ hosts, ≥10⁴ ASes)
-//    with streaming correlation, once on 1 shard and once on 8;
-//    reports hosts-simulated-per-second, the peak RSS of the run
-//    (VmHWM), and the streaming window high-water mark, and requires
-//    the classify::census_fingerprint of both executions to be
-//    identical.
-//
-//  * fault_plane_census — the same streaming census on a tenth of the
-//    world under an adverse network (5% loss + jitter, reordering,
-//    duplication, payload corruption) with scanner retransmission
-//    (2 retries), 1 shard vs. 8: the faulted census fingerprint and
-//    the full fault counters must be shard-count-invariant. Also
-//    records an ungated coverage sweep (loss 1%/5% × retries off/on)
-//    documenting graceful degradation and recovery.
+// containers where wall-clock cannot parallelize. The same worker-
+// thread run also yields the wall-clock throughput recorded alongside.
+// Determinism is checked with the canonical (shard-count-invariant)
+// trace digest. Full censuses are measured end to end by benchmark/.
 //
 // usage: bench_netsim [--packets=N] [--ases=N] [--hops=N] [--seed=N]
-//                     [--shards=N] [--json=FILE]
-//                     [--min-speedup=F] [--census-scale=F]
+//                     [--shards=N] [--json=FILE] [--min-speedup=F]
 //
 // Exits 64 on a malformed or out-of-range flag value, 1 on a
 // determinism violation, 2 when any workload's speedup
-// falls below --min-speedup (CI's loud perf-regression gate), 3 when
-// the full-scale census world misses its ≥10⁶-host / ≥10⁴-AS floors,
-// 4 when a recorded peak RSS exceeds --max-rss-regression kB (CI's
-// loud memory-regression gate).
+// falls below --min-speedup (CI's loud perf-regression gate).
 
 #include <algorithm>
 #include <charconv>
@@ -71,8 +49,6 @@
 #include <thread>
 #include <vector>
 
-#include "classify/analysis.hpp"
-#include "core/census.hpp"
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
 #include "netsim/sim.hpp"
@@ -113,16 +89,6 @@ struct Opts {
   std::uint32_t shards = 4;
   std::string json_path;
   double min_speedup = 0.0;
-  /// Loud memory-regression gate: when > 0, any workload that records
-  /// a peak RSS above this many kB fails the run (exit 4). CI smoke
-  /// passes the ceiling matching its --census-scale so the recorded
-  /// peak_rss_kb cannot silently creep back up.
-  std::uint64_t max_rss_regression_kb = 0;
-  /// Topology scale of the million_host_census row. The default builds
-  /// the full ≥10⁶-host / ≥10⁴-AS world (the recorded BENCH row); CI
-  /// smoke caps it (e.g. 0.047 ≈ 10⁵ hosts) to stay inside the job
-  /// budget — the world-size floors are only enforced at full scale.
-  double census_scale = 0.5;
 
   static Opts parse(int argc, char** argv) {
     Opts o;
@@ -144,22 +110,16 @@ struct Opts {
         o.json_path = val;
       } else if (flag == "--min-speedup=") {
         o.min_speedup = parse_value<double>(flag, val);
-      } else if (flag == "--max-rss-regression=") {
-        o.max_rss_regression_kb = parse_value<std::uint64_t>(flag, val);
-      } else if (flag == "--census-scale=") {
-        o.census_scale = parse_value<double>(flag, val);
       } else {
         std::cout << "usage: bench_netsim [--packets=N] [--ases=N] "
                      "[--hops=N] [--seed=N] [--shards=N] "
-                     "[--json=FILE] [--min-speedup=F] "
-                     "[--max-rss-regression=KB] [--census-scale=F]\n";
+                     "[--json=FILE] [--min-speedup=F]\n";
         std::exit(arg == "--help" ? 0 : 64);
       }
     }
-    if (o.packets == 0 || o.ases < 4 || o.hops < 1 ||
-        o.shards < 2 || !(o.census_scale > 0.0)) {
+    if (o.packets == 0 || o.ases < 4 || o.hops < 1 || o.shards < 2) {
       std::cerr << "bench_netsim: need --packets>=1, --ases>=4, "
-                   "--hops>=1, --shards>=2, --census-scale>0\n";
+                   "--hops>=1, --shards>=2\n";
       std::exit(64);
     }
     return o;
@@ -282,12 +242,11 @@ struct ShardedWorld {
 };
 
 ShardedWorld build_sharded_world(const Opts& opts, bool relay,
-                                 std::uint32_t shards, bool threads) {
+                                 std::uint32_t shards) {
   ShardedWorld w;
   netsim::SimConfig cfg;
   cfg.seed = opts.seed;
   cfg.shards = shards;
-  cfg.shard_threads = threads;
   w.sim = std::make_unique<Simulator>(cfg);
   auto& net = w.sim->net();
   for (std::uint32_t i = 1; i <= opts.ases; ++i) {
@@ -357,13 +316,25 @@ struct ShardedRun {
   RunResult base;
   double critical_seconds = 0.0;
   std::uint64_t mailbox_in = 0;
-  std::uint64_t mailbox_overflows = 0;
 };
+
+/// Fills the sharded statistics of `r` from a finished run.
+void collect_shard_stats(const Simulator& sim, ShardedRun& r) {
+  if (sim.shard_count() == 1) {
+    r.critical_seconds = r.base.seconds;
+    return;
+  }
+  for (std::uint32_t s = 0; s < sim.shard_count(); ++s) {
+    const auto& stats = sim.shard_stats(s);
+    r.critical_seconds = std::max(r.critical_seconds, stats.busy_seconds);
+    r.mailbox_in += stats.mailbox_in;
+  }
+}
 
 ShardedRun run_sharded_workload(const Opts& opts, bool relay,
                                 std::uint32_t shards, bool traced,
-                                std::uint64_t packets, bool threads = true) {
-  ShardedWorld w = build_sharded_world(opts, relay, shards, threads);
+                                std::uint64_t packets) {
+  ShardedWorld w = build_sharded_world(opts, relay, shards);
   auto& sim = *w.sim;
   if (traced) sim.set_packet_trace_enabled(true);
   const auto query = dnswire::encode(dnswire::make_query(
@@ -387,116 +358,74 @@ ShardedRun run_sharded_workload(const Opts& opts, bool relay,
   r.base.counters = sim.counters();
   if (traced) r.base.trace_hash = sim.canonical_trace_digest();
   hash_routes(sim, w.targets, r.base);
-  if (shards > 1) {
-    for (std::uint32_t s = 0; s < sim.shard_count(); ++s) {
-      const auto& stats = sim.shard_stats(s);
-      r.critical_seconds = std::max(r.critical_seconds, stats.busy_seconds);
-      r.mailbox_in += stats.mailbox_in;
-      r.mailbox_overflows += stats.mailbox_overflows;
-    }
-  } else {
-    r.critical_seconds = r.base.seconds;
-  }
+  collect_shard_stats(sim, r);
   return r;
 }
 
-/// One A/B row. The labels name the two modes being compared so the
-/// JSON keys stay self-describing.
+/// One A/B row: the 1-shard run (baseline) vs. the N-shard run.
 struct WorkloadReport {
   std::string name;
-  std::string baseline_label;
-  std::string fast_label;
   double baseline_pps = 0.0;
   double fast_pps = 0.0;
   double speedup = 0.0;
   bool identical = false;
-  // Sharded rows only: wall-clock throughput of the sharded run (the
-  // critical-path number is fast_pps) and mailbox-fabric statistics.
-  bool has_shard_stats = false;
+  // Wall-clock throughput of the sharded run (the critical-path
+  // number is fast_pps) and mailbox-fabric traffic.
   std::uint32_t shards = 0;
   double sharded_wall_pps = 0.0;
   std::uint64_t mailbox_in = 0;
-  std::uint64_t mailbox_overflows = 0;
-  // million_host_census row only: the world size, the memory
-  // high-water marks (process VmHWM and the streaming correlator's
-  // pending window), and the census-table hash both executions must
-  // share. The pps fields of this row count *hosts simulated* per
-  // second, not packets.
-  bool has_census_stats = false;
-  std::uint64_t census_hosts = 0;
-  std::uint64_t census_ases = 0;
-  std::uint64_t peak_rss_kb = 0;
-  std::uint64_t peak_pending_probes = 0;
-  std::uint64_t census_hash = 0;
-  // fault_plane_census row only: graceful-degradation accounting of
-  // the faulted A/B run, plus an ungated coverage sweep (loss rate ×
-  // retransmission) recorded for context, not gated on.
-  bool has_fault_stats = false;
-  double coverage = 0.0;
-  std::uint64_t probes_retried = 0;
-  std::uint64_t responses_duplicate = 0;
-  std::uint64_t responses_corrupt = 0;
-  std::uint64_t ases_degraded = 0;
-  double coverage_loss1_r0 = 0.0;
-  double coverage_loss1_r2 = 0.0;
-  double coverage_loss5_r0 = 0.0;
-  double coverage_loss5_r2 = 0.0;
 };
 
-/// Sharded A/B: the 1-shard run vs. the N-shard run on the
-/// *same* workload. The sharded side's throughput is the parallel
-/// critical path (packets / max per-shard busy seconds); wall-clock is
-/// recorded alongside. Determinism compares summed counters, the
-/// canonical trace digest, and router-hop hashes across shard counts.
-WorkloadReport bench_sharded_workload(const Opts& opts,
-                                      const std::string& name, bool relay) {
+/// Best of three 1-shard and N-shard runs of one workload (each side
+/// by its critical path), folded into a report row. The N-shard runs
+/// are worker-thread runs: the row's critical path (max per-shard busy
+/// seconds) and wall-clock rate both come from the best of them.
+template <typename RunFn>
+WorkloadReport measure_sharded_pair(const Opts& opts, std::string name,
+                                    RunFn run) {
   constexpr int kRepeats = 3;
   WorkloadReport rep;
-  rep.name = name;
-  rep.baseline_label = "one_shard";
-  rep.fast_label = "sharded_critical_path";
-  rep.has_shard_stats = true;
+  rep.name = std::move(name);
   rep.shards = opts.shards;
-  ShardedRun baseline, fast, fast_threaded;
+  ShardedRun baseline, fast;
   for (int rep_i = 0; rep_i < kRepeats; ++rep_i) {
-    auto b = run_sharded_workload(opts, relay, 1, false, opts.packets);
-    // Critical path from the sequential scheduler: per-shard CPU time
-    // unpolluted by time-slicing (byte-identical to the threaded run).
-    auto f = run_sharded_workload(opts, relay, opts.shards, false,
-                                  opts.packets, /*threads=*/false);
-    // Wall clock from the real worker-thread run.
-    auto ft = run_sharded_workload(opts, relay, opts.shards, false,
-                                   opts.packets, /*threads=*/true);
+    auto b = run(1u, false, opts.packets);
+    auto f = run(opts.shards, false, opts.packets);
     if (rep_i == 0 || b.critical_seconds < baseline.critical_seconds) {
       baseline = std::move(b);
     }
     if (rep_i == 0 || f.critical_seconds < fast.critical_seconds) {
       fast = std::move(f);
     }
-    if (rep_i == 0 || ft.base.seconds < fast_threaded.base.seconds) {
-      fast_threaded = std::move(ft);
-    }
   }
-  rep.baseline_pps =
-      static_cast<double>(opts.packets) / baseline.critical_seconds;
-  rep.fast_pps = static_cast<double>(opts.packets) / fast.critical_seconds;
+  const auto packets = static_cast<double>(opts.packets);
+  rep.baseline_pps = packets / baseline.critical_seconds;
+  rep.fast_pps = packets / fast.critical_seconds;
   rep.speedup = rep.fast_pps / rep.baseline_pps;
-  rep.sharded_wall_pps =
-      static_cast<double>(opts.packets) / fast_threaded.base.seconds;
+  rep.sharded_wall_pps = packets / fast.base.seconds;
   rep.mailbox_in = fast.mailbox_in;
-  rep.mailbox_overflows = fast.mailbox_overflows;
+  // Identity: a traced pair at verification size, plus the timed pair.
   const std::uint64_t vpackets = std::min<std::uint64_t>(opts.packets, 30000);
-  const auto vb = run_sharded_workload(opts, relay, 1, true, vpackets);
-  const auto vf =
-      run_sharded_workload(opts, relay, opts.shards, true, vpackets);
-  rep.identical =
-      vb.base.counters == vf.base.counters &&
-      vb.base.trace_hash == vf.base.trace_hash &&
-      vb.base.route_hash == vf.base.route_hash &&
-      baseline.base.counters == fast.base.counters &&
-      fast.base.counters == fast_threaded.base.counters &&
-      baseline.base.route_hash == fast.base.route_hash;
+  const auto vb = run(1u, true, vpackets);
+  const auto vf = run(opts.shards, true, vpackets);
+  rep.identical = vb.base.counters == vf.base.counters &&
+                  vb.base.trace_hash == vf.base.trace_hash &&
+                  vb.base.route_hash == vf.base.route_hash &&
+                  baseline.base.counters == fast.base.counters &&
+                  baseline.base.route_hash == fast.base.route_hash;
   return rep;
+}
+
+/// Sharded A/B: the 1-shard run vs. the N-shard run on the *same*
+/// workload. Determinism compares summed counters, the canonical trace
+/// digest, and router-hop hashes across shard counts.
+WorkloadReport bench_sharded_workload(const Opts& opts,
+                                      const std::string& name, bool relay) {
+  return measure_sharded_pair(
+      opts, name,
+      [&](std::uint32_t shards, bool traced, std::uint64_t packets) {
+        return run_sharded_workload(opts, relay, shards, traced, packets);
+      });
 }
 
 // --- amplification campaign workload --------------------------------
@@ -512,9 +441,8 @@ constexpr int kAmpVictims = 4;
 /// hash, so the A/B also proves the *attack-scenario* output is
 /// shard-count-invariant at bench scale.
 ShardedRun run_amplification_workload(const Opts& opts, std::uint32_t shards,
-                                      bool traced, std::uint64_t packets,
-                                      bool threads = false) {
-  ShardedWorld w = build_sharded_world(opts, /*relay=*/true, shards, threads);
+                                      bool traced, std::uint64_t packets) {
+  ShardedWorld w = build_sharded_world(opts, /*relay=*/true, shards);
   auto& sim = *w.sim;
   if (traced) sim.set_packet_trace_enabled(true);
 
@@ -563,16 +491,7 @@ ShardedRun run_amplification_workload(const Opts& opts, std::uint32_t shards,
     r.base.route_hash = fnv1a64(
         r.base.route_hash, static_cast<std::uint64_t>(refl.at.nanos()));
   }
-  if (shards > 1) {
-    for (std::uint32_t s = 0; s < sim.shard_count(); ++s) {
-      const auto& stats = sim.shard_stats(s);
-      r.critical_seconds = std::max(r.critical_seconds, stats.busy_seconds);
-      r.mailbox_in += stats.mailbox_in;
-      r.mailbox_overflows += stats.mailbox_overflows;
-    }
-  } else {
-    r.critical_seconds = r.base.seconds;
-  }
+  collect_shard_stats(sim, r);
   return r;
 }
 
@@ -581,323 +500,24 @@ ShardedRun run_amplification_workload(const Opts& opts, std::uint32_t shards,
 /// other sharded rows. Identity covers counters, the canonical trace,
 /// router hops, AND the merged reflection log.
 WorkloadReport bench_amplification_workload(const Opts& opts) {
-  constexpr int kRepeats = 3;
-  WorkloadReport rep;
-  rep.name = "amplification_reflection";
-  rep.baseline_label = "one_shard";
-  rep.fast_label = "sharded_critical_path";
-  rep.has_shard_stats = true;
-  rep.shards = opts.shards;
-  ShardedRun baseline, fast, fast_threaded;
-  for (int rep_i = 0; rep_i < kRepeats; ++rep_i) {
-    auto b = run_amplification_workload(opts, 1, false, opts.packets);
-    auto f = run_amplification_workload(opts, opts.shards, false,
-                                        opts.packets, /*threads=*/false);
-    auto ft = run_amplification_workload(opts, opts.shards, false,
-                                         opts.packets, /*threads=*/true);
-    if (rep_i == 0 || b.critical_seconds < baseline.critical_seconds) {
-      baseline = std::move(b);
-    }
-    if (rep_i == 0 || f.critical_seconds < fast.critical_seconds) {
-      fast = std::move(f);
-    }
-    if (rep_i == 0 || ft.base.seconds < fast_threaded.base.seconds) {
-      fast_threaded = std::move(ft);
-    }
-  }
-  rep.baseline_pps =
-      static_cast<double>(opts.packets) / baseline.critical_seconds;
-  rep.fast_pps = static_cast<double>(opts.packets) / fast.critical_seconds;
-  rep.speedup = rep.fast_pps / rep.baseline_pps;
-  rep.sharded_wall_pps =
-      static_cast<double>(opts.packets) / fast_threaded.base.seconds;
-  rep.mailbox_in = fast.mailbox_in;
-  rep.mailbox_overflows = fast.mailbox_overflows;
-  const std::uint64_t vpackets = std::min<std::uint64_t>(opts.packets, 30000);
-  const auto vb = run_amplification_workload(opts, 1, true, vpackets);
-  const auto vf =
-      run_amplification_workload(opts, opts.shards, true, vpackets);
-  rep.identical =
-      vb.base.counters == vf.base.counters &&
-      vb.base.trace_hash == vf.base.trace_hash &&
-      vb.base.route_hash == vf.base.route_hash &&
-      baseline.base.counters == fast.base.counters &&
-      fast.base.counters == fast_threaded.base.counters &&
-      baseline.base.route_hash == fast.base.route_hash &&
-      fast.base.route_hash == fast_threaded.base.route_hash;
-  return rep;
-}
-
-// --- million-host census row ----------------------------------------
-
-/// Resets the kernel's peak-RSS watermark (Linux: "5" into
-/// /proc/self/clear_refs) so the VmHWM read after a census run
-/// reflects that run, not whichever earlier workload was hungriest.
-/// Best-effort: where the write is refused, VmHWM stays a process-wide
-/// upper bound.
-void reset_peak_rss() { std::ofstream("/proc/self/clear_refs") << "5\n"; }
-
-/// Peak resident set (VmHWM) in kB from /proc/self/status; 0 when the
-/// file is unavailable (non-Linux).
-std::uint64_t read_peak_rss_kb() {
-  std::ifstream in("/proc/self/status");
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::strtoull(line.c_str() + 6, nullptr, 10);
-    }
-  }
-  return 0;
-}
-
-/// Shard count of the census A/B's sharded side (the acceptance point:
-/// 1-shard and 8-shard census tables must hash identically).
-constexpr std::uint32_t kCensusShards = 8;
-
-struct CensusRun {
-  double seconds = 0.0;
-  double critical_seconds = 0.0;
-  std::uint64_t hosts = 0;
-  std::uint64_t ases = 0;
-  std::uint64_t census_hash = 0;
-  std::uint64_t peak_rss_kb = 0;
-  std::uint64_t peak_pending = 0;
-  std::uint64_t mailbox_in = 0;
-  std::uint64_t mailbox_overflows = 0;
-  netsim::SimCounters counters;
-  core::DegradationReport degradation;
-};
-
-/// One full census over the Internet-scale world: the eyeball AS layer
-/// widened to O(10⁴) ASes, per-shard capture vantages, streaming
-/// correlation, and no per-probe log retention — the million-host
-/// configuration of docs/architecture.md. Runs the sequential
-/// scheduler in both modes so the sharded critical path (max
-/// per-shard busy seconds) is unpolluted by time-slicing.
-CensusRun run_million_census(const Opts& opts, std::uint32_t shards) {
-  core::CensusConfig cfg;
-  cfg.topology.scale = opts.census_scale;
-  cfg.topology.seed = opts.seed;
-  cfg.topology.sim.seed = opts.seed;
-  cfg.topology.eyeball_as_multiplier = 4.0;
-  cfg.topology.sim.shard_threads = false;
-  cfg.sim_shards = shards;
-  cfg.shard_interleaved_targets = true;
-  cfg.streaming_correlation = true;
-  cfg.retain_transactions = false;
-  cfg.scan_timeout = util::Duration::seconds(2);
-  cfg.probes_per_second = 100000;
-  cfg.correlate_flush = util::Duration::millis(250);
-
-  reset_peak_rss();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = core::run_census(cfg);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  CensusRun r;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.hosts = result.world->ground_truth().size();
-  r.ases = result.world->asn_country_.size();
-  r.census_hash = classify::census_fingerprint(result.census);
-  r.peak_rss_kb = read_peak_rss_kb();
-  r.peak_pending = result.stream_stats.peak_pending_probes;
-  r.counters = result.world->sim().counters();
-  r.degradation = result.degradation;
-  if (shards > 1) {
-    for (std::uint32_t s = 0; s < result.world->sim().shard_count(); ++s) {
-      const auto& stats = result.world->sim().shard_stats(s);
-      r.critical_seconds = std::max(r.critical_seconds, stats.busy_seconds);
-      r.mailbox_in += stats.mailbox_in;
-      r.mailbox_overflows += stats.mailbox_overflows;
-    }
-  } else {
-    r.critical_seconds = r.seconds;
-  }
-  return r;
-}
-
-/// The million_host_census row: the same Internet-scale census once on
-/// 1 shard and once on kCensusShards, single pass each (the world is
-/// ≥10⁶ hosts; best-of-N repeats would triple a minutes-long row for
-/// noise rejection the size of the run already provides). Identity is
-/// the product-level check — the classify::census_fingerprint of the
-/// full Census tables plus the summed packet counters. At full
-/// --census-scale the world must clear ≥10⁶ hosts and ≥10⁴ ASes.
-WorkloadReport bench_million_host_workload(const Opts& opts) {
-  WorkloadReport rep;
-  rep.name = "million_host_census";
-  rep.baseline_label = "one_shard";
-  rep.fast_label = "sharded_critical_path";
-  rep.has_shard_stats = true;
-  rep.has_census_stats = true;
-  rep.shards = kCensusShards;
-  const CensusRun baseline = run_million_census(opts, 1);
-  const CensusRun fast = run_million_census(opts, kCensusShards);
-  rep.baseline_pps = static_cast<double>(baseline.hosts) / baseline.seconds;
-  rep.fast_pps = static_cast<double>(fast.hosts) / fast.critical_seconds;
-  rep.speedup = rep.fast_pps / rep.baseline_pps;
-  rep.sharded_wall_pps = static_cast<double>(fast.hosts) / fast.seconds;
-  rep.mailbox_in = fast.mailbox_in;
-  rep.mailbox_overflows = fast.mailbox_overflows;
-  rep.census_hosts = fast.hosts;
-  rep.census_ases = fast.ases;
-  rep.peak_rss_kb = std::max(baseline.peak_rss_kb, fast.peak_rss_kb);
-  rep.peak_pending_probes = std::max(baseline.peak_pending, fast.peak_pending);
-  rep.census_hash = fast.census_hash;
-  rep.identical = baseline.census_hash == fast.census_hash &&
-                  baseline.hosts == fast.hosts &&
-                  baseline.counters == fast.counters;
-  if (opts.census_scale >= 0.5 &&
-      (rep.census_hosts < 1000000 || rep.census_ases < 10000)) {
-    std::cerr << "FAIL: million_host_census world too small at full scale: "
-              << rep.census_hosts << " hosts, " << rep.census_ases
-              << " ASes (need >= 1000000 / >= 10000)\n";
-    std::exit(3);
-  }
-  return rep;
-}
-
-/// One streaming census on an adverse network: packet loss plus the
-/// full fault plane (jitter, reordering, duplication, payload
-/// corruption) with scanner retransmission absorbing the damage. A
-/// tenth of the million-host world — the fault plane's per-packet
-/// decisions price every hop, so the row measures that overhead, not
-/// the world build.
-CensusRun run_faulted_census(const Opts& opts, std::uint32_t shards,
-                             double loss_rate, std::uint32_t retries) {
-  core::CensusConfig cfg;
-  cfg.topology.scale = opts.census_scale * 0.1;
-  cfg.topology.seed = opts.seed;
-  cfg.topology.sim.seed = opts.seed;
-  cfg.topology.eyeball_as_multiplier = 4.0;
-  cfg.topology.sim.shard_threads = false;
-  cfg.topology.sim.loss_rate = loss_rate;
-  cfg.topology.sim.faults.jitter_rate = 0.3;
-  cfg.topology.sim.faults.jitter_max = util::Duration::millis(5);
-  cfg.topology.sim.faults.reorder_rate = 0.15;
-  cfg.topology.sim.faults.dup_rate = 0.1;
-  cfg.topology.sim.faults.corrupt_rate = 0.05;
-  cfg.sim_shards = shards;
-  cfg.shard_interleaved_targets = true;
-  cfg.streaming_correlation = true;
-  cfg.retain_transactions = false;
-  cfg.scan_timeout = util::Duration::seconds(2);
-  cfg.scan_max_retries = retries;
-  cfg.scan_retry_backoff = util::Duration::millis(500);
-  cfg.probes_per_second = 100000;
-  cfg.correlate_flush = util::Duration::millis(250);
-
-  reset_peak_rss();
-  const auto t0 = std::chrono::steady_clock::now();
-  auto result = core::run_census(cfg);
-  const auto t1 = std::chrono::steady_clock::now();
-
-  CensusRun r;
-  r.seconds = std::chrono::duration<double>(t1 - t0).count();
-  r.hosts = result.world->ground_truth().size();
-  r.ases = result.world->asn_country_.size();
-  r.census_hash = classify::census_fingerprint(result.census);
-  r.peak_rss_kb = read_peak_rss_kb();
-  r.peak_pending = result.stream_stats.peak_pending_probes;
-  r.counters = result.world->sim().counters();
-  r.degradation = result.degradation;
-  if (shards > 1) {
-    for (std::uint32_t s = 0; s < result.world->sim().shard_count(); ++s) {
-      const auto& stats = result.world->sim().shard_stats(s);
-      r.critical_seconds = std::max(r.critical_seconds, stats.busy_seconds);
-      r.mailbox_in += stats.mailbox_in;
-      r.mailbox_overflows += stats.mailbox_overflows;
-    }
-  } else {
-    r.critical_seconds = r.seconds;
-  }
-  return r;
-}
-
-/// The fault_plane_census row: the adverse-network census once on 1
-/// shard and once on kCensusShards. Identity is the faulted census
-/// fingerprint plus the full packet counters — fault fates included —
-/// which is the chaos-differential guarantee of
-/// tests/fault_plane_test.cpp at bench scale. The coverage sweep
-/// (loss × retransmission, 1 shard) is recorded ungated: it documents
-/// how far retries recover census coverage on a lossy network.
-WorkloadReport bench_fault_plane_workload(const Opts& opts) {
-  WorkloadReport rep;
-  rep.name = "fault_plane_census";
-  rep.baseline_label = "one_shard";
-  rep.fast_label = "sharded_critical_path";
-  rep.has_shard_stats = true;
-  rep.has_census_stats = true;
-  rep.has_fault_stats = true;
-  rep.shards = kCensusShards;
-  const CensusRun baseline =
-      run_faulted_census(opts, 1, /*loss_rate=*/0.05, /*retries=*/2);
-  const CensusRun fast =
-      run_faulted_census(opts, kCensusShards, /*loss_rate=*/0.05,
-                         /*retries=*/2);
-  rep.baseline_pps = static_cast<double>(baseline.hosts) / baseline.seconds;
-  rep.fast_pps = static_cast<double>(fast.hosts) / fast.critical_seconds;
-  rep.speedup = rep.fast_pps / rep.baseline_pps;
-  rep.sharded_wall_pps = static_cast<double>(fast.hosts) / fast.seconds;
-  rep.mailbox_in = fast.mailbox_in;
-  rep.mailbox_overflows = fast.mailbox_overflows;
-  rep.census_hosts = fast.hosts;
-  rep.census_ases = fast.ases;
-  rep.peak_rss_kb = std::max(baseline.peak_rss_kb, fast.peak_rss_kb);
-  rep.peak_pending_probes = std::max(baseline.peak_pending, fast.peak_pending);
-  rep.census_hash = fast.census_hash;
-  rep.coverage = fast.degradation.coverage();
-  rep.probes_retried = fast.degradation.scan.probes_retried;
-  rep.responses_duplicate = fast.degradation.scan.responses_duplicate;
-  rep.responses_corrupt = fast.degradation.scan.responses_corrupt;
-  rep.ases_degraded = fast.degradation.ases_degraded;
-  rep.identical = baseline.census_hash == fast.census_hash &&
-                  baseline.hosts == fast.hosts &&
-                  baseline.counters == fast.counters &&
-                  baseline.degradation.scan.probes_retried ==
-                      fast.degradation.scan.probes_retried;
-  rep.coverage_loss1_r0 =
-      run_faulted_census(opts, 1, 0.01, 0).degradation.coverage();
-  rep.coverage_loss1_r2 =
-      run_faulted_census(opts, 1, 0.01, 2).degradation.coverage();
-  rep.coverage_loss5_r0 =
-      run_faulted_census(opts, 1, 0.05, 0).degradation.coverage();
-  rep.coverage_loss5_r2 = fast.degradation.coverage();
-  return rep;
+  return measure_sharded_pair(
+      opts, "amplification_reflection",
+      [&](std::uint32_t shards, bool traced, std::uint64_t packets) {
+        return run_amplification_workload(opts, shards, traced, packets);
+      });
 }
 
 void print_report(const WorkloadReport& r) {
-  const char* unit = r.has_census_stats ? " hosts/s" : " pkts/s";
   std::cout << r.name << "\n"
-            << "  " << r.baseline_label << ": "
-            << static_cast<std::uint64_t>(r.baseline_pps) << unit << "\n"
-            << "  " << r.fast_label << ":   "
-            << static_cast<std::uint64_t>(r.fast_pps) << unit << "\n"
-            << "  speedup:  " << r.speedup << "x\n";
-  if (r.has_shard_stats) {
-    std::cout << "  shards:   " << r.shards << " (wall "
-              << static_cast<std::uint64_t>(r.sharded_wall_pps) << unit
-              << ", mailbox " << r.mailbox_in << " msgs, "
-              << r.mailbox_overflows << " spills)\n";
-  }
-  if (r.has_census_stats) {
-    std::cout << "  world:    " << r.census_hosts << " hosts / "
-              << r.census_ases << " ASes\n"
-              << "  memory:   peak RSS " << r.peak_rss_kb / 1024
-              << " MB, streaming window " << r.peak_pending_probes
-              << " pending probes\n";
-  }
-  if (r.has_fault_stats) {
-    std::cout << "  faults:   coverage " << r.coverage * 100.0 << "% ("
-              << r.probes_retried << " retries, " << r.responses_duplicate
-              << " dup / " << r.responses_corrupt << " corrupt responses, "
-              << r.ases_degraded << " ASes degraded)\n"
-              << "  sweep:    loss 1% " << r.coverage_loss1_r0 * 100.0
-              << "% -> " << r.coverage_loss1_r2 * 100.0
-              << "% with retries; loss 5% " << r.coverage_loss5_r0 * 100.0
-              << "% -> " << r.coverage_loss5_r2 * 100.0 << "%\n";
-  }
-  std::cout << "  determinism (counters + trace + router hops): "
+            << "  one_shard: "
+            << static_cast<std::uint64_t>(r.baseline_pps) << " pkts/s\n"
+            << "  sharded_critical_path:   "
+            << static_cast<std::uint64_t>(r.fast_pps) << " pkts/s\n"
+            << "  speedup:  " << r.speedup << "x\n"
+            << "  shards:   " << r.shards << " (wall "
+            << static_cast<std::uint64_t>(r.sharded_wall_pps)
+            << " pkts/s, mailbox " << r.mailbox_in << " msgs)\n"
+            << "  determinism (counters + trace + router hops): "
             << (r.identical ? "identical" : "MISMATCH") << "\n\n";
 }
 
@@ -910,42 +530,19 @@ void write_json(const Opts& opts, const std::vector<WorkloadReport>& reps) {
       << ", \"ases\": " << opts.ases << ", \"internal_hops\": " << opts.hops
       << ", \"seed\": " << opts.seed
       << ", \"shards\": " << opts.shards
-      << ", \"census_scale\": " << opts.census_scale
       << ", \"cores\": " << std::thread::hardware_concurrency() << "},\n"
       << "  \"workloads\": [\n";
   for (std::size_t i = 0; i < reps.size(); ++i) {
     const auto& r = reps[i];
-    out << "    {\"name\": \"" << r.name << "\", \"" << r.baseline_label
-        << "_pps\": " << static_cast<std::uint64_t>(r.baseline_pps)
-        << ", \"" << r.fast_label
-        << "_pps\": " << static_cast<std::uint64_t>(r.fast_pps)
-        << ", \"speedup\": " << r.speedup;
-    if (r.has_shard_stats) {
-      out << ", \"shards\": " << r.shards << ", \"sharded_wall_pps\": "
-          << static_cast<std::uint64_t>(r.sharded_wall_pps)
-          << ", \"mailbox_msgs\": " << r.mailbox_in
-          << ", \"mailbox_spills\": " << r.mailbox_overflows;
-    }
-    if (r.has_census_stats) {
-      out << ", \"unit\": \"hosts_per_second\", \"hosts\": " << r.census_hosts
-          << ", \"ases\": " << r.census_ases
-          << ", \"peak_rss_kb\": " << r.peak_rss_kb
-          << ", \"peak_pending_probes\": " << r.peak_pending_probes
-          << ", \"census_hash\": \"" << std::hex << r.census_hash << std::dec
-          << "\"";
-    }
-    if (r.has_fault_stats) {
-      out << ", \"coverage\": " << r.coverage
-          << ", \"probes_retried\": " << r.probes_retried
-          << ", \"responses_duplicate\": " << r.responses_duplicate
-          << ", \"responses_corrupt\": " << r.responses_corrupt
-          << ", \"ases_degraded\": " << r.ases_degraded
-          << ", \"coverage_loss1_retries0\": " << r.coverage_loss1_r0
-          << ", \"coverage_loss1_retries2\": " << r.coverage_loss1_r2
-          << ", \"coverage_loss5_retries0\": " << r.coverage_loss5_r0
-          << ", \"coverage_loss5_retries2\": " << r.coverage_loss5_r2;
-    }
-    out << ", \"deterministic\": " << (r.identical ? "true" : "false")
+    out << "    {\"name\": \"" << r.name << "\", \"one_shard_pps\": "
+        << static_cast<std::uint64_t>(r.baseline_pps)
+        << ", \"sharded_critical_path_pps\": "
+        << static_cast<std::uint64_t>(r.fast_pps)
+        << ", \"speedup\": " << r.speedup << ", \"shards\": " << r.shards
+        << ", \"sharded_wall_pps\": "
+        << static_cast<std::uint64_t>(r.sharded_wall_pps)
+        << ", \"mailbox_msgs\": " << r.mailbox_in
+        << ", \"deterministic\": " << (r.identical ? "true" : "false")
         << "}" << (i + 1 < reps.size() ? "," : "") << "\n";
   }
   out << "  ]\n}\n";
@@ -965,16 +562,14 @@ int main(int argc, char** argv) {
   reps.push_back(bench_sharded_workload(opts, "sharded_cross_shard_relay",
                                         /*relay=*/true));
   reps.push_back(bench_amplification_workload(opts));
-  reps.push_back(bench_million_host_workload(opts));
-  reps.push_back(bench_fault_plane_workload(opts));
   for (const auto& r : reps) print_report(r);
 
   if (!opts.json_path.empty()) write_json(opts, reps);
 
   for (const auto& r : reps) {
     if (!r.identical) {
-      std::cerr << "FAIL: " << r.name << ": " << r.fast_label << " and "
-                << r.baseline_label << " runs diverged\n";
+      std::cerr << "FAIL: " << r.name
+                << ": 1-shard and N-shard runs diverged\n";
       return 1;
     }
   }
@@ -983,15 +578,6 @@ int main(int argc, char** argv) {
       std::cerr << "FAIL: " << r.name << " speedup " << r.speedup
                 << "x below required " << opts.min_speedup << "x\n";
       return 2;
-    }
-  }
-  for (const auto& r : reps) {
-    if (opts.max_rss_regression_kb > 0 && r.peak_rss_kb > 0 &&
-        r.peak_rss_kb > opts.max_rss_regression_kb) {
-      std::cerr << "FAIL: " << r.name << " peak RSS " << r.peak_rss_kb
-                << " kB above the --max-rss-regression ceiling "
-                << opts.max_rss_regression_kb << " kB\n";
-      return 4;
     }
   }
   return 0;

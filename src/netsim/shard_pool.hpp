@@ -5,8 +5,9 @@
 // run with install_phases(); run_phase(i) then dispatches phase i to
 // every worker and blocks until all have finished — a full barrier on
 // both edges, which is exactly the synchronization the conservative
-// time-window protocol needs (and what makes the mailbox overflow
-// vectors safe to hand across threads without their own locks).
+// time-window protocol needs, and the only one the cross-shard mail
+// vectors get: sources append during phase 0, destinations drain
+// during phase 1.
 //
 // The barrier is spin-then-yield: workers and the coordinator spin on
 // atomics through a phase transition (windows can be sub-100µs at
@@ -16,9 +17,9 @@
 // oversubscribed machines. Dispatch allocates nothing: the phase
 // callables are preinstalled and signalled by index.
 //
-// Determinism never depends on the pool — the same phases run
-// sequentially when SimConfig::shard_threads is false and produce
-// byte-identical results.
+// Determinism never depends on thread scheduling: each phase touches
+// only shard-owned state (plus the mail vectors the barrier orders),
+// so an N-shard run reproduces the 1-shard run's outputs.
 
 #include <atomic>
 #include <condition_variable>

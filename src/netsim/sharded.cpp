@@ -207,36 +207,36 @@ void Simulator::run_shard_window(Shard& sh, util::SimTime wend) {
 void Simulator::admit_mailboxes(Shard& sh) {
   const double t0 = thread_cpu_seconds();
   // Deterministic admission: source shards in ascending order, each
-  // mailbox FIFO. Together with fresh local sequence numbers this is
-  // the (time, shard, seq) cross-shard total order.
+  // mail vector in append order. Together with fresh local sequence
+  // numbers this is the (time, shard, seq) cross-shard total order.
+  // The sources appended during the window phase and nobody sends
+  // during this phase, so the pool barrier between the two is the only
+  // synchronization the vectors need.
   for (std::uint32_t src = 0; src < shards_.size(); ++src) {
     if (src == sh.index) continue;
-    SpscMailbox& mb = sh.inbox[src];
-    mb.drain([&](MailboxMsg&& m) {
-      ++sh.stats.mailbox_in;
+    std::vector<MailboxMsg>& mail = shards_[src]->outbox[sh.index];
+    sh.stats.mailbox_in += mail.size();
+    for (MailboxMsg& m : mail) {
       if (m.kind == MailboxMsg::Kind::deliver) {
         sh.events.schedule_deliver(m.at, std::move(m.pkt), m.dst_host);
       } else {
         sh.events.schedule_icmp(m.at, m.icmp_type, std::move(m.pkt), m.router,
                                 m.origin_as);
       }
-    });
+    }
+    mail.clear();
   }
-  std::uint64_t overflows = 0;
-  for (const auto& mb : sh.inbox) overflows += mb.overflowed();
-  sh.stats.mailbox_overflows = overflows;
   sh.stats.busy_seconds += thread_cpu_seconds() - t0;
 }
 
-void Simulator::run_windows(util::SimTime deadline, bool advance_clocks) {
+void Simulator::run_windows(util::SimTime deadline) {
   freeze_partition();
   // The window is one router hop, the minimum cross-shard latency
   // (shards split the world AS-granularly). Positive: the constructor
   // rejects a sharded config without a positive hop latency.
   const util::Duration window = cfg_.hop_latency;
   const bool explicit_deadline = deadline < util::SimTime::far_future();
-  const bool threaded = cfg_.shard_threads;
-  if (threaded) pool_.ensure_started(shard_count());
+  pool_.ensure_started(shard_count());
 
   // The two phase closures are built once per run and preinstalled in
   // the pool; each window only writes `wend` and signals a phase index
@@ -249,7 +249,7 @@ void Simulator::run_windows(util::SimTime deadline, bool advance_clocks) {
   const ShardPool::PhaseFn admit_phase = [&](std::uint32_t s) {
     admit_mailboxes(*shards_[s]);
   };
-  if (threaded) pool_.install_phases(&window_phase, &admit_phase);
+  pool_.install_phases(&window_phase, &admit_phase);
 
   while (true) {
     const util::SimTime next = next_event_time();
@@ -264,24 +264,25 @@ void Simulator::run_windows(util::SimTime deadline, bool advance_clocks) {
                       util::SimTime::from_nanos(deadline.nanos()) +
                           util::Duration::nanos(1));
     }
-    if (threaded) {
-      pool_.run_phase(0);
-      pool_.run_phase(1);
-    } else {
-      for (auto& sh : shards_) run_shard_window(*sh, wend);
-      for (auto& sh : shards_) admit_mailboxes(*sh);
-    }
+    pool_.run_phase(0);
+    pool_.run_phase(1);
   }
-  if (threaded) pool_.install_phases(nullptr, nullptr);
+  pool_.install_phases(nullptr, nullptr);
 
-  if (advance_clocks) {
-    // No events at or before the deadline remain anywhere; run() on an
-    // effectively empty window just advances each shard's clock so
-    // timeout logic keyed on now() stays deterministic (same contract
-    // as the single-shard engine).
-    for (auto& sh : shards_) sh->events.run(deadline);
+  // Every shard leaves the run on one clock, as the single-shard
+  // engine does: the explicit deadline, or after a drain the latest
+  // executed event (no events remain then, so run() only moves the
+  // clock). Timers armed from outside a run then start from the
+  // global now() on whichever shard owns them.
+  util::SimTime end = deadline;
+  if (!explicit_deadline) {
+    end = util::SimTime::origin();
+    for (const auto& sh : shards_) end = std::max(end, sh->events.now());
   }
-  for (auto& sh : shards_) sh->stats.events_executed = sh->events.executed();
+  for (auto& sh : shards_) {
+    sh->events.run(end);
+    sh->stats.events_executed = sh->events.executed();
+  }
 }
 
 std::vector<TraceRecord> Simulator::merged_trace() const {

@@ -35,24 +35,16 @@ Simulator::Simulator(SimConfig cfg) : cfg_(cfg) {
   faults_.configure(cfg_.faults, cfg_.seed, cfg_.hop_latency);
   shards_.reserve(cfg_.shards);
   for (std::uint32_t i = 0; i < cfg_.shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(*this, i, cfg_.shards, cfg_));
+    shards_.push_back(std::make_unique<Shard>(*this, i, cfg_.shards));
   }
 }
 
 Simulator::~Simulator() { pool_.shutdown(); }
 
 util::SimTime Simulator::now() const {
-  if (single_shard()) return shards_[0]->events.now();
-  if (tl_owner_ == this && tl_shard_ != nullptr) {
-    return tl_shard_->events.now();
-  }
-  // Outside a run the clocks are synchronized after run_until and may
-  // diverge after a drain run(); the latest clock is the global "now".
-  util::SimTime latest = shards_[0]->events.now();
-  for (std::size_t s = 1; s < shards_.size(); ++s) {
-    latest = std::max(latest, shards_[s]->events.now());
-  }
-  return latest;
+  // Outside a run every shard clock is synchronized (run_windows ends
+  // on one clock), so shard 0's is the global "now".
+  return active_shard().events.now();
 }
 
 Simulator::Shard& Simulator::active_shard() const {
@@ -78,7 +70,7 @@ void Simulator::run() {
     shards_[0]->events.run();
     return;
   }
-  run_windows(util::SimTime::far_future(), /*advance_clocks=*/false);
+  run_windows(util::SimTime::far_future());
 }
 
 void Simulator::run_until(util::SimTime deadline) {
@@ -86,7 +78,7 @@ void Simulator::run_until(util::SimTime deadline) {
     shards_[0]->events.run(deadline);
     return;
   }
-  run_windows(deadline, /*advance_clocks=*/true);
+  run_windows(deadline);
 }
 
 void Simulator::set_fault_config(const FaultConfig& faults) {
@@ -381,13 +373,14 @@ void Simulator::schedule_deliver_on(Shard& sh, std::uint32_t dst_shard,
   }
   if (tl_owner_ == this && tl_shard_ == &sh) {
     // Inside a window on a shard thread: cross-shard events travel
-    // through the SPSC mailbox and are admitted at the barrier.
+    // through the mail vector toward `dst_shard`, admitted at the
+    // barrier.
     MailboxMsg m;
     m.kind = MailboxMsg::Kind::deliver;
     m.at = at;
     m.dst_host = host;
     m.pkt = std::move(pkt);
-    shards_[dst_shard]->inbox[sh.index].push(std::move(m));
+    sh.outbox[dst_shard].push_back(std::move(m));
     return;
   }
   // Outside the event loop (setup / main thread between runs) no shard
@@ -411,7 +404,7 @@ void Simulator::schedule_icmp_on(Shard& sh, std::uint32_t dst_shard,
     m.router = router;
     m.origin_as = origin_as;
     m.pkt = std::move(offender);
-    shards_[dst_shard]->inbox[sh.index].push(std::move(m));
+    sh.outbox[dst_shard].push_back(std::move(m));
     return;
   }
   shards_[dst_shard]->events.schedule_icmp(at, type, std::move(offender),

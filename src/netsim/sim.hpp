@@ -13,8 +13,8 @@
 // With SimConfig::shards == 1 (the default) everything runs exactly as
 // the classic single-threaded engine. With more shards, each shard
 // runs on its own worker thread under a conservative time-window
-// barrier; cross-shard packets travel through fixed-capacity SPSC
-// mailboxes and are admitted in the documented (time, shard, seq)
+// barrier; cross-shard packets travel through per-shard-pair mail
+// vectors and are admitted in the documented (time, shard, seq)
 // total order, so an N-shard run is deterministic and its observable
 // outputs match the single-shard run. See "Sharded execution" in
 // docs/architecture.md and "Cross-shard merge rule" in
@@ -77,16 +77,9 @@ struct SimConfig {
   std::uint64_t seed = 1;
 
   // --- sharded execution ("Sharded execution", docs/architecture.md) --
-  /// Number of event-engine shards. 1 = classic single-threaded run.
+  /// Number of event-engine shards. 1 = classic single-threaded run;
+  /// more shards run on one worker thread each.
   std::uint32_t shards = 1;
-  /// With shards > 1: run shards on worker threads (true) or
-  /// round-robin on the calling thread (false). Results are
-  /// byte-identical either way — the sequential mode exists for
-  /// debugging and for environments without spare cores.
-  bool shard_threads = true;
-  /// SPSC ring slots per directed shard pair; overflow spills to an
-  /// unbounded side vector (counted, never dropped or blocking).
-  std::uint32_t mailbox_capacity = 4096;
 
   // --- fault plane ("Fault plane & graceful degradation",
   // docs/architecture.md) --------------------------------------------
@@ -141,7 +134,8 @@ struct ShardStats {
   std::uint64_t events_executed = 0;
   /// Cross-shard messages this shard admitted at window barriers.
   std::uint64_t mailbox_in = 0;
-  /// Messages that spilled past a mailbox ring's fixed capacity.
+  /// Always 0: mail vectors grow and never spill. Kept so report
+  /// readers that print it stay source-compatible.
   std::uint64_t mailbox_overflows = 0;
   /// CPU seconds this shard spent executing windows + admissions —
   /// max over shards approximates the parallel critical path.
@@ -380,7 +374,9 @@ class Simulator {
   [[nodiscard]] std::uint32_t shard_of_as(Asn asn) const;
   /// Executing-shard context (set during event execution), or shard 0.
   [[nodiscard]] Shard& active_shard() const;
-  void run_windows(util::SimTime deadline, bool advance_clocks);
+  /// Conservative window loop on the shard pool; returns with every
+  /// shard clock at one instant (the deadline, or the latest event).
+  void run_windows(util::SimTime deadline);
   void run_shard_window(Shard& sh, util::SimTime wend);
   void admit_mailboxes(Shard& sh);
   [[nodiscard]] util::SimTime next_event_time() const;
@@ -403,7 +399,7 @@ class Simulator {
   void send_icmp(Shard& sh, IcmpType type, util::Ipv4 from,
                  const Packet& offender, Asn origin_as);
   /// Routes a packet-plane event to its owning shard: locally when
-  /// `sh` owns it, else through the SPSC mailbox toward `dst_shard`.
+  /// `sh` owns it, else through the mail vector toward `dst_shard`.
   void schedule_deliver_on(Shard& sh, std::uint32_t dst_shard,
                            util::SimTime at, Packet&& pkt, HostId host);
   void schedule_icmp_on(Shard& sh, std::uint32_t dst_shard, util::SimTime at,

@@ -3,7 +3,7 @@
 //
 // Property bar: the amplification tables — and the raw injection and
 // reflection logs they aggregate — must be byte-identical across shard
-// counts (1, 2, 8), worker threads on and off, several seeds, and with
+// counts (1, 2, 8), several seeds, and with
 // the RRL and SAV defense toggles in every combination. RRL makes this
 // non-trivial: a naive token bucket decides "who gets the last token"
 // by same-instant arrival order, which is NOT shard-count-invariant;
@@ -218,12 +218,10 @@ AmpRun run_amp(SimConfig cfg, const AmpOptions& opt) {
   return run;
 }
 
-SimConfig sharded_cfg(std::uint32_t shards, bool threads,
-                      std::uint64_t seed = 2021) {
+SimConfig sharded_cfg(std::uint32_t shards, std::uint64_t seed = 2021) {
   SimConfig cfg;
   cfg.seed = seed;
   cfg.shards = shards;
-  cfg.shard_threads = threads;
   return cfg;
 }
 
@@ -237,16 +235,12 @@ TEST(AmplificationDeterminism, CampaignInvariantAcrossShardCounts) {
                        // land in the fingerprint too
       }
       const auto reference =
-          amp_fingerprint(run_amp(sharded_cfg(1, false, seed), opt));
+          amp_fingerprint(run_amp(sharded_cfg(1, seed), opt));
       ASSERT_FALSE(reference.empty());
       for (const std::uint32_t shards : {2u, 8u}) {
-        for (const bool threads : {false, true}) {
-          EXPECT_EQ(amp_fingerprint(
-                        run_amp(sharded_cfg(shards, threads, seed), opt)),
-                    reference)
-              << "shards=" << shards << " threads=" << threads
-              << " seed=" << seed << " rrl=" << rrl_on;
-        }
+        EXPECT_EQ(amp_fingerprint(run_amp(sharded_cfg(shards, seed), opt)),
+                  reference)
+            << "shards=" << shards << " seed=" << seed << " rrl=" << rrl_on;
       }
     }
   }
@@ -260,16 +254,16 @@ TEST(AmplificationDeterminism, DefensetogglesStayInvariantUnderSharding) {
   opt.pps = 40;
   opt.sav_attacker0 = true;
   const auto reference =
-      amp_fingerprint(run_amp(sharded_cfg(1, false, 7), opt));
+      amp_fingerprint(run_amp(sharded_cfg(1, 7), opt));
   for (const std::uint32_t shards : {2u, 8u}) {
-    EXPECT_EQ(amp_fingerprint(run_amp(sharded_cfg(shards, true, 7), opt)),
+    EXPECT_EQ(amp_fingerprint(run_amp(sharded_cfg(shards, 7), opt)),
               reference)
         << "shards=" << shards;
   }
 }
 
 TEST(AmplificationCampaign, ReflectsLargeResponsesOntoVictims) {
-  const auto run = run_amp(sharded_cfg(1, false), AmpOptions{});
+  const auto run = run_amp(sharded_cfg(1), AmpOptions{});
   // One injection per (victim, reflector) pair; every one answered.
   ASSERT_EQ(run.injections.size(), 12u);
   EXPECT_EQ(run.reflections.size(), 12u);
@@ -296,11 +290,11 @@ TEST(AmplificationDifferential, RrlNeverReflectsMoreBytesPerVictim) {
   for (const std::uint64_t seed : {3ull, 2021ull}) {
     AmpOptions off;
     off.pps = 40;
-    const auto base = run_amp(sharded_cfg(1, false, seed), off);
+    const auto base = run_amp(sharded_cfg(1, seed), off);
 
     AmpOptions on = off;
     on.rrl = {/*rate=*/2, /*burst=*/2, /*slip=*/2};
-    const auto limited = run_amp(sharded_cfg(1, false, seed), on);
+    const auto limited = run_amp(sharded_cfg(1, seed), on);
 
     // Same campaign plan in both runs.
     ASSERT_EQ(render_injections(limited.injections),
@@ -347,12 +341,12 @@ std::multiset<std::string> reflection_multiset(
 
 TEST(AmplificationDifferential, SavDropsExactlyTheSpoofedInjections) {
   AmpOptions open;
-  const auto base = run_amp(sharded_cfg(1, false, 5), open);
+  const auto base = run_amp(sharded_cfg(1, 5), open);
   ASSERT_EQ(base.counters.dropped_sav, 0u);
 
   AmpOptions sav = open;
   sav.sav_attacker0 = true;
-  const auto defended = run_amp(sharded_cfg(1, false, 5), sav);
+  const auto defended = run_amp(sharded_cfg(1, 5), sav);
 
   // Identical plan; SAV acts on the wire, not on the schedule.
   ASSERT_EQ(render_injections(defended.injections),

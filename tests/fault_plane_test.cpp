@@ -263,11 +263,10 @@ RunFingerprint run_chaos_scan(SimConfig cfg, int forwarders,
   return fp;
 }
 
-SimConfig chaos_cfg(std::uint32_t shards, bool threads, std::uint64_t seed) {
+SimConfig chaos_cfg(std::uint32_t shards, std::uint64_t seed) {
   SimConfig cfg;
   cfg.seed = seed;
   cfg.shards = shards;
-  cfg.shard_threads = threads;
   cfg.loss_rate = 0.03;
   cfg.faults = chaos_faults();
   return cfg;
@@ -275,16 +274,13 @@ SimConfig chaos_cfg(std::uint32_t shards, bool threads, std::uint64_t seed) {
 
 TEST(ChaosDifferential, FaultedScanInvariantAcrossShardCountsAndThreads) {
   for (const std::uint64_t seed : {1ull, 7ull, 2021ull}) {
-    const auto reference = run_chaos_scan(chaos_cfg(1, false, seed), 8);
+    const auto reference = run_chaos_scan(chaos_cfg(1, seed), 8);
     // The faults must actually be firing, or this test proves nothing.
     EXPECT_GT(reference.counters.jittered, 0u);
     EXPECT_GT(reference.counters.duplicated, 0u);
     for (const std::uint32_t shards : {2u, 8u}) {
-      for (const bool threads : {false, true}) {
-        const auto fp = run_chaos_scan(chaos_cfg(shards, threads, seed), 8);
-        EXPECT_EQ(fp, reference) << "shards=" << shards
-                                 << " threads=" << threads << " seed=" << seed;
-      }
+      EXPECT_EQ(run_chaos_scan(chaos_cfg(shards, seed), 8), reference)
+          << "shards=" << shards << " seed=" << seed;
     }
   }
 }
@@ -292,10 +288,10 @@ TEST(ChaosDifferential, FaultedScanInvariantAcrossShardCountsAndThreads) {
 TEST(ChaosDifferential, RetriedFaultedScanInvariantAcrossShardCounts) {
   // Retransmissions are plan-level and unconditional, so the full
   // faulted + retried run keeps the invariance bar.
-  const auto reference = run_chaos_scan(chaos_cfg(1, false, 77), 8, 2);
+  const auto reference = run_chaos_scan(chaos_cfg(1, 77), 8, 2);
   EXPECT_GT(reference.stats.probes_retried, 0u);
   for (const std::uint32_t shards : {2u, 8u}) {
-    const auto fp = run_chaos_scan(chaos_cfg(shards, true, 77), 8, 2);
+    const auto fp = run_chaos_scan(chaos_cfg(shards, 77), 8, 2);
     EXPECT_EQ(fp, reference) << "shards=" << shards;
   }
 }
@@ -376,7 +372,6 @@ SimConfig outage_cfg(std::uint32_t shards, double unreachable_rate) {
   SimConfig cfg;
   cfg.seed = 11;
   cfg.shards = shards;
-  cfg.shard_threads = shards > 1;
   // The access network goes dark for the first 4 ms of the scan: probes
   // arriving before the window closes are dropped at the would-be
   // delivery instant, later ones get through.
@@ -437,7 +432,6 @@ TEST(MergeContract, TraceStaysSortedByTimeShardSeqUnderMaxJitter) {
   SimConfig cfg;
   cfg.seed = 3;
   cfg.shards = 4;
-  cfg.shard_threads = true;
   cfg.faults.jitter_rate = 1.0;
   cfg.faults.jitter_max = Duration::millis(20);
   cfg.faults.reorder_rate = 1.0;
@@ -482,7 +476,6 @@ TEST(MergeContract, StreamingFinalizationStaysMonotoneUnderMaxJitter) {
   SimConfig cfg;
   cfg.seed = 13;
   cfg.shards = 4;
-  cfg.shard_threads = true;
   cfg.faults.jitter_rate = 1.0;
   cfg.faults.jitter_max = Duration::millis(20);
   cfg.faults.reorder_rate = 1.0;
@@ -743,57 +736,71 @@ TEST(FaultedCensus, InvariantAcrossShardsThreadsSeeds) {
     EXPECT_GT(buffered.degradation.scan.probes_retried, 0u);
     EXPECT_LT(buffered.degradation.coverage(), 1.0);
 
-    struct Variant {
-      std::uint32_t shards;
-      bool threads;
-    };
-    for (const Variant v : {Variant{2, true}, Variant{8, true}}) {
+    for (const std::uint32_t shards : {2u, 8u}) {
       core::CensusConfig cfg = faulted_census_cfg(seed);
-      cfg.sim_shards = v.shards;
-      cfg.topology.sim.shard_threads = v.threads;
+      cfg.sim_shards = shards;
       cfg.shard_interleaved_targets = true;
       cfg.streaming_correlation = true;
       cfg.correlate_flush = util::Duration::millis(250);
       const auto streamed = core::run_census(cfg);
       EXPECT_EQ(census_run_fingerprint(streamed), reference)
-          << "seed=" << seed << " shards=" << v.shards;
+          << "seed=" << seed << " shards=" << shards;
     }
   }
 }
 
 TEST(FaultedCensus, RetriesMonotonicallyRecoverPerAsCoverage) {
-  auto run_with_retries = [](std::uint32_t retries) {
+  // The coverage sweep: one world at 1% and 5% loss, each without and
+  // with two retries.
+  auto run = [](double loss, std::uint32_t retries) {
     core::CensusConfig cfg;
     cfg.topology.scale = 0.0015;
     cfg.topology.max_countries = 10;
     cfg.topology.seed = 4;
     cfg.topology.sim.seed = 4;
-    cfg.topology.sim.loss_rate = 0.05;
+    cfg.topology.sim.loss_rate = loss;
     cfg.scan_timeout = util::Duration::seconds(2);
     cfg.scan_max_retries = retries;
     cfg.scan_retry_backoff = util::Duration::millis(500);
     return core::run_census(cfg);
   };
-  const auto base = run_with_retries(0);
-  const auto retried = run_with_retries(2);
-  ASSERT_GT(base.degradation.targets_probed, 0u);
-  EXPECT_GT(retried.degradation.scan.probes_retried, 0u);
+  std::vector<double> coverage;  // loss1 r0, loss1 r2, loss5 r0, loss5 r2
+  for (const double loss : {0.01, 0.05}) {
+    const auto base = run(loss, 0);
+    const auto retried = run(loss, 2);
+    ASSERT_GT(base.degradation.targets_probed, 0u);
+    EXPECT_GT(retried.degradation.scan.probes_retried, 0u);
 
-  // Per-AS monotonicity: retries only add packets, and stateless fault
-  // decisions keep every original packet's fate — no AS may lose an
-  // answer to a retry.
-  for (const auto& [asn, cov] : base.census.coverage_by_asn) {
-    const auto it = retried.census.coverage_by_asn.find(asn);
-    ASSERT_NE(it, retried.census.coverage_by_asn.end());
-    EXPECT_EQ(it->second.probed, cov.probed);
-    EXPECT_GE(it->second.answered, cov.answered) << "asn=" << asn;
+    // Per-AS monotonicity: retries only add packets, and stateless
+    // fault decisions keep every original packet's fate — no AS may
+    // lose an answer to a retry.
+    for (const auto& [asn, cov] : base.census.coverage_by_asn) {
+      const auto it = retried.census.coverage_by_asn.find(asn);
+      ASSERT_NE(it, retried.census.coverage_by_asn.end());
+      EXPECT_EQ(it->second.probed, cov.probed);
+      EXPECT_GE(it->second.answered, cov.answered)
+          << "loss=" << loss << " asn=" << asn;
+    }
+    // And the recovery must be real: strictly more answers overall.
+    EXPECT_GT(retried.degradation.targets_answered,
+              base.degradation.targets_answered)
+        << "loss=" << loss;
+    EXPECT_GT(retried.degradation.coverage(), base.degradation.coverage())
+        << "loss=" << loss;
+    EXPECT_LE(retried.degradation.ases_degraded,
+              base.degradation.ases_degraded)
+        << "loss=" << loss;
+    coverage.push_back(base.degradation.coverage());
+    coverage.push_back(retried.degradation.coverage());
   }
-  // And the recovery must be real: strictly more answers overall.
-  EXPECT_GT(retried.degradation.targets_answered,
-            base.degradation.targets_answered);
-  EXPECT_GT(retried.degradation.coverage(), base.degradation.coverage());
-  EXPECT_LE(retried.degradation.ases_degraded,
-            base.degradation.ases_degraded);
+  // More loss costs coverage when nothing retries.
+  EXPECT_GT(coverage[0], coverage[2]);
+  // Recorded sweep (answered / probed targets); moves only with a
+  // stated reason, like the goldens.
+  EXPECT_EQ(coverage[0], 2209.0 / 2405.0);
+  EXPECT_EQ(coverage[1], 2405.0 / 2405.0);
+  EXPECT_EQ(coverage[2], 1261.0 / 2405.0);
+  EXPECT_EQ(coverage[3], 2286.0 / 2405.0);
 }
 
 TEST(FaultedCensus, RetriesAreInertOnALosslessWorld) {

@@ -1,9 +1,9 @@
 // Determinism goldens (docs/architecture.md, "Determinism goldens"):
 // recorded, absolute fingerprints of the streaming census, the classic
 // paper pipeline, three packet-plane scenarios and the DNS wire codec. The other suites
-// prove that execution strategies agree with each other (1 vs. 8
-// shards, threads on or off); this one pins *what* they agree on, so a
-// change that shifts every path equally still fails here.
+// prove that shard counts agree with each other (1 vs. 8 shards);
+// this one pins *what* they agree on, so a change that shifts every
+// path equally still fails here.
 //
 // When a value drifts, the failure message prints the whole table row
 // with the actual values; re-recording is pasting that row over the
@@ -190,7 +190,6 @@ core::CensusConfig streaming_cfg(const CensusGolden& g, std::uint32_t shards) {
   cfg.topology.max_countries = 10;
   cfg.topology.seed = g.seed;
   cfg.topology.sim.seed = g.seed;
-  cfg.topology.sim.shard_threads = true;
   cfg.sim_shards = shards;
   cfg.shard_interleaved_targets = true;
   cfg.vantages = shards;
@@ -431,7 +430,6 @@ SimConfig mini_cfg(std::uint64_t seed, double loss, std::uint32_t shards) {
   cfg.seed = seed;
   cfg.loss_rate = loss;
   cfg.shards = shards;
-  cfg.shard_threads = true;
   return cfg;
 }
 

@@ -1,10 +1,10 @@
 // Determinism suite for the sharded simulator (docs/architecture.md,
 // "Sharded execution"): N-shard runs (N = 1, 2, 4, 8) must produce
 // byte-identical SimCounters, packet traces, and census/classification
-// output versus the single-threaded engine, on worker threads and
-// sequentially, for several seeds, with loss, and under mailbox
-// backpressure. The cross-shard merge rule under test is documented in
-// docs/event-engine.md ("Cross-shard merge rule").
+// output versus the single-threaded engine, for several seeds, with
+// loss, and under same-window mail bursts. The cross-shard merge rule
+// under test is documented in docs/event-engine.md ("Cross-shard merge
+// rule").
 //
 // The MultiVantage suites extend the same bar to the vantage count
 // ("Multi-vantage census", docs/architecture.md): a VantageSet of
@@ -128,25 +128,19 @@ RunFingerprint run_mini_scan(SimConfig cfg, int forwarders,
   return scan_fingerprint(world, targets, interleave, vantages);
 }
 
-SimConfig sharded_cfg(std::uint32_t shards, bool threads,
-                      std::uint64_t seed = 2021) {
+SimConfig sharded_cfg(std::uint32_t shards, std::uint64_t seed = 2021) {
   SimConfig cfg;
   cfg.seed = seed;
   cfg.shards = shards;
-  cfg.shard_threads = threads;
   return cfg;
 }
 
 TEST(ShardedDeterminism, MiniScanInvariantAcrossShardCounts) {
   for (const std::uint64_t seed : {1ull, 7ull, 2021ull}) {
-    const auto reference = run_mini_scan(sharded_cfg(1, false, seed), 6);
+    const auto reference = run_mini_scan(sharded_cfg(1, seed), 6);
     for (const std::uint32_t shards : {2u, 4u, 8u}) {
-      for (const bool threads : {false, true}) {
-        const auto fp = run_mini_scan(sharded_cfg(shards, threads, seed), 6);
-        EXPECT_EQ(fp, reference)
-            << "shards=" << shards << " threads=" << threads
-            << " seed=" << seed;
-      }
+      EXPECT_EQ(run_mini_scan(sharded_cfg(shards, seed), 6), reference)
+          << "shards=" << shards << " seed=" << seed;
     }
   }
 }
@@ -154,12 +148,12 @@ TEST(ShardedDeterminism, MiniScanInvariantAcrossShardCounts) {
 TEST(ShardedDeterminism, LossyRunsInvariantAcrossShardCounts) {
   // The stateless per-packet loss hash must keep drop decisions
   // identical for every shard count (an RNG stream draw would not).
-  SimConfig base = sharded_cfg(1, false, 99);
+  SimConfig base = sharded_cfg(1, 99);
   base.loss_rate = 0.12;
   const auto reference = run_mini_scan(base, 5);
   EXPECT_GT(reference.counters.dropped_loss, 0u);
   for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    SimConfig cfg = sharded_cfg(shards, true, 99);
+    SimConfig cfg = sharded_cfg(shards, 99);
     cfg.loss_rate = 0.12;
     EXPECT_EQ(run_mini_scan(cfg, 5), reference) << "shards=" << shards;
   }
@@ -169,9 +163,9 @@ TEST(ShardedDeterminism, InterleavedTargetsInvariantAcrossShardCounts) {
   // shard_interleave reorders pacing by the *virtual* partition, so
   // the schedule — and every downstream table — is still identical
   // for any real shard count (including the single-threaded engine).
-  const auto reference = run_mini_scan(sharded_cfg(1, false), 6, true);
+  const auto reference = run_mini_scan(sharded_cfg(1), 6, true);
   for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    EXPECT_EQ(run_mini_scan(sharded_cfg(shards, true), 6, true), reference)
+    EXPECT_EQ(run_mini_scan(sharded_cfg(shards), 6, true), reference)
         << "shards=" << shards;
   }
 }
@@ -180,8 +174,12 @@ TEST(ShardedDeterminism, ThreadedRunsAreReproducibleEventForEvent) {
   // Stronger than the canonical digest: two threaded runs of the same
   // config must agree on the full (time, shard, seq) merged trace —
   // thread scheduling may never leak into event order.
-  auto run_trace = [](bool threads) {
-    MiniWorld world(sharded_cfg(4, threads));
+  struct Run {
+    std::vector<TraceRecord> trace;
+    std::uint64_t digest = 0;
+  };
+  auto run_trace = [](std::uint32_t shards) {
+    MiniWorld world(sharded_cfg(shards));
     world.sim.set_packet_trace_enabled(true);
     scan::ScanConfig sc;
     sc.qname = world.scan_name;
@@ -190,46 +188,50 @@ TEST(ShardedDeterminism, ThreadedRunsAreReproducibleEventForEvent) {
         honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
     scanner->start({test::kResolverAddr, Ipv4{20, 0, 9, 200}});
     scanner->run_to_completion();
-    return world.sim.merged_trace();
+    return Run{world.sim.merged_trace(), world.sim.canonical_trace_digest()};
   };
-  const std::vector<TraceRecord> first = run_trace(true);
-  const std::vector<TraceRecord> second = run_trace(true);
-  const std::vector<TraceRecord> sequential = run_trace(false);
-  ASSERT_FALSE(first.empty());
-  EXPECT_EQ(first, second);
-  // The sequential scheduler is the executable spec of the windowed
-  // protocol: worker threads must reproduce it exactly.
-  EXPECT_EQ(first, sequential);
+  const Run first = run_trace(4);
+  const Run second = run_trace(4);
+  ASSERT_FALSE(first.trace.empty());
+  EXPECT_EQ(first.trace, second.trace);
+  // And the windowed protocol makes the packet decisions of the
+  // single-shard engine.
+  EXPECT_EQ(first.digest, run_trace(1).digest);
 }
 
-TEST(ShardedDeterminism, MailboxBackpressureSpillsWithoutDivergence) {
-  const auto reference = run_mini_scan(sharded_cfg(1, false), 8);
-  SimConfig tiny = sharded_cfg(4, true);
-  tiny.mailbox_capacity = 2;  // force the overflow spill path
-  const auto fp = run_mini_scan(tiny, 8);
+TEST(ShardedDeterminism, SameWindowMailBurstMatchesSingleShard) {
+  // 32 probes to one resolver leave the scanner in one pacing burst,
+  // so many cross-shard messages land in the same mail vectors within
+  // one window; admission must keep them in the 1-shard order.
+  auto run_burst = [](std::uint32_t shards) {
+    MiniWorld world(sharded_cfg(shards));
+    world.sim.set_packet_trace_enabled(true);
+    scan::ScanConfig sc;
+    sc.qname = world.scan_name;
+    sc.timeout = Duration::seconds(2);
+    const auto scanner =
+        honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
+    scanner->start(std::vector<Ipv4>(32, test::kResolverAddr));
+    scanner->run_to_completion();
+    RunFingerprint fp;
+    fp.counters = world.sim.counters();
+    fp.trace_digest = world.sim.canonical_trace_digest();
+    fp.transactions = render_transactions(scanner->correlate());
+    fp.events = world.sim.events_executed();
+    std::uint64_t admitted = 0;
+    for (std::uint32_t s = 0; s < world.sim.shard_count(); ++s) {
+      admitted += world.sim.shard_stats(s).mailbox_in;
+    }
+    return std::pair{fp, admitted};
+  };
+  const auto reference = run_burst(1).first;
+  const auto [fp, admitted] = run_burst(4);
   EXPECT_EQ(fp, reference);
-
-  // Confirm the spill path actually ran and was counted.
-  MiniWorld world(tiny);
-  scan::ScanConfig sc;
-  sc.qname = world.scan_name;
-  sc.timeout = Duration::seconds(2);
-  const auto scanner =
-      honeypot::single_host_scanner(world.sim, world.scanner_host, sc);
-  scanner->start(std::vector<Ipv4>(32, test::kResolverAddr));
-  scanner->run_to_completion();
-  std::uint64_t overflows = 0;
-  std::uint64_t admitted = 0;
-  for (std::uint32_t s = 0; s < world.sim.shard_count(); ++s) {
-    overflows += world.sim.shard_stats(s).mailbox_overflows;
-    admitted += world.sim.shard_stats(s).mailbox_in;
-  }
   EXPECT_GT(admitted, 0u);
-  EXPECT_GT(overflows, 0u);
 }
 
 TEST(ShardedDeterminism, PerShardRouteCachesServeTheHotPath) {
-  MiniWorld world(sharded_cfg(4, true));
+  MiniWorld world(sharded_cfg(4));
   scan::ScanConfig sc;
   sc.qname = world.scan_name;
   sc.timeout = Duration::seconds(2);
@@ -294,13 +296,13 @@ RunFingerprint run_anycast_joined_after_build(SimConfig cfg) {
 }
 
 TEST(ShardedDeterminism, AnycastJoinedAfterBuildMatchesSequentialRun) {
-  const auto sequential = run_anycast_joined_after_build(sharded_cfg(1, false));
-  EXPECT_NE(sequential.transactions.find("8.8.8.53"), std::string::npos);
-  EXPECT_EQ(run_anycast_joined_after_build(sharded_cfg(4, true)), sequential);
+  const auto one_shard = run_anycast_joined_after_build(sharded_cfg(1));
+  EXPECT_NE(one_shard.transactions.find("8.8.8.53"), std::string::npos);
+  EXPECT_EQ(run_anycast_joined_after_build(sharded_cfg(4)), one_shard);
 }
 
 TEST(ShardedDeterminism, ClocksSynchronizeAtExplicitDeadlines) {
-  MiniWorld world(sharded_cfg(4, true));
+  MiniWorld world(sharded_cfg(4));
   scan::ScanConfig sc;
   sc.qname = world.scan_name;
   const auto scanner =
@@ -311,20 +313,53 @@ TEST(ShardedDeterminism, ClocksSynchronizeAtExplicitDeadlines) {
   EXPECT_EQ(world.sim.now(), deadline);
 }
 
+/// Records the simulated time of every timer it receives.
+struct FireRecorder final : netsim::TimerTarget {
+  explicit FireRecorder(Simulator& s) : sim(&s) {}
+  void on_timer(std::uint64_t, std::uint64_t) override {
+    fired.push_back(sim->now());
+  }
+  Simulator* sim;
+  std::vector<util::SimTime> fired;
+};
+
+TEST(ShardedDeterminism, ClocksSynchronizeAfterADrainRun) {
+  // A drain run() whose last event is on one shard must still leave
+  // every shard at that instant: a timer armed afterwards on another
+  // shard fires relative to the global now(), as on one shard.
+  const auto at = [](std::int64_t ms) {
+    return (util::SimTime::origin() + Duration::millis(ms)).nanos();
+  };
+  for (const std::uint32_t shards : {1u, 2u}) {
+    MiniWorld world(sharded_cfg(shards));
+    const HostId early = world.scanner_host;
+    const HostId late = world.root_host;
+    if (shards > 1) {
+      ASSERT_NE(world.sim.shard_of(early), world.sim.shard_of(late));
+    }
+    FireRecorder rec(world.sim);
+    world.sim.schedule_timer_on(late, Duration::millis(10), &rec, 0);
+    world.sim.run();
+    EXPECT_EQ(world.sim.now().nanos(), at(10)) << "shards=" << shards;
+    world.sim.schedule_timer_on(early, Duration::millis(1), &rec, 1);
+    world.sim.run();
+    ASSERT_EQ(rec.fired.size(), 2u);
+    EXPECT_EQ(rec.fired[0].nanos(), at(10)) << "shards=" << shards;
+    EXPECT_EQ(rec.fired[1].nanos(), at(11)) << "shards=" << shards;
+    EXPECT_EQ(world.sim.now().nanos(), at(11)) << "shards=" << shards;
+  }
+}
+
 TEST(MultiVantage, MatchesSingleVantageSingleThreadByteForByte) {
   // A multi-vantage run — 8 capture hosts executing slices of one
   // global plan, responses delivered shard-locally — must reproduce the
   // one-member single-threaded run byte for byte (counters, canonical
   // trace, correlated transactions, executed events) at every shard
-  // count, threaded and sequential.
-  const auto reference = run_mini_scan(sharded_cfg(1, false), 6);
+  // count.
+  const auto reference = run_mini_scan(sharded_cfg(1), 6);
   for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
-    for (const bool threads : {false, true}) {
-      const auto fp =
-          run_mini_scan(sharded_cfg(shards, threads), 6, false, 8);
-      EXPECT_EQ(fp, reference) << "shards=" << shards
-                               << " threads=" << threads;
-    }
+    EXPECT_EQ(run_mini_scan(sharded_cfg(shards), 6, false, 8), reference)
+        << "shards=" << shards;
   }
 }
 
@@ -335,10 +370,10 @@ TEST(MultiVantage, InvariantAcrossSeedsLossAndInterleave) {
   for (const std::uint64_t seed : {3ull, 2021ull}) {
     for (const double loss : {0.0, 0.12}) {
       for (const bool interleave : {false, true}) {
-        SimConfig base = sharded_cfg(1, false, seed);
+        SimConfig base = sharded_cfg(1, seed);
         base.loss_rate = loss;
         const auto reference = run_mini_scan(base, 5, interleave);
-        SimConfig cfg = sharded_cfg(8, true, seed);
+        SimConfig cfg = sharded_cfg(8, seed);
         cfg.loss_rate = loss;
         EXPECT_EQ(run_mini_scan(cfg, 5, interleave, 8), reference)
             << "seed=" << seed << " loss=" << loss
@@ -351,15 +386,15 @@ TEST(MultiVantage, InvariantAcrossSeedsLossAndInterleave) {
 TEST(MultiVantage, FewerVantagesThanShardsStillExact) {
   // With members < shards, some shards capture via the mailbox fabric
   // instead of locally — results must not change.
-  const auto reference = run_mini_scan(sharded_cfg(1, false), 6);
-  EXPECT_EQ(run_mini_scan(sharded_cfg(8, true), 6, false, 3), reference);
+  const auto reference = run_mini_scan(sharded_cfg(1), 6);
+  EXPECT_EQ(run_mini_scan(sharded_cfg(8), 6, false, 3), reference);
 }
 
 TEST(MultiVantage, CaptureSpreadsAcrossShards) {
   // The structural point of the refactor: at 8 shards the response
   // stream is captured by several members (not funneled into one), and
   // the scanner host's shard does not execute the capture load alone.
-  SimConfig cfg = sharded_cfg(8, true);
+  SimConfig cfg = sharded_cfg(8);
   MiniWorld world(cfg);
   std::vector<std::unique_ptr<TransparentForwarder>> tfs;
   auto targets = build_scan_targets(world, 6, tfs);
@@ -391,7 +426,7 @@ TEST(MultiVantage, MembersPinToLightestShards) {
   // partition freeze must pin them to the shards the weighted LPT left
   // light — the vantage shard is never the busiest one.
   for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    MiniWorld world(sharded_cfg(shards, false));
+    MiniWorld world(sharded_cfg(shards));
     const HostId access_probe = world.add_access_host(Ipv4{20, 0, 9, 50});
     std::vector<std::uint64_t> hints(Simulator::kVirtualShards, 1);
     hints[3] = 500;  // the access AS dwarfs everything else
@@ -407,9 +442,9 @@ TEST(MultiVantage, MembersPinToLightestShards) {
 TEST(ShardedDeterminism, WeightedPartitionKeepsResultsInvariant) {
   // The weighted virtual-shard placement is execution-only: any hint
   // vector must leave every observable output untouched.
-  const auto reference = run_mini_scan(sharded_cfg(1, false), 6);
+  const auto reference = run_mini_scan(sharded_cfg(1), 6);
   for (const std::uint32_t shards : {2u, 4u, 8u}) {
-    MiniWorld world(sharded_cfg(shards, true));
+    MiniWorld world(sharded_cfg(shards));
     std::vector<std::uint64_t> hints(Simulator::kVirtualShards, 1);
     hints[3] = 500;  // access network: where almost all targets live
     world.sim.set_partition_load_hints(hints);
@@ -425,7 +460,7 @@ TEST(ShardedDeterminism, WeightedPartitionBalancesByLoadHints) {
   // own real shard while the light ones share the rest. MiniWorld's AS
   // indices map to virtual shards 0..4 (tier1, infra, resolver,
   // access, scanner).
-  MiniWorld world(sharded_cfg(2, false));
+  MiniWorld world(sharded_cfg(2));
   std::vector<std::uint64_t> hints(Simulator::kVirtualShards, 0);
   hints[1] = 1000;  // the infra AS dwarfs everything else
   world.sim.set_partition_load_hints(hints);
