@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <stdexcept>
 
 namespace odns::netsim {
@@ -14,8 +13,10 @@ constexpr util::Ipv4 kRouterPoolBase{100, 64, 0, 1};
 constexpr std::uint32_t kRouterPoolLimit =
     (std::uint32_t{100} << 24 | 128u << 16) - 1;  // end of 100.64/10
 constexpr std::uint32_t kNoRouterOwner = 0xFFFFFFFFu;
-// BFS parent of the source AS (and of unreached ASes).
+// BFS parent of the source AS: the root of every parent chain.
 constexpr std::uint32_t kNoParent = 0xFFFFFFFFu;
+// BFS parent of an AS the BFS has not discovered (yet).
+constexpr std::uint32_t kUnvisited = 0xFFFFFFFEu;
 
 // Tail merge threshold. Below it, adds are duplicate-checked eagerly
 // (binary search of the frozen table + a linear tail scan) and lookups
@@ -346,15 +347,15 @@ bool Network::source_is_legitimate(Asn asn, util::Ipv4 src) const {
 }
 
 const RouteCache::BfsEntry& Network::bfs_for(RouteCache& cache,
-                                             std::uint32_t src) const {
+                                             std::uint32_t src,
+                                             std::uint32_t target) const {
   freeze_routing();
   auto [bfs_it, bfs_inserted] = cache.bfs.try_emplace(src);
   auto& entry = bfs_it->second;
-  if (!bfs_inserted && entry.graph_epoch == graph_epoch_) return entry;
   if (bfs_inserted) {
     // FIFO bound: evict the oldest source AS once over the cap. Only
     // scratch is dropped — span entries derived from it stay cached —
-    // and a re-missed source recomputes identically.
+    // and a re-missed source restarts its BFS from scratch.
     cache.bfs_order.push_back(src);
     while (cache.bfs.size() > RouteCache::kMaxBfsEntries) {
       const auto victim = cache.bfs_order.front();
@@ -362,22 +363,25 @@ const RouteCache::BfsEntry& Network::bfs_for(RouteCache& cache,
       if (victim != src) cache.bfs.erase(victim);
     }
   }
-
-  constexpr auto kUnreached = std::numeric_limits<std::uint16_t>::max();
-  entry.graph_epoch = graph_epoch_;
-  entry.dist.assign(ases_.size(), kUnreached);
-  entry.parent.assign(ases_.size(), kNoParent);
-  std::vector<std::uint32_t> queue;
-  queue.reserve(ases_.size());
-  entry.dist[src] = 0;
-  queue.push_back(src);
-  for (std::size_t head = 0; head < queue.size(); ++head) {
-    const auto u = queue[head];
+  if (bfs_inserted || entry.graph_epoch != graph_epoch_) {
+    entry.graph_epoch = graph_epoch_;
+    entry.parent.assign(ases_.size(), kUnvisited);
+    entry.queue.clear();  // capacity retained across a stale restart
+    entry.head = 0;
+    entry.parent[src] = kNoParent;
+    entry.queue.push_back(src);
+  }
+  // Expand whole vertices in queue order until `target` is discovered:
+  // exactly the prefix of the exhaustive BFS, so every parent is the
+  // one the exhaustive BFS would assign.
+  auto& parent = entry.parent;
+  auto& queue = entry.queue;
+  while (parent[target] == kUnvisited && entry.head < queue.size()) {
+    const auto u = queue[entry.head++];
     for (auto e = adj_off_[u]; e < adj_off_[u + 1]; ++e) {
       const auto v = adj_[e];
-      if (entry.dist[v] == kUnreached) {
-        entry.dist[v] = static_cast<std::uint16_t>(entry.dist[u] + 1);
-        entry.parent[v] = u;
+      if (parent[v] == kUnvisited) {
+        parent[v] = u;
         queue.push_back(v);
       }
     }
@@ -389,8 +393,11 @@ int Network::as_distance(Asn from, Asn to) const {
   const auto f = asn_to_index_.find(from);
   const auto t = asn_to_index_.find(to);
   if (f == asn_to_index_.end() || t == asn_to_index_.end()) return -1;
-  const auto d = bfs_for(default_cache_, f->second).dist[t->second];
-  return d == std::numeric_limits<std::uint16_t>::max() ? -1 : d;
+  const auto& parent = bfs_for(default_cache_, f->second, t->second).parent;
+  if (parent[t->second] == kUnvisited) return -1;
+  int d = 0;
+  for (auto cur = parent[t->second]; cur != kNoParent; cur = parent[cur]) ++d;
+  return d;
 }
 
 std::optional<Route> Network::route(HostId from, util::Ipv4 dst) const {
@@ -411,8 +418,8 @@ const PathSpan* Network::span_for(RouteCache& cache, std::uint32_t from,
     PathSpan& span = entry.span;
     span.as_path.clear();
     span.router_hops.clear();
-    const auto& bfs = bfs_for(cache, from);
-    if (bfs.dist[to] != std::numeric_limits<std::uint16_t>::max()) {
+    const auto& bfs = bfs_for(cache, from, to);
+    if (bfs.parent[to] != kUnvisited) {
       // Walk the parent chain twice: once for the AS path and the hop
       // total, once to fill each AS's router chain from the back.
       std::size_t total = 0;

@@ -189,9 +189,10 @@ class Network {
 
  private:
   /// BFS over the CSR adjacency from AS index `src`, via the cache's
-  /// FIFO-bounded BFS table.
-  const RouteCache::BfsEntry& bfs_for(RouteCache& cache,
-                                      std::uint32_t src) const;
+  /// FIFO-bounded BFS table, expanded (or resumed) until AS index
+  /// `target` is discovered or the graph is exhausted.
+  const RouteCache::BfsEntry& bfs_for(RouteCache& cache, std::uint32_t src,
+                                      std::uint32_t target) const;
   util::Ipv4 allocate_router_ip();
   void bump_epoch() { ++epoch_; }
   /// Hop span for an AS-index pair, via the cache's span table;

@@ -6,7 +6,8 @@
 // while this class is dumb epoch-tagged storage:
 //
 //   * span entries:  (source AS, destination AS) -> router-hop span
-//   * BFS entries:   source AS -> distances/parents over the AS graph
+//   * BFS entries:   source AS -> a resumable BFS over the AS graph
+//                    (parents, discovery queue, expansion head)
 //
 // Destination hosts are not cached here: they come from the flat
 // address plane or from the frozen anycast tables (Network::
@@ -53,19 +54,31 @@ class RouteCache {
     std::uint64_t graph_epoch = 0;
     PathSpan span;
   };
+  /// A BFS from one source AS, expanded lazily: Network::bfs_for
+  /// expands whole vertices from `head` only until the requested
+  /// destination is discovered, and the source's next miss resumes
+  /// there. Parents are fixed at discovery, so a partial BFS agrees
+  /// with the exhaustive one on every discovered AS.
   struct BfsEntry {
     std::uint64_t graph_epoch = 0;
-    std::vector<std::uint16_t> dist;    // indexed by AS index
-    std::vector<std::uint32_t> parent;  // AS index of predecessor
+    /// AS index of each AS's predecessor (indexed by AS index); the
+    /// source holds Network's root sentinel, undiscovered ASes its
+    /// unvisited sentinel.
+    std::vector<std::uint32_t> parent;
+    /// Discovered ASes in discovery order; [head, end) await expansion.
+    std::vector<std::uint32_t> queue;
+    std::size_t head = 0;
   };
 
-  /// FIFO bound on live BFS entries. A BfsEntry is O(AS count) —
-  /// ~90 KB in a 15k-AS world — and span entries cache the derived
-  /// results, so the full per-source scratch is only needed on span
-  /// misses. Unbounded, "every forwarder AS ever probed" retains
-  /// O(ASes²) bytes (~1.3 GB at million-host scale); bounded, the hot
-  /// working set (concurrent probe lifetimes per shard) stays resident
-  /// and cold sources are recomputed deterministically on re-miss.
+  /// FIFO bound on live BFS entries. A BfsEntry holds a 4-byte parent
+  /// per AS (~60 KB in a 15k-AS world) plus its discovery queue, which
+  /// stays a small fraction of the AS count while the BFS stops at its
+  /// destinations. Span entries cache the derived results, so the
+  /// per-source scratch is only needed on span misses. Unbounded,
+  /// "every forwarder AS ever probed" retains O(ASes²) bytes (~1 GB at
+  /// million-host scale); bounded, the hot working set (concurrent
+  /// probe lifetimes per shard) stays resident and cold sources are
+  /// recomputed deterministically on re-miss.
   static constexpr std::size_t kMaxBfsEntries = 1024;
 
   // Storage is public to its driver (Network); everything here is an

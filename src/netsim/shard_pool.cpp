@@ -1,17 +1,22 @@
 #include "netsim/shard_pool.hpp"
 
 #include <cassert>
+#include <chrono>
 
 namespace odns::netsim {
 
 namespace {
 
 /// Backoff ladder for the phase barrier. The spin budget covers the
-/// fine-lookahead regime (phases every few µs); the yield budget keeps
-/// oversubscribed machines live; past both, workers park on the
-/// condvar so idle pools cost nothing between runs.
+/// fine-lookahead regime (phases every few µs); then a waiting worker
+/// yields, which keeps oversubscribed machines live, until it has been
+/// idle for kParkAfter; past that it parks on the condvar, so idle
+/// pools cost nothing between runs. The yield stage is timed, not
+/// counted: the spin budget alone lasts ~40 µs and a yield ~0.3 µs,
+/// far less than many census windows, and a worker that parks mid-run
+/// pays a condvar wake-up at the next window.
 constexpr int kSpinIters = 2048;
-constexpr int kYieldIters = 64;
+constexpr std::chrono::microseconds kParkAfter{1000};
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(_M_X64)
@@ -27,29 +32,27 @@ inline void cpu_relax() {
 
 void ShardPool::ensure_started(std::uint32_t n) {
   assert(n > 0);
-  if (!workers_.empty()) {
-    assert(workers_.size() == n && "shard count changed under a live pool");
+  if (shards_ != 0) {
+    assert(shards_ == n && "shard count changed under a live pool");
     return;
   }
-  workers_.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+  shards_ = n;
+  workers_.reserve(n - 1);
+  for (std::uint32_t shard = 1; shard < n; ++shard) {
+    workers_.emplace_back([this, shard] { worker_loop(shard); });
   }
 }
 
-void ShardPool::install_phases(const PhaseFn* window, const PhaseFn* admit) {
+void ShardPool::install_phase(const PhaseFn* phase) {
   // Only called from the coordinator between phases (never while a
-  // phase is in flight), so plain stores are safe: workers read the
-  // pointers only after the acquire on generation_.
-  phases_[0] = window;
-  phases_[1] = admit;
+  // phase is in flight), so a plain store is safe: workers read the
+  // pointer only after the acquire on generation_.
+  phase_ = phase;
 }
 
-void ShardPool::run_phase(std::uint32_t which) {
-  assert(!workers_.empty());
-  assert(which < 2 && phases_[which] != nullptr);
+void ShardPool::run_phase() {
+  assert(shards_ != 0 && phase_ != nullptr);
   done_.store(0, std::memory_order_relaxed);
-  phase_index_ = which;
   // Dekker pattern with the parking path: the coordinator writes
   // generation_ then reads sleepers_, a parking worker writes
   // sleepers_ then reads generation_. Both pairs are seq_cst so the
@@ -63,9 +66,12 @@ void ShardPool::run_phase(std::uint32_t which) {
     std::lock_guard lock(mu_);
     cv_.notify_all();
   }
-  const auto n = static_cast<std::uint32_t>(workers_.size());
+  // noexcept: a phase that throws ends the program on shard 0 as on
+  // the workers, whose phases may still be using the caller's stack.
+  [this]() noexcept { (*phase_)(0); }();
+  const auto workers = static_cast<std::uint32_t>(workers_.size());
   int spins = 0;
-  while (done_.load(std::memory_order_acquire) != n) {
+  while (done_.load(std::memory_order_acquire) != workers) {
     if (spins < kSpinIters) {
       cpu_relax();
       ++spins;
@@ -75,18 +81,18 @@ void ShardPool::run_phase(std::uint32_t which) {
   }
 }
 
-void ShardPool::worker_loop(std::uint32_t index) {
+void ShardPool::worker_loop(std::uint32_t shard) {
   std::uint64_t seen = 0;
   while (true) {
     int spins = 0;
+    const auto idle_since = std::chrono::steady_clock::now();
     while (generation_.load(std::memory_order_acquire) == seen &&
            !stop_.load(std::memory_order_acquire)) {
       if (spins < kSpinIters) {
         cpu_relax();
         ++spins;
-      } else if (spins < kSpinIters + kYieldIters) {
+      } else if (std::chrono::steady_clock::now() - idle_since < kParkAfter) {
         std::this_thread::yield();
-        ++spins;
       } else {
         std::unique_lock lock(mu_);
         // seq_cst pair with run_phase — see the comment there.
@@ -101,9 +107,9 @@ void ShardPool::worker_loop(std::uint32_t index) {
     }
     if (stop_.load(std::memory_order_acquire)) return;
     seen = generation_.load(std::memory_order_relaxed);
-    // The acquire above orders these reads after the coordinator's
-    // release bump, so phase_index_/phases_ are the current phase's.
-    (*phases_[phase_index_])(index);
+    // The acquire above orders this read after the coordinator's
+    // bump, so phase_ is the current phase's.
+    (*phase_)(shard);
     done_.fetch_add(1, std::memory_order_release);
   }
 }
@@ -122,8 +128,8 @@ void ShardPool::shutdown() {
   generation_.store(0, std::memory_order_relaxed);
   done_.store(0, std::memory_order_relaxed);
   sleepers_.store(0, std::memory_order_relaxed);
-  phases_[0] = phases_[1] = nullptr;
-  phase_index_ = 0;
+  shards_ = 0;
+  phase_ = nullptr;
 }
 
 }  // namespace odns::netsim

@@ -1,13 +1,14 @@
 #pragma once
-// Worker-thread pool for the sharded simulator: one long-lived thread
-// per shard, driven in lockstep phases by the coordinating thread.
-// The window loop installs its (at most two) phase callables once per
-// run with install_phases(); run_phase(i) then dispatches phase i to
-// every worker and blocks until all have finished — a full barrier on
-// both edges, which is exactly the synchronization the conservative
-// time-window protocol needs, and the only one the cross-shard mail
-// vectors get: sources append during phase 0, destinations drain
-// during phase 1.
+// Thread pool for the sharded simulator: shard 0 runs on the
+// coordinating thread (the one driving the window loop), every other
+// shard on its own long-lived worker thread, all in lockstep phases.
+// The window loop installs its phase callable once per run with
+// install_phase(); each run_phase() then starts the phase on every
+// worker, runs shard 0 itself and blocks until all workers have
+// finished — one full barrier per window, which is exactly the
+// synchronization the conservative time-window protocol needs, and
+// the only one the cross-shard mail vectors get: a window's mail is
+// appended before the barrier and drained after it (shard_state.hpp).
 //
 // The barrier is spin-then-yield: workers and the coordinator spin on
 // atomics through a phase transition (windows can be sub-100µs at
@@ -15,7 +16,7 @@
 // the simulation work), degrade to yields, and only park on a condvar
 // after ~1ms of idleness — so threads still sleep between runs and on
 // oversubscribed machines. Dispatch allocates nothing: the phase
-// callables are preinstalled and signalled by index.
+// callable is preinstalled and signalled by a generation bump.
 //
 // Determinism never depends on thread scheduling: each phase touches
 // only shard-owned state (plus the mail vectors the barrier orders),
@@ -40,29 +41,29 @@ class ShardPool {
   ShardPool& operator=(const ShardPool&) = delete;
   ~ShardPool() { shutdown(); }
 
-  /// Starts `n` workers if not already running (idempotent for equal n).
+  /// Sizes the pool for `n` shards: starts the n - 1 workers that run
+  /// shards 1..n-1 if not already running (idempotent for equal n).
   void ensure_started(std::uint32_t n);
-  /// Installs the window-loop phase callables. The pointees must stay
-  /// alive until the next install_phases() or shutdown(); nothing is
+  /// Installs the window-loop phase callable. The pointee must stay
+  /// alive until the next install_phase() or shutdown(); nothing is
   /// copied, so the per-window dispatch is allocation-free.
-  void install_phases(const PhaseFn* window, const PhaseFn* admit);
-  /// Runs installed phase `which` (0 = window, 1 = admit) as fn(shard)
-  /// on every worker; returns when all have finished.
-  void run_phase(std::uint32_t which);
+  void install_phase(const PhaseFn* phase);
+  /// Runs the installed phase as fn(shard) for every shard — shard 0
+  /// on the calling thread, the others on the workers — and returns
+  /// when all have finished.
+  void run_phase();
   void shutdown();
 
-  [[nodiscard]] std::uint32_t size() const {
-    return static_cast<std::uint32_t>(workers_.size());
-  }
-
  private:
-  void worker_loop(std::uint32_t index);
+  void worker_loop(std::uint32_t shard);
 
+  /// Worker i runs shard i + 1.
   std::vector<std::thread> workers_;
-  const PhaseFn* phases_[2] = {nullptr, nullptr};
-  /// Phase of the current generation; written before the generation
-  /// bump (release) and read after its acquire, like phases_.
-  std::uint32_t phase_index_ = 0;
+  /// Shard count the pool was started for (0: not started).
+  std::uint32_t shards_ = 0;
+  /// Written between phases only; workers read it after the acquire
+  /// on generation_.
+  const PhaseFn* phase_ = nullptr;
   /// Bumped (release) to start a phase; workers acquire-spin on it.
   std::atomic<std::uint64_t> generation_{0};
   std::atomic<std::uint32_t> done_{0};

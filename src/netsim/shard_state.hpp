@@ -8,14 +8,20 @@
 //   * its typed EventQueue (own clock, own sequence space),
 //   * its SimCounters and trace buffer,
 //   * its private RouteCache (epoch-tagged; see route_cache.hpp),
-//   * one outgoing mail vector per destination shard (cross-shard
-//     packet events).
+//   * two sets of outgoing mail vectors, one per window parity, each
+//     with one vector per destination shard (cross-shard packet
+//     events).
 //
-// Mail vectors hand events across threads without atomics or locks:
-// the source shard appends during the window phase, the destination
-// shard drains and clears during the admit phase, and the ShardPool
-// barrier between the two phases orders every access.
+// Mail vectors hand events across threads without atomics or locks.
+// During a window of parity p the source shard appends to
+// outbox[p][dst]; the destination drains and clears those vectors at
+// the start of its next window (parity p ^ 1), before it executes,
+// while the sources append to outbox[p ^ 1]. So one vector is only
+// ever written in one window and read in the next, and the single
+// ShardPool barrier between consecutive windows orders every access.
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -41,8 +47,15 @@ struct MailboxMsg {
 
 struct Simulator::Shard final : private PacketSink {
   Shard(Simulator& sim, std::uint32_t idx, std::uint32_t count)
-      : owner(&sim), index(idx), outbox(count) {
+      : owner(&sim), index(idx) {
+    for (auto& set : outbox) set.resize(count);
     events.bind_sink(this);
+  }
+
+  /// Appends cross-shard mail for the window being executed.
+  void post(std::uint32_t dst_shard, MailboxMsg&& m) {
+    outbox_min = std::min(outbox_min, m.at);
+    outbox[parity][dst_shard].push_back(std::move(m));
   }
 
   // PacketSink: pooled packet events dispatch back into the plane on
@@ -64,7 +77,13 @@ struct Simulator::Shard final : private PacketSink {
   std::uint64_t trace_dropped = 0;
   std::vector<TraceRecord> trace;
   ShardStats stats;
-  std::vector<std::vector<MailboxMsg>> outbox;  // by destination shard
+  /// Mail by window parity, then by destination shard.
+  std::array<std::vector<std::vector<MailboxMsg>>, 2> outbox;
+  /// Parity of the window this shard is executing (or last executed).
+  std::uint32_t parity = 0;
+  /// Earliest arrival posted in that window; far_future when none. The
+  /// coordinator folds it into the next window's start.
+  util::SimTime outbox_min = util::SimTime::far_future();
 };
 
 }  // namespace odns::netsim

@@ -1,5 +1,6 @@
 // Sharded execution runtime of the Simulator: AS-granular partition,
-// the conservative time-window loop, mailbox admission, and the
+// the conservative time-window loop (one pool barrier per window,
+// mail admitted at the start of the destination's next window), and the
 // (time, shard, seq) trace merge. The protocol (window length,
 // window safety argument, admission order) is documented in
 // docs/event-engine.md, "Cross-shard merge rule"; the architecture
@@ -7,6 +8,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cassert>
 #include <chrono>
 #include <ctime>
 #include <stdexcept>
@@ -194,8 +196,12 @@ util::SimTime Simulator::next_event_time() const {
   return next;
 }
 
-void Simulator::run_shard_window(Shard& sh, util::SimTime wend) {
+void Simulator::run_shard_window(Shard& sh, std::uint32_t parity,
+                                 util::SimTime sent_end, util::SimTime wend) {
   const double t0 = thread_cpu_seconds();
+  admit_mailboxes(sh, parity ^ 1, sent_end);
+  sh.parity = parity;
+  sh.outbox_min = util::SimTime::far_future();
   tl_owner_ = this;
   tl_shard_ = &sh;
   sh.events.run_before(wend);
@@ -204,19 +210,23 @@ void Simulator::run_shard_window(Shard& sh, util::SimTime wend) {
   sh.stats.busy_seconds += thread_cpu_seconds() - t0;
 }
 
-void Simulator::admit_mailboxes(Shard& sh) {
-  const double t0 = thread_cpu_seconds();
+void Simulator::admit_mailboxes(Shard& sh, std::uint32_t parity,
+                                [[maybe_unused]] util::SimTime sent_end) {
   // Deterministic admission: source shards in ascending order, each
   // mail vector in append order. Together with fresh local sequence
   // numbers this is the (time, shard, seq) cross-shard total order.
-  // The sources appended during the window phase and nobody sends
-  // during this phase, so the pool barrier between the two is the only
-  // synchronization the vectors need.
+  // The sources appended during the previous window and append to the
+  // other parity now, so the pool barrier between the two windows is
+  // the only synchronization the vectors need.
   for (std::uint32_t src = 0; src < shards_.size(); ++src) {
     if (src == sh.index) continue;
-    std::vector<MailboxMsg>& mail = shards_[src]->outbox[sh.index];
+    std::vector<MailboxMsg>& mail = shards_[src]->outbox[parity][sh.index];
     sh.stats.mailbox_in += mail.size();
     for (MailboxMsg& m : mail) {
+      // Window safety: an event before `sent_end` reaches another
+      // shard at least one hop latency later, so no arrival may fall
+      // inside the window it was sent in.
+      assert(m.at >= sent_end);
       if (m.kind == MailboxMsg::Kind::deliver) {
         sh.events.schedule_deliver(m.at, std::move(m.pkt), m.dst_host);
       } else {
@@ -226,7 +236,6 @@ void Simulator::admit_mailboxes(Shard& sh) {
     }
     mail.clear();
   }
-  sh.stats.busy_seconds += thread_cpu_seconds() - t0;
 }
 
 void Simulator::run_windows(util::SimTime deadline) {
@@ -238,36 +247,50 @@ void Simulator::run_windows(util::SimTime deadline) {
   const bool explicit_deadline = deadline < util::SimTime::far_future();
   pool_.ensure_started(shard_count());
 
-  // The two phase closures are built once per run and preinstalled in
-  // the pool; each window only writes `wend` and signals a phase index
-  // (no allocation, no locking — see shard_pool.hpp). Workers read
-  // `wend` after the barrier's acquire, so the plain write is safe.
+  // The phase closure is built once per run and preinstalled in the
+  // pool; each window only writes the locals below and bumps the pool
+  // generation (no allocation, no locking — see shard_pool.hpp).
+  // Workers read them after the barrier's acquire, so plain writes are
+  // safe. Mail posted in a window of parity p waits in the parity-p
+  // outboxes until its destination admits it at the start of the next
+  // window, so one barrier per window orders every mail vector.
+  std::uint32_t parity = 0;
+  util::SimTime sent_end = util::SimTime::origin();
   util::SimTime wend = util::SimTime::origin();
   const ShardPool::PhaseFn window_phase = [&](std::uint32_t s) {
-    run_shard_window(*shards_[s], wend);
+    run_shard_window(*shards_[s], parity, sent_end, wend);
   };
-  const ShardPool::PhaseFn admit_phase = [&](std::uint32_t s) {
-    admit_mailboxes(*shards_[s]);
-  };
-  pool_.install_phases(&window_phase, &admit_phase);
+  pool_.install_phase(&window_phase);
 
-  while (true) {
-    const util::SimTime next = next_event_time();
-    if (next == util::SimTime::far_future() || next > deadline) break;
+  // No mail is in flight between runs, so the queues alone give the
+  // first window's start.
+  util::SimTime next = next_event_time();
+  while (next != util::SimTime::far_future() && next <= deadline) {
     // Window [next, wend): every event executed inside it lies at
     // least `window` (= min cross-shard latency) before any cross-
     // shard arrival it can generate, so arrivals always land at or
-    // after wend and admission at the barrier is conservative-safe.
+    // after wend and admission at the next window's start is
+    // conservative-safe.
     wend = next + window;
     if (explicit_deadline) {
       wend = std::min(wend,
                       util::SimTime::from_nanos(deadline.nanos()) +
                           util::Duration::nanos(1));
     }
-    pool_.run_phase(0);
-    pool_.run_phase(1);
+    pool_.run_phase();
+    sent_end = wend;
+    parity ^= 1;
+    // The next window starts at the earliest pending event, queued or
+    // still in a mail vector.
+    next = next_event_time();
+    for (const auto& sh : shards_) next = std::min(next, sh->outbox_min);
   }
-  pool_.install_phases(nullptr, nullptr);
+  pool_.install_phase(nullptr);
+  // Mail from the last window arrives past the deadline. Admit it now, in
+  // shard order, so nothing stays in flight across the return: events
+  // a caller schedules before the next run then sequence after it, as
+  // on one shard.
+  for (auto& sh : shards_) admit_mailboxes(*sh, parity ^ 1, sent_end);
 
   // Every shard leaves the run on one clock, as the single-shard
   // engine does: the explicit deadline, or after a drain the latest

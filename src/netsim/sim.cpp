@@ -374,13 +374,13 @@ void Simulator::schedule_deliver_on(Shard& sh, std::uint32_t dst_shard,
   if (tl_owner_ == this && tl_shard_ == &sh) {
     // Inside a window on a shard thread: cross-shard events travel
     // through the mail vector toward `dst_shard`, admitted at the
-    // barrier.
+    // start of its next window.
     MailboxMsg m;
     m.kind = MailboxMsg::Kind::deliver;
     m.at = at;
     m.dst_host = host;
     m.pkt = std::move(pkt);
-    sh.outbox[dst_shard].push_back(std::move(m));
+    sh.post(dst_shard, std::move(m));
     return;
   }
   // Outside the event loop (setup / main thread between runs) no shard
@@ -404,7 +404,7 @@ void Simulator::schedule_icmp_on(Shard& sh, std::uint32_t dst_shard,
     m.router = router;
     m.origin_as = origin_as;
     m.pkt = std::move(offender);
-    sh.outbox[dst_shard].push_back(std::move(m));
+    sh.post(dst_shard, std::move(m));
     return;
   }
   shards_[dst_shard]->events.schedule_icmp(at, type, std::move(offender),

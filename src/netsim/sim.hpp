@@ -374,11 +374,23 @@ class Simulator {
   [[nodiscard]] std::uint32_t shard_of_as(Asn asn) const;
   /// Executing-shard context (set during event execution), or shard 0.
   [[nodiscard]] Shard& active_shard() const;
-  /// Conservative window loop on the shard pool; returns with every
-  /// shard clock at one instant (the deadline, or the latest event).
+  /// Conservative window loop on the shard pool; returns with no mail
+  /// in flight and every shard clock at one instant (the deadline, or
+  /// the latest event).
   void run_windows(util::SimTime deadline);
-  void run_shard_window(Shard& sh, util::SimTime wend);
-  void admit_mailboxes(Shard& sh);
+  /// One window on `sh`: admits the previous window's mail (which ended
+  /// at `sent_end`), then executes every event before `wend`, posting
+  /// cross-shard mail into the outboxes of window parity `parity`.
+  void run_shard_window(Shard& sh, std::uint32_t parity,
+                        util::SimTime sent_end, util::SimTime wend);
+  /// Schedules the mail the other shards posted toward `sh` in the
+  /// outboxes of parity `parity` — source shards in ascending order,
+  /// each vector in append order — and clears those vectors. Every
+  /// message was posted in the window that ended at `sent_end` and
+  /// arrives at or after it (asserted). Runs at the start of `sh`'s
+  /// next window, or on the coordinator when the window loop exits.
+  void admit_mailboxes(Shard& sh, std::uint32_t parity,
+                       util::SimTime sent_end);
   [[nodiscard]] util::SimTime next_event_time() const;
 
   void emit(Shard& sh, TapEvent ev, const Packet& pkt);

@@ -3,7 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "netsim/sim.hpp"
 #include "util/rng.hpp"
@@ -198,6 +200,94 @@ TEST_P(RoutingProperty, SpoofingOnlyEscapesSavFreeAses) {
     EXPECT_EQ(w.sim.counters().dropped_sav, before + (sav ? 1 : 0));
   }
   w.sim.run();
+}
+
+/// Parent of every AS (by AS index) in an exhaustive BFS from `src`
+/// over each AS's neighbours in link order; kRoot marks the source,
+/// kUnreached an AS with no path.
+constexpr std::int64_t kRoot = -1;
+constexpr std::int64_t kUnreached = -2;
+std::vector<std::int64_t> reference_parents(const Network& net, Asn src) {
+  std::vector<std::int64_t> parent(net.as_count(), kUnreached);
+  std::vector<std::size_t> queue{net.as_index(src)};
+  parent[queue[0]] = kRoot;
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const auto u = queue[head];
+    for (const Asn nb : net.find_as(net.all_asns()[u])->neighbors) {
+      const auto v = net.as_index(nb);
+      if (parent[v] == kUnreached) {
+        parent[v] = static_cast<std::int64_t>(u);
+        queue.push_back(v);
+      }
+    }
+  }
+  return parent;
+}
+
+/// Checks route() and as_distance() from `from` to `to` against the
+/// reference BFS parents of `from`'s AS.
+void expect_reference_route(const Network& net,
+                            const std::vector<std::int64_t>& parent,
+                            HostId from, HostId to) {
+  std::vector<Asn> as_path;
+  for (auto cur = static_cast<std::int64_t>(net.as_index(net.host(to).asn));
+       cur != kRoot; cur = parent[static_cast<std::size_t>(cur)]) {
+    ASSERT_NE(cur, kUnreached);
+    as_path.insert(as_path.begin(),
+                   net.all_asns()[static_cast<std::size_t>(cur)]);
+  }
+  std::vector<Ipv4> router_hops;
+  for (const Asn asn : as_path) {
+    const auto& ips = net.find_as(asn)->router_ips;
+    router_hops.insert(router_hops.end(), ips.begin(), ips.end());
+  }
+  const auto route = net.route(from, net.primary_addr(to));
+  ASSERT_TRUE(route.has_value());
+  EXPECT_EQ(route->as_path, as_path) << "from=" << from << " to=" << to;
+  EXPECT_EQ(route->router_hops, router_hops) << "from=" << from << " to=" << to;
+  EXPECT_EQ(route->dst_host, to);
+  EXPECT_EQ(net.as_distance(net.host(from).asn, net.host(to).asn),
+            static_cast<int>(as_path.size()) - 1);
+}
+
+TEST_P(RoutingProperty, ResumableBfsMatchesExhaustiveBfs) {
+  // One source asks for every destination in shuffled order on a fresh
+  // Network, so each route miss resumes the source's partial BFS where
+  // the previous one stopped.
+  auto wp = make_world(GetParam(), 40);
+  auto& w = *wp;
+  const auto& net = w.sim.net();
+  Rng rng{GetParam() ^ 5};
+  const HostId from = rng.pick(w.hosts);
+  const auto parent = reference_parents(net, net.host(from).asn);
+  std::vector<HostId> order = w.hosts;
+  rng.shuffle(order);
+  for (const HostId to : order) expect_reference_route(net, parent, from, to);
+}
+
+TEST(RoutingBfsCache, EvictedSourceRestartsAndMatchesExhaustiveBfs) {
+  // More sources than the BFS table holds: the first source's partial
+  // BFS is evicted (FIFO) by the others, and its next misses must
+  // restart from scratch and still match the exhaustive BFS.
+  constexpr int kAses = static_cast<int>(RouteCache::kMaxBfsEntries) + 64;
+  auto wp = make_world(5, kAses);
+  auto& w = *wp;
+  const auto& net = w.sim.net();
+  Rng rng{6};
+  const HostId first = w.hosts[0];
+  const auto first_parent = reference_parents(net, net.host(first).asn);
+  std::vector<HostId> order = w.hosts;
+  rng.shuffle(order);
+  expect_reference_route(net, first_parent, first, order[0]);
+  for (std::size_t i = 1; i < w.hosts.size(); ++i) {
+    const HostId from = w.hosts[i];
+    const HostId to = rng.pick(w.hosts);
+    expect_reference_route(net, reference_parents(net, net.host(from).asn),
+                           from, to);
+  }
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    expect_reference_route(net, first_parent, first, order[i]);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RoutingProperty,

@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "classify/analysis.hpp"
@@ -347,6 +348,66 @@ TEST(ShardedDeterminism, ClocksSynchronizeAfterADrainRun) {
     EXPECT_EQ(rec.fired[0].nanos(), at(10)) << "shards=" << shards;
     EXPECT_EQ(rec.fired[1].nanos(), at(11)) << "shards=" << shards;
     EXPECT_EQ(world.sim.now().nanos(), at(11)) << "shards=" << shards;
+  }
+}
+
+/// Logs datagrams and timers on one host, in execution order.
+struct ArrivalLog final : netsim::App, netsim::TimerTarget {
+  void on_datagram(const netsim::Datagram&) override {
+    order.push_back("datagram");
+  }
+  void on_timer(std::uint64_t, std::uint64_t) override {
+    order.push_back("timer");
+  }
+  std::vector<std::string> order;
+};
+
+/// Sends one datagram from `from` to `to` when its timer fires, i.e.
+/// from inside a window on the sender's shard.
+struct TimedSender final : netsim::TimerTarget {
+  TimedSender(Simulator& s, HostId f, Ipv4 t) : sim(&s), from(f), to(t) {}
+  void on_timer(std::uint64_t, std::uint64_t) override {
+    netsim::SendOptions opts;
+    opts.dst = to;
+    opts.dst_port = 4000;
+    sim->send_udp(from, std::move(opts));
+  }
+  Simulator* sim;
+  HostId from;
+  Ipv4 to;
+};
+
+TEST(ShardedDeterminism, MailInFlightAcrossARunBoundaryKeepsSingleShardOrder) {
+  // A datagram sent in the last window before run_until's deadline
+  // arrives after it, at T. The caller then arms a timer on the
+  // receiver at T: on one shard the datagram was scheduled first, so
+  // it runs first; mail still in flight when run_until returns would
+  // be scheduled after the timer instead.
+  for (const std::uint32_t shards : {1u, 2u}) {
+    MiniWorld world(sharded_cfg(shards));
+    const HostId sender = world.scanner_host;
+    const HostId receiver = world.root_host;
+    if (shards > 1) {
+      ASSERT_NE(world.sim.shard_of(sender), world.sim.shard_of(receiver));
+    }
+    ArrivalLog log;
+    world.sim.bind_udp(receiver, 4000, &log);
+    TimedSender send(world.sim, sender, test::kRootAddr);
+    const auto route = world.sim.net().route(sender, test::kRootAddr);
+    ASSERT_TRUE(route.has_value());
+    const Duration send_at = Duration::millis(1);
+    const Duration arrive_at =
+        send_at + world.sim.config().hop_latency *
+                      static_cast<std::int64_t>(route->router_hops.size() + 1);
+    world.sim.schedule_timer_on(sender, send_at, &send, 0);
+    world.sim.run_until(util::SimTime::origin() + send_at);
+    ASSERT_TRUE(log.order.empty());
+    world.sim.schedule_timer_on(receiver, arrive_at - send_at, &log, 0);
+    world.sim.run();
+    EXPECT_EQ(log.order, (std::vector<std::string>{"datagram", "timer"}))
+        << "shards=" << shards;
+    EXPECT_EQ(world.sim.now(), util::SimTime::origin() + arrive_at)
+        << "shards=" << shards;
   }
 }
 
