@@ -3,7 +3,8 @@
 # bench_netsim, which print timings) and every example binary from two
 # build trees with their default arguments, and diffs the stdout of
 # each pair. A change that must not move any paper number shows
-# "same" on every line.
+# "same" on every line; a pair that DIFFERS is followed by the first
+# 20 lines of its diff.
 #
 # Usage: scripts/compare_outputs.sh BUILD_A BUILD_B
 #   e.g. scripts/compare_outputs.sh ../parent/build build
@@ -50,6 +51,9 @@ for name in "${binaries[@]}"; do
   fi
   [[ $result == same ]] || status=1
   printf '%-22s %s\n' "$name" "$result"
+  if [[ $result == DIFFERS ]]; then
+    diff "$out/$name.a" "$out/$name.b" | head -n 20 | sed 's/^/    /'
+  fi
 done
 echo "${#binaries[@]} binaries compared; outputs in $out"
 exit "$status"

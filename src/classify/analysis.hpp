@@ -131,9 +131,8 @@ class CensusAccumulator {
 
 /// Order-independent structural digest of every census table (scalars,
 /// per-country composition including the project/consolidation
-/// columns, TF-by-AS, /24 density, response fan-out) — the scale
-/// harness's byte-identity oracle across shard counts, thread modes,
-/// and streaming-vs-buffered execution.
+/// columns, TF-by-AS, /24 density, response fan-out) — the goldens'
+/// byte-identity oracle across shard counts and thread modes.
 [[nodiscard]] std::uint64_t census_fingerprint(const Census& census);
 
 /// Per-vantage composition of a multi-vantage scan: what each capture

@@ -132,15 +132,11 @@ AttackScenarioResult run_attack_scenario(CensusResult& census,
     }
   }
 
-  // Reflectors: the transparent forwarders this census discovered.
-  std::vector<util::Ipv4> reflectors;
-  for (const auto& item : census.classified) {
-    if (item.klass == classify::Klass::transparent_forwarder) {
-      reflectors.push_back(item.txn.target);
-      if (cfg.max_reflectors != 0 && reflectors.size() >= cfg.max_reflectors) {
-        break;
-      }
-    }
+  // Reflectors: the transparent forwarders this census discovered, in
+  // target order.
+  std::vector<util::Ipv4> reflectors = transparent_forwarders(census);
+  if (cfg.max_reflectors != 0 && reflectors.size() > cfg.max_reflectors) {
+    reflectors.resize(cfg.max_reflectors);
   }
 
   const netsim::SimCounters before = sim.counters();

@@ -23,7 +23,7 @@ struct AttackScenarioConfig {
   /// Spoofed victims, each attached as its own (SAV-enabled) stub AS.
   std::uint32_t victims = 2;
   /// Reflector budget: the first N census-discovered transparent
-  /// forwarders (0 = all of them).
+  /// forwarders in target order (0 = all of them).
   std::size_t max_reflectors = 0;
   std::uint64_t probes_per_second = 20000;
   dnswire::RrType qtype = dnswire::RrType::txt;

@@ -1,5 +1,7 @@
 #include "core/census.hpp"
 
+#include <unordered_set>
+
 namespace odns::core {
 
 namespace {
@@ -41,21 +43,13 @@ CensusResult run_census(const CensusConfig& cfg) {
   if (sim.shard_count() > 1) {
     // Balance the AS partition by expected event load: the dominant
     // per-shard cost of a census is serving + capturing its probe
-    // targets. With serving-cost weights a forwarder target counts
-    // double — it relays the probe upstream, so its virtual shard
-    // executes the relay leg on top of the delivery leg — which is
-    // what actually evens out forwarder-heavy shards.
+    // targets, and a forwarder target counts double — it relays the
+    // probe upstream, so its virtual shard executes the relay leg on
+    // top of the delivery leg.
     std::vector<std::uint64_t> weights(netsim::Simulator::kVirtualShards, 0);
-    if (cfg.serving_cost_weights) {
-      for (const auto& gt : result.world->ground_truth()) {
-        const std::uint64_t cost =
-            gt.kind == topo::OdnsKind::recursive_resolver ? 1 : 2;
-        weights[sim.virtual_shard_of(gt.addr)] += cost;
-      }
-    } else {
-      for (const auto target : targets) {
-        ++weights[sim.virtual_shard_of(target)];
-      }
+    for (const auto& gt : result.world->ground_truth()) {
+      weights[sim.virtual_shard_of(gt.addr)] +=
+          gt.kind == topo::OdnsKind::recursive_resolver ? 1 : 2;
     }
     sim.set_partition_load_hints(std::move(weights));
   }
@@ -64,7 +58,7 @@ CensusResult run_census(const CensusConfig& cfg) {
   sc.qname = result.world->scan_name();
   sc.timeout = cfg.scan_timeout;
   sc.probes_per_second = cfg.probes_per_second;
-  sc.shard_interleave = cfg.shard_interleaved_targets;
+  sc.shard_interleave = true;
   sc.max_retries = cfg.scan_max_retries;
   sc.backoff_base = cfg.scan_retry_backoff;
 
@@ -72,11 +66,9 @@ CensusResult run_census(const CensusConfig& cfg) {
   cc.control_addr = result.world->control_addr();
   cc.strict_two_records = cfg.strict_validation;
 
-  const std::uint32_t vantages =
-      cfg.vantages > 0 ? cfg.vantages : sim.shard_count();
   result.vantage_set = std::make_unique<scan::VantageSet>(
       sim, sc, result.world->scanner_addr(),
-      honeypot::attach_capture_vantages(*result.world, vantages));
+      honeypot::attach_capture_vantages(*result.world, sim.shard_count()));
   scan::VantageSet& scanner = *result.vantage_set;
   scanner.start(targets);
 
@@ -88,25 +80,17 @@ CensusResult run_census(const CensusConfig& cfg) {
     result.transactions.reserve(targets.size());
     result.classified.reserve(targets.size());
   }
-  const scan::VantageSet::TxnSink fold = [&](std::size_t,
-                                             scan::Transaction&& txn) {
-    classify::Classified item;
-    item.klass = classify::classify_one(txn, cc);
-    item.txn = std::move(txn);
-    acc.add(item);
-    if (cfg.retain_transactions) {
-      result.transactions.push_back(item.txn);
-      result.classified.push_back(std::move(item));
-    }
-  };
-  if (cfg.streaming_correlation) {
-    result.stream_stats =
-        scanner.run_and_correlate_streaming(cfg.correlate_flush, fold);
-  } else {
-    scanner.run_to_completion();
-    std::vector<scan::Transaction> txns = scanner.correlate();
-    for (std::size_t i = 0; i < txns.size(); ++i) fold(i, std::move(txns[i]));
-  }
+  result.stream_stats = scanner.run_and_correlate_streaming(
+      cfg.correlate_flush, [&](std::size_t, scan::Transaction&& txn) {
+        classify::Classified item;
+        item.klass = classify::classify_one(txn, cc);
+        item.txn = std::move(txn);
+        acc.add(item);
+        if (cfg.retain_transactions) {
+          result.transactions.push_back(item.txn);
+          result.classified.push_back(std::move(item));
+        }
+      });
   result.census = acc.finish();
   result.degradation = degradation_of(result, scanner.stats());
   return result;
@@ -148,13 +132,23 @@ std::map<std::string, std::uint64_t> campaign_country_counts(
   return counts;
 }
 
-DnsrouteResult run_dnsroute(CensusResult& result, int max_ttl) {
-  std::vector<util::Ipv4> targets;
+std::vector<util::Ipv4> transparent_forwarders(const CensusResult& result) {
+  std::unordered_set<util::Ipv4> found;
   for (const auto& item : result.classified) {
     if (item.klass == classify::Klass::transparent_forwarder) {
-      targets.push_back(item.txn.target);
+      found.insert(item.txn.target);
     }
   }
+  std::vector<util::Ipv4> out;
+  out.reserve(found.size());
+  for (const auto& gt : result.world->ground_truth()) {
+    if (found.contains(gt.addr)) out.push_back(gt.addr);
+  }
+  return out;
+}
+
+DnsrouteResult run_dnsroute(CensusResult& result, int max_ttl) {
+  const std::vector<util::Ipv4> targets = transparent_forwarders(result);
   dnsroute::DnsrouteConfig rc;
   rc.qname = result.world->scan_name();
   rc.max_ttl = max_ttl;

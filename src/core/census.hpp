@@ -36,43 +36,17 @@ struct CensusConfig {
   /// worker threads with byte-identical results — see "Sharded
   /// execution" in docs/architecture.md.
   std::uint32_t sim_shards = 0;
-  /// Interleave the probe targets round-robin over the partition so
-  /// every shard stays busy in every pacing window (see
-  /// scan::ScanConfig::shard_interleave; probe order then differs from
-  /// the classic census, but is identical for every shard count).
+  /// No-op (the benchmark sets it): targets are always interleaved.
   bool shard_interleaved_targets = false;
-  /// Capture vantages of the scan (scan::VantageSet members attached by
-  /// honeypot::attach_capture_vantages). 0 = one per shard, so every
-  /// shard captures the responses it emits. Counters, traces,
-  /// transactions, and the Census tables are identical for any value;
-  /// only execution changes. See "Multi-vantage census" in
-  /// docs/architecture.md. The field stays only because the end-to-end
-  /// benchmark (benchmark/odns_bench.cpp) sets it.
+  /// No-op (the benchmark sets it): one capture vantage per shard.
   std::uint32_t vantages = 0;
-  /// Sharded runs balance the AS partition by expected event load (see
-  /// netsim::Simulator::set_partition_load_hints). This lever weights
-  /// each probe target by its serving cost instead of counting every
-  /// target once: a forwarder relays the probe upstream (and a
-  /// transparent forwarder additionally triggers the off-path public
-  /// response), so forwarder-heavy virtual shards execute roughly twice
-  /// the events per target of resolver-only ones. Execution-only —
-  /// results are byte-identical either way; the lever only moves the
-  /// LPT placement (see the partition section of the scale test).
-  bool serving_cost_weights = true;
-  /// Correlation cadence. Either way every transaction runs through
-  /// the one scan::StreamingCorrelator, is classified
-  /// (classify::classify_one) and folds into the Census tables
-  /// (classify::CensusAccumulator). true: the simulator runs in
-  /// correlate_flush windows and each probe is finalized as its
-  /// timeout window closes, so steady-state memory is bounded by the
-  /// in-flight window, not the run length. false: the scan runs to
-  /// completion, then one final flush joins the whole capture. Census,
-  /// stats, counters, and traces are identical. The field stays only
-  /// because the end-to-end benchmark (benchmark/odns_bench.cpp) sets
-  /// it.
+  /// No-op (the benchmark sets it): correlation always streams.
   bool streaming_correlation = false;
-  /// Flush window of the streaming cadence; must be positive
-  /// (run_census throws std::invalid_argument otherwise).
+  /// Flush window of the streaming correlator: the simulator runs in
+  /// these windows and each probe is finalized as its timeout window
+  /// closes, so steady-state memory is bounded by the in-flight window,
+  /// not the run length. Must be positive (run_census throws
+  /// std::invalid_argument otherwise).
   util::Duration correlate_flush = util::Duration::seconds(1);
   /// Keep the per-probe transactions/classified vectors in the result.
   /// Million-host runs turn this off: the Census tables are the
@@ -129,11 +103,13 @@ struct CensusResult {
   registry::RegistrySnapshot registry;
   /// The capture set that ran the scan.
   std::unique_ptr<scan::VantageSet> vantage_set;
-  /// Per-probe logs (empty when retain_transactions is off).
+  /// Per-probe logs in probe (pacing) order — the order the correlator
+  /// finalized them, not target order; empty when retain_transactions
+  /// is off. transparent_forwarders() gives the TFs in target order.
   std::vector<scan::Transaction> transactions;
   std::vector<classify::Classified> classified;
   classify::Census census;
-  /// Memory high-water marks of the streaming cadence (zero otherwise).
+  /// Memory high-water marks of the streaming correlator.
   scan::VantageSet::StreamStats stream_stats;
   /// Coverage and fault accounting for this run.
   DegradationReport degradation;
@@ -141,6 +117,12 @@ struct CensusResult {
 
 /// Full pipeline: topology → scan → correlate → classify → analyze.
 [[nodiscard]] CensusResult run_census(const CensusConfig& cfg);
+
+/// The transparent forwarders the census classified, in target order
+/// (world->ground_truth() / scan_targets()), independent of the probe
+/// order. Empty when retain_transactions was off.
+[[nodiscard]] std::vector<util::Ipv4> transparent_forwarders(
+    const CensusResult& result);
 
 /// Re-classifies and re-analyzes an existing scan under different
 /// validation rules (cheap; reuses the transaction log, which is
@@ -166,7 +148,7 @@ struct DnsrouteResult {
 };
 
 /// DNSRoute++ campaign over all transparent forwarders found by the
-/// census (or an explicit target list).
+/// census, in target order.
 [[nodiscard]] DnsrouteResult run_dnsroute(CensusResult& result,
                                           int max_ttl = 30);
 

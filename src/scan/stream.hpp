@@ -17,7 +17,8 @@
 // Equivalence contract: fed the same records in the same order, the
 // transactions — values, probe order — and the unmatched/late/duplicate
 // statistics do not depend on when advance() is called. The census
-// goldens (tests/golden_test.cpp) pin both cadences to the same rows.
+// goldens (tests/golden_test.cpp) pin the streaming cadence; the
+// retry-correlation tests (tests/fault_plane_test.cpp) drive both.
 
 #include <cstdint>
 #include <deque>

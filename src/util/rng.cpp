@@ -2,14 +2,17 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace odns::util {
 
 std::size_t Rng::weighted(std::span<const double> weights) {
-  assert(!weights.empty());
+  if (weights.empty()) throw std::invalid_argument("Rng::weighted: empty");
   double total = 0.0;
   for (double w : weights) {
-    assert(w >= 0.0);
+    if (!(w >= 0.0)) {
+      throw std::invalid_argument("Rng::weighted: negative weight");
+    }
     total += w;
   }
   if (total <= 0.0) return 0;

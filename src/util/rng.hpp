@@ -5,11 +5,11 @@
 // April 2021 snapshot.
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
 #include <random>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 namespace odns::util {
@@ -18,14 +18,15 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
 
-  /// Uniform integer in [lo, hi] inclusive.
+  /// Uniform integer in [lo, hi] inclusive; throws
+  /// std::invalid_argument when lo > hi.
   std::uint64_t uniform(std::uint64_t lo, std::uint64_t hi) {
-    assert(lo <= hi);
+    if (lo > hi) throw std::invalid_argument("Rng::uniform: lo > hi");
     return std::uniform_int_distribution<std::uint64_t>(lo, hi)(engine_);
   }
 
   int uniform_int(int lo, int hi) {
-    assert(lo <= hi);
+    if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
     return std::uniform_int_distribution<int>(lo, hi)(engine_);
   }
 
@@ -47,12 +48,14 @@ class Rng {
     return lo + static_cast<std::uint64_t>(x);
   }
 
-  /// Picks an index according to the given non-negative weights.
+  /// Picks an index according to the given non-negative weights;
+  /// throws std::invalid_argument on an empty set or a negative weight.
   std::size_t weighted(std::span<const double> weights);
 
+  /// Throws std::invalid_argument on an empty vector.
   template <typename T>
   const T& pick(const std::vector<T>& items) {
-    assert(!items.empty());
+    if (items.empty()) throw std::invalid_argument("Rng::pick: empty");
     return items[uniform(0, items.size() - 1)];
   }
 

@@ -1,10 +1,10 @@
 #include "util/table.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <charconv>
 #include <cstdio>
 #include <ostream>
+#include <stdexcept>
 
 namespace odns::util {
 
@@ -27,7 +27,9 @@ bool looks_numeric(const std::string& s) {
 Table::Table(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 
 Table& Table::add_row(std::vector<std::string> cells) {
-  assert(cells.size() == headers_.size());
+  if (cells.size() != headers_.size()) {
+    throw std::invalid_argument("Table::add_row: row width != header width");
+  }
   rows_.push_back(std::move(cells));
   return *this;
 }

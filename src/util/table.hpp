@@ -13,6 +13,8 @@ class Table {
  public:
   explicit Table(std::vector<std::string> headers);
 
+  /// Throws std::invalid_argument unless the row has one cell per
+  /// header.
   Table& add_row(std::vector<std::string> cells);
 
   /// Formats the table with column alignment; numeric-looking cells are

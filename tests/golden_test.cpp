@@ -164,8 +164,8 @@ struct CensusGolden {
   const char* report;  // report_digest(DegradationReport)
 };
 
-// One row per (seed, scale, faults); the 1-shard and the 8-shard
-// threaded census must both reproduce it.
+// One row per (seed, scale, faults); the 1-, 3- and 8-shard census
+// must each reproduce it.
 constexpr CensusGolden kStreamingCensus[] = {
     {1, 0.0015, false, "a898af66dc420bce", "bcf01cdd5b48c94f"},
     {1, 0.0015, true, "4ec3cbfd912a2fc7", "295c5419b3632eb3"},
@@ -191,9 +191,6 @@ core::CensusConfig streaming_cfg(const CensusGolden& g, std::uint32_t shards) {
   cfg.topology.seed = g.seed;
   cfg.topology.sim.seed = g.seed;
   cfg.sim_shards = shards;
-  cfg.shard_interleaved_targets = true;
-  cfg.vantages = shards;
-  cfg.streaming_correlation = true;
   cfg.retain_transactions = false;
   cfg.scan_timeout = Duration::seconds(2);
   cfg.correlate_flush = Duration::millis(250);
@@ -211,24 +208,17 @@ core::CensusConfig streaming_cfg(const CensusGolden& g, std::uint32_t shards) {
   return cfg;
 }
 
-TEST(GoldenStreamingCensus, OneAndEightShardsMatchTheRecordedRow) {
+TEST(GoldenStreamingCensus, OneThreeAndEightShardsMatchTheRecordedRow) {
   for (const CensusGolden& g : kStreamingCensus) {
-    // The buffered cadence (run to completion, then one final flush of
-    // the same correlator) must land on the same row.
-    core::CensusConfig buffered = streaming_cfg(g, 1);
-    buffered.streaming_correlation = false;
-    for (const core::CensusConfig& cfg :
-         {streaming_cfg(g, 1), streaming_cfg(g, 8), buffered}) {
-      const auto result = core::run_census(cfg);
+    for (const std::uint32_t shards : {1u, 3u, 8u}) {
+      const auto result = core::run_census(streaming_cfg(g, shards));
       const std::string census =
           hex(classify::census_fingerprint(result.census));
       const std::string report = report_digest(result.degradation);
       EXPECT_TRUE(census == g.census && report == g.report)
-          << "shards=" << cfg.sim_shards
-          << (cfg.streaming_correlation ? "" : " buffered")
-          << ", actual row: {" << g.seed << ", " << plain(g.scale) << ", "
-          << (g.faulted ? "true" : "false") << ", \"" << census << "\", \""
-          << report << "\"},";
+          << "shards=" << shards << ", actual row: {" << g.seed << ", "
+          << plain(g.scale) << ", " << (g.faulted ? "true" : "false")
+          << ", \"" << census << "\", \"" << report << "\"},";
     }
   }
 }
@@ -284,11 +274,6 @@ TEST(GoldenPipeline, CensusDnsrouteAndAttackMatchTheRecordedRow) {
         << "actual row: {" << g.seed << ", \"" << census << "\", "
         << routes.paths.size() << ", \"" << paths << "\", \"" << amp
         << "\"},";
-    // The streaming cadence must reproduce the same census.
-    cfg.streaming_correlation = true;
-    EXPECT_EQ(hex(classify::census_fingerprint(core::run_census(cfg).census)),
-              g.census)
-        << "streaming cadence, seed=" << g.seed;
   }
 }
 

@@ -556,7 +556,6 @@ TEST(ShardedCensus, FullPipelineMatchesSingleThreadedEngine) {
     cfg.topology.scale = 0.004;
     cfg.topology.max_countries = 4;
     cfg.sim_shards = shards;
-    cfg.shard_interleaved_targets = true;
     const auto result = core::run_census(cfg);
     return census_fingerprint_text(result.census);
   };
@@ -571,7 +570,7 @@ TEST(ShardedCensus, FullPipelineMatchesSingleThreadedEngine) {
 /// transaction log; one capture vantage per shard) for the property
 /// comparison below.
 std::string census_for_property(std::uint32_t shards, std::uint64_t seed,
-                                double loss, bool interleave) {
+                                double loss) {
   core::CensusConfig cfg;
   cfg.topology.scale = 0.003;
   cfg.topology.max_countries = 3;
@@ -579,7 +578,6 @@ std::string census_for_property(std::uint32_t shards, std::uint64_t seed,
   cfg.topology.sim.seed = seed;
   cfg.topology.sim.loss_rate = loss;
   cfg.sim_shards = shards;
-  cfg.shard_interleaved_targets = interleave;
   const auto result = core::run_census(cfg);
   std::string fp = census_fingerprint_text(result.census);
   fp += render_transactions(result.transactions);
@@ -587,21 +585,15 @@ std::string census_for_property(std::uint32_t shards, std::uint64_t seed,
 }
 
 TEST(MultiVantageCensus, PropertyTablesEqualSingleVantageBaseline) {
-  // Across seeds × loss × interleave, the 8-shard census (8 capture
-  // hosts, worker threads) must produce census tables — and the
-  // transaction log they are built from — identical to the one-shard,
-  // one-vantage baseline.
+  // Across seeds × loss, the 8-shard census (8 capture hosts, worker
+  // threads) must produce census tables — and the transaction log they
+  // are built from — identical to the one-shard, one-vantage baseline.
   for (const std::uint64_t seed : {11ull, 42ull}) {
     for (const double loss : {0.0, 0.08}) {
-      for (const bool interleave : {false, true}) {
-        const std::string reference =
-            census_for_property(1, seed, loss, interleave);
-        ASSERT_FALSE(reference.empty());
-        EXPECT_EQ(census_for_property(8, seed, loss, interleave),
-                  reference)
-            << "seed=" << seed << " loss=" << loss
-            << " interleave=" << interleave;
-      }
+      const std::string reference = census_for_property(1, seed, loss);
+      ASSERT_FALSE(reference.empty());
+      EXPECT_EQ(census_for_property(8, seed, loss), reference)
+          << "seed=" << seed << " loss=" << loss;
     }
   }
 }

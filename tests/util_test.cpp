@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include "util/ipv4.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
@@ -140,6 +144,16 @@ TEST(RngTest, WeightedRoughlyProportional) {
   EXPECT_NEAR(static_cast<double>(counts[1]) / 10000.0, 0.75, 0.03);
 }
 
+TEST(RngTest, RejectsInvertedRangesAndEmptySets) {
+  Rng rng{7};
+  EXPECT_THROW(rng.uniform(2, 1), std::invalid_argument);
+  EXPECT_THROW(rng.uniform_int(2, 1), std::invalid_argument);
+  EXPECT_THROW(rng.weighted({}), std::invalid_argument);
+  const double negative[] = {1.0, -0.5};
+  EXPECT_THROW(rng.weighted(negative), std::invalid_argument);
+  EXPECT_THROW(rng.pick(std::vector<int>{}), std::invalid_argument);
+}
+
 TEST(RngTest, ForkDecorrelates) {
   Rng a{42};
   Rng fork = a.fork(1);
@@ -233,6 +247,14 @@ TEST(TableTest, CsvEscapesSpecials) {
   Table t({"v"});
   t.add_row({"a,b\"c"});
   EXPECT_EQ(t.to_csv(), "v\n\"a,b\"\"c\"\n");
+}
+
+TEST(TableTest, RejectsRowsNotMatchingTheHeaders) {
+  Table t({"name", "count"});
+  EXPECT_THROW(t.add_row({"alpha", "10", "extra"}), std::invalid_argument);
+  EXPECT_THROW(t.add_row({"alpha"}), std::invalid_argument);
+  EXPECT_EQ(t.rows(), 0u);
+  EXPECT_NE(t.to_string().find("| name |"), std::string::npos);
 }
 
 TEST(TableTest, Formatters) {
