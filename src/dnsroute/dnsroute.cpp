@@ -1,6 +1,7 @@
 #include "dnsroute/dnsroute.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <unordered_set>
 
 namespace odns::dnsroute {
@@ -26,62 +27,75 @@ std::vector<util::Ipv4> TracePath::hop_addrs() const {
   return out;
 }
 
+namespace {
+
+// Probe k leaves from port kPortBase + k % kPorts with txid
+// 1 + k / kPorts (dnsroute.hpp).
+constexpr std::uint64_t kPortBase = 1024;
+constexpr std::uint64_t kPorts = 65536 - kPortBase;
+constexpr std::uint64_t kTxids = 65535;  // txid 0 is never sent
+
+}  // namespace
+
 DnsroutePlusPlus::DnsroutePlusPlus(netsim::Simulator& sim,
                                    netsim::HostId host, DnsrouteConfig cfg)
-    : sim_(&sim), host_(host), cfg_(std::move(cfg)) {
+    : sim_(&sim),
+      host_(host),
+      cfg_(std::move(cfg)),
+      query_(cfg_.qname, dnswire::RrType::a) {
   sim_->bind_udp_wildcard(host_, this);
   sim_->set_icmp_handler(host_,
                          [this](const netsim::Packet& pkt) { on_icmp(pkt); });
 }
 
-void DnsroutePlusPlus::send_probe(std::size_t target_idx, int ttl) {
-  const std::uint16_t port = next_port_;
-  if (next_port_ >= 65535) {
-    next_port_ = 1024;
-    ++next_txid_;
-    if (next_txid_ == 0) next_txid_ = 1;
-  } else {
-    ++next_port_;
-  }
-  const std::uint16_t txid = next_txid_;
-  probe_of_[key(port, txid)] = {static_cast<std::uint32_t>(target_idx), ttl};
-  probe_by_port_[port] = {static_cast<std::uint32_t>(target_idx), ttl};
+std::optional<std::pair<std::size_t, int>> DnsroutePlusPlus::probe(
+    std::uint64_t k) const {
+  if (k >= sent_) return std::nullopt;
+  const auto max_ttl = static_cast<std::uint64_t>(cfg_.max_ttl);
+  return std::pair{static_cast<std::size_t>(k / max_ttl),
+                   static_cast<int>(k % max_ttl) + 1};
+}
 
+void DnsroutePlusPlus::on_timer(std::uint64_t k, std::uint64_t) {
+  sent_ = k + 1;
+  const auto [target_idx, ttl] = *probe(k);
   netsim::SendOptions opts;
   opts.dst = paths_[target_idx].target;
-  opts.src_port = port;
+  opts.src_port = static_cast<std::uint16_t>(kPortBase + k % kPorts);
   opts.dst_port = 53;
   opts.ttl = ttl;
-  opts.payload = dnswire::encode(
-      dnswire::make_query(txid, cfg_.qname, dnswire::RrType::a));
+  opts.payload = query_.with_id(static_cast<std::uint16_t>(1 + k / kPorts));
   last_send_at_ = sim_->now();
   sim_->send_udp(host_, std::move(opts));
 }
 
-void DnsroutePlusPlus::on_timer(std::uint64_t target_idx, std::uint64_t ttl) {
-  send_probe(static_cast<std::size_t>(target_idx), static_cast<int>(ttl));
-}
-
 std::vector<TracePath> DnsroutePlusPlus::run(
     const std::vector<util::Ipv4>& targets) {
+  const std::uint64_t probes =
+      targets.size() * static_cast<std::uint64_t>(cfg_.max_ttl);
+  if (probes > kPorts * kTxids) {
+    throw std::invalid_argument(
+        "DnsroutePlusPlus::run: more probes than (port, txid) tuples");
+  }
   paths_.clear();
   paths_.resize(targets.size());
   for (std::size_t i = 0; i < targets.size(); ++i) {
     paths_[i].target = targets[i];
     paths_[i].hops.assign(static_cast<std::size_t>(cfg_.max_ttl), Hop{});
   }
+  sent_ = 0;
   const auto gap = util::Duration::nanos(static_cast<std::int64_t>(
       1e9 / static_cast<double>(cfg_.probes_per_second)));
-  util::Duration at = util::Duration::nanos(0);
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    for (int ttl = 1; ttl <= cfg_.max_ttl; ++ttl) {
-      // Shard-affine pacing: scheduled from outside the event loop, so
-      // the timer must land on the shard owning the vantage host.
-      sim_->schedule_timer_on(host_, at, this, i,
-                              static_cast<std::uint64_t>(ttl));
-      at = at + gap;
-    }
+  std::vector<netsim::TimerRunEntry> pacing;
+  pacing.reserve(probes);
+  util::SimTime at = sim_->now();
+  for (std::uint64_t k = 0; k < probes; ++k) {
+    pacing.push_back(netsim::TimerRunEntry{at, k, 0});
+    at = at + gap;
   }
+  // Shard-affine pacing: armed from outside the event loop, so the run
+  // must land on the shard owning the vantage host.
+  sim_->schedule_timer_run_on(host_, this, std::move(pacing));
   sim_->run();
   sim_->run_until(last_send_at_ + cfg_.settle);
   sim_->run();
@@ -90,9 +104,13 @@ std::vector<TracePath> DnsroutePlusPlus::run(
 
 void DnsroutePlusPlus::on_icmp(const netsim::Packet& pkt) {
   if (pkt.icmp_type != netsim::IcmpType::ttl_exceeded) return;
-  auto it = probe_by_port_.find(pkt.icmp_quote.orig_src_port);
-  if (it == probe_by_port_.end()) return;
-  const auto [target_idx, ttl] = it->second;
+  const std::uint64_t port = pkt.icmp_quote.orig_src_port;
+  if (port < kPortBase) return;
+  const std::uint64_t slot = port - kPortBase;
+  if (slot >= sent_) return;  // no probe has left from this port yet
+  // The latest probe sent from this port.
+  const std::uint64_t last = sent_ - 1;
+  const auto [target_idx, ttl] = *probe(last - (last - slot) % kPorts);
   auto& path = paths_[target_idx];
   auto& hop = path.hops[static_cast<std::size_t>(ttl - 1)];
   if (!hop.responded) {
@@ -111,9 +129,11 @@ void DnsroutePlusPlus::on_datagram(const netsim::Datagram& dgram) {
   if (!parsed) return;
   const dnswire::MessageView& msg = parsed.value();
   if (!msg.header.qr) return;
-  auto it = probe_of_.find(key(dgram.dst_port, msg.header.id));
-  if (it == probe_of_.end()) return;
-  const auto [target_idx, ttl] = it->second;
+  if (dgram.dst_port < kPortBase || msg.header.id == 0) return;
+  const auto matched =
+      probe((msg.header.id - 1u) * kPorts + (dgram.dst_port - kPortBase));
+  if (!matched) return;
+  const auto [target_idx, ttl] = *matched;
   auto& path = paths_[target_idx];
   if (msg.header.rcode != dnswire::Rcode::noerror || msg.answers.empty()) {
     return;

@@ -8,14 +8,23 @@
 //
 // Relies on the hop-accurate TTL/ICMP semantics of netsim (sim.hpp);
 // docs/architecture.md diagrams the relay behavior being exploited.
+//
+// Probe matching is arithmetic, with no per-probe table. Probe
+// k = target_index * max_ttl + (ttl - 1) is the k-th one sent; it
+// leaves from port 1024 + k mod 64512 with txid 1 + k / 64512. A DNS
+// answer echoes both, so (port, txid) names exactly one probe. An ICMP
+// Time-Exceeded quotes only the offending UDP header (ports, not the
+// DNS payload), so it is attributed to the latest probe sent from its
+// port. Ports are reused every 64,512 probes (about 1.3 s at the
+// default 50k probes/s): an ICMP error slower than that is credited to
+// the newer probe on its port, as a port-keyed capture would.
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "dnswire/arena_codec.hpp"
-#include "dnswire/codec.hpp"
 #include "netsim/sim.hpp"
 #include "registry/registry.hpp"
 
@@ -64,32 +73,29 @@ class DnsroutePlusPlus : public netsim::App, public netsim::TimerTarget {
                    DnsrouteConfig cfg);
 
   /// Probes every target at TTL 1..max_ttl and runs the simulator
-  /// until all probes are answered or settled.
+  /// until all probes are answered or settled. Throws
+  /// std::invalid_argument when targets × max_ttl exceeds the
+  /// 64,512 × 65,535 distinct (port, txid) tuples.
   std::vector<TracePath> run(const std::vector<util::Ipv4>& targets);
 
   void on_datagram(const netsim::Datagram& dgram) override;
-  /// Probe-pacing timer: (target index, TTL) of the probe to emit.
-  void on_timer(std::uint64_t target_idx, std::uint64_t ttl) override;
+  /// Probe-pacing timer: `k` is the index of the probe to emit.
+  void on_timer(std::uint64_t k, std::uint64_t) override;
 
  private:
   void on_icmp(const netsim::Packet& pkt);
-  void send_probe(std::size_t target_idx, int ttl);
-  static std::uint32_t key(std::uint16_t port, std::uint16_t txid) {
-    return (std::uint32_t{port} << 16) | txid;
-  }
+  /// The probe k matches, or nullopt when k is not yet sent.
+  [[nodiscard]] std::optional<std::pair<std::size_t, int>> probe(
+      std::uint64_t k) const;
 
   netsim::Simulator* sim_;
   netsim::HostId host_;
   DnsrouteConfig cfg_;
+  dnswire::QueryTemplate query_;  // cfg_.qname/A, encoded once
   std::vector<TracePath> paths_;
-  /// (port, txid) → (target index, ttl): matches DNS answers.
-  std::unordered_map<std::uint32_t, std::pair<std::uint32_t, int>> probe_of_;
-  /// port → (target index, ttl): matches ICMP errors, which quote only
-  /// the offending UDP header (ports), not the DNS payload.
-  std::unordered_map<std::uint16_t, std::pair<std::uint32_t, int>>
-      probe_by_port_;
-  std::uint16_t next_port_ = 1024;
-  std::uint16_t next_txid_ = 1;
+  /// Probes sent so far in this run: probe k is sent k-th, so the
+  /// latest one is sent_ - 1.
+  std::uint64_t sent_ = 0;
   util::SimTime last_send_at_;
   dnswire::WireArena rx_arena_;  // decode_into target, reset per datagram
 };

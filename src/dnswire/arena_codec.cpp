@@ -673,6 +673,20 @@ MessageView make_query(std::uint16_t id, const QuestionView& question,
   return out;
 }
 
+QueryTemplate::QueryTemplate(const Name& name, RrType type) {
+  WireArena arena;
+  const QuestionView question{view_of(arena, name), type, RrClass::in};
+  const auto wire = encode_into(arena, make_query(0, question));
+  wire_.assign(wire.begin(), wire.end());
+}
+
+std::vector<std::uint8_t> QueryTemplate::with_id(std::uint16_t id) const {
+  std::vector<std::uint8_t> out = wire_;
+  out[0] = static_cast<std::uint8_t>(id >> 8);  // header id, network order
+  out[1] = static_cast<std::uint8_t>(id);
+  return out;
+}
+
 MessageView make_response(const MessageView& query, Rcode rcode) {
   MessageView out;
   out.header.id = query.header.id;

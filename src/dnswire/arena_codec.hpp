@@ -25,6 +25,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "dnswire/codec.hpp"
 #include "dnswire/message.hpp"
@@ -114,6 +115,20 @@ std::span<const std::uint8_t> encode_into(WireArena& arena,
 MessageView make_query(std::uint16_t id, const QuestionView& question,
                        bool recursion_desired = true);
 MessageView make_query(std::uint16_t, QuestionView&&, bool = true) = delete;
+
+/// A one-question query (RD set) encoded once through make_query() and
+/// encode_into(). with_id() copies the wire out with its two-octet id
+/// patched, so a paced sender pays one copy per probe, not a build and
+/// an encode.
+class QueryTemplate {
+ public:
+  QueryTemplate(const Name& name, RrType type);
+  [[nodiscard]] std::vector<std::uint8_t> with_id(std::uint16_t id) const;
+  [[nodiscard]] std::size_t size() const { return wire_.size(); }
+
+ private:
+  std::vector<std::uint8_t> wire_;
+};
 
 /// make_response() for views: a response skeleton echoing the query's
 /// id, RD bit and question section (borrowed from `query`).

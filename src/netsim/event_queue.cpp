@@ -1,6 +1,7 @@
 #include "netsim/event_queue.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -128,10 +129,107 @@ void EventQueue::schedule_timer(util::SimTime at, TimerTarget* target,
   ev.arg_b = b;
 }
 
+void EventQueue::schedule_timer_run(TimerTarget* target,
+                                    std::vector<TimerRunEntry> entries) {
+  if (target == nullptr) {
+    throw std::invalid_argument("schedule_timer_run: null target");
+  }
+  if (entries.empty()) return;
+  const auto by_time = [](const TimerRunEntry& x, const TimerRunEntry& y) {
+    return x.at < y.at;
+  };
+  std::vector<std::uint32_t> order;
+  for (auto& e : entries) e.at = clamp(e.at);
+  if (!std::is_sorted(entries.begin(), entries.end(), by_time)) {
+    // Stable: entries at one instant keep their schedule (= seq) order.
+    order.resize(entries.size());
+    std::iota(order.begin(), order.end(), 0u);
+    std::stable_sort(order.begin(), order.end(),
+                     [&](std::uint32_t x, std::uint32_t y) {
+                       return by_time(entries[x], entries[y]);
+                     });
+    std::vector<TimerRunEntry> sorted;
+    sorted.reserve(entries.size());
+    for (const std::uint32_t i : order) sorted.push_back(entries[i]);
+    entries = std::move(sorted);
+  }
+  std::uint32_t ridx;
+  if (free_run_head_ != kNilIndex) {
+    ridx = free_run_head_;
+    free_run_head_ = runs_[ridx].next_free;
+  } else {
+    ridx = static_cast<std::uint32_t>(runs_.size());
+    runs_.emplace_back();
+  }
+  TimerRun& run = runs_[ridx];
+  run.target = target;
+  run.entries = std::move(entries);
+  run.order = std::move(order);
+  run.seq_base = next_seq_;
+  run.head = 0;
+  next_seq_ += run.entries.size();
+  // A bucket still open at one of the run's instants would take events
+  // scheduled after the run ahead of the run's entries there. Closing
+  // every cached bucket makes such events open a later-seq bucket,
+  // which orders behind the run, as behind N single timers.
+  tcache_.fill(CacheEntry{});
+  time_heap_.push_back(
+      TimeRef{run.entries.front().at.nanos(), run.seq_of(0), kRunRef | ridx});
+  std::push_heap(time_heap_.begin(), time_heap_.end(), TimeLater{});
+}
+
 // --- execution -------------------------------------------------------
+
+void EventQueue::step_run(const TimeRef top) {
+  const std::uint32_t ridx = top.bucket & ~kRunRef;
+  TimerRun& run = runs_[ridx];
+  const TimerRunEntry e = run.entries[run.head++];
+  TimerTarget* target = run.target;
+  now_ = util::SimTime::from_nanos(top.at);
+  if (run.head == run.entries.size()) {
+    std::pop_heap(time_heap_.begin(), time_heap_.end(), TimeLater{});
+    time_heap_.pop_back();
+    run.target = nullptr;
+    run.entries = {};  // drained: the storage goes back
+    run.order = {};
+    run.next_free = free_run_head_;
+    free_run_head_ = ridx;
+  } else {
+    time_heap_.front() = TimeRef{run.entries[run.head].at.nanos(),
+                                 run.seq_of(run.head), top.bucket};
+    sift_down_front();
+  }
+  ++executed_;
+  // As for a single timer: the run is re-keyed (or freed) before the
+  // handler runs, which may schedule further runs and move runs_.
+  target->on_timer(e.a, e.b);
+}
+
+void EventQueue::sift_down_front() {
+  // A paced run's next entry usually stays near the top (pacing gaps
+  // are shorter than packet latencies), so this stops within a level
+  // or two where pop_heap + push_heap would cross the heap twice.
+  const std::size_t n = time_heap_.size();
+  const TimeRef moved = time_heap_.front();
+  std::size_t i = 0;
+  for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+    if (child + 1 < n &&
+        TimeLater{}(time_heap_[child], time_heap_[child + 1])) {
+      ++child;  // the earlier of the two children
+    }
+    if (!TimeLater{}(moved, time_heap_[child])) break;
+    time_heap_[i] = time_heap_[child];
+    i = child;
+  }
+  time_heap_[i] = moved;
+}
 
 void EventQueue::step() {
   const TimeRef top = time_heap_.front();
+  if ((top.bucket & kRunRef) != 0) {
+    step_run(top);
+    return;
+  }
   Bucket& b = buckets_[top.bucket];
   const std::uint32_t item = b.items[b.head++];
   now_ = util::SimTime::from_nanos(top.at);

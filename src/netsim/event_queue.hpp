@@ -34,6 +34,14 @@ class TimerTarget {
   virtual void on_timer(std::uint64_t a, std::uint64_t b) = 0;
 };
 
+/// One timer of a run (EventQueue::schedule_timer_run): fires
+/// `target->on_timer(a, b)` at absolute time `at`.
+struct TimerRunEntry {
+  util::SimTime at;
+  std::uint64_t a = 0;
+  std::uint64_t b = 0;
+};
+
 /// Packet-plane half of the engine: the Simulator implements this so
 /// pooled packet events (delivery, deferred ICMP) dispatch through one
 /// virtual call instead of a per-event closure.
@@ -66,15 +74,25 @@ class EventQueue {
   void schedule_timer(util::SimTime at, TimerTarget* target, std::uint64_t a,
                       std::uint64_t b);
 
+  /// Schedules `entries` for `target` as one queue entry: exactly
+  /// schedule_timer(e.at, target, e.a, e.b) for each entry in the given
+  /// order — every entry takes the sequence number that call would
+  /// have taken and a past instant clamps to now() — so the global
+  /// (time, seq) order is unchanged, but the run holds one heap entry
+  /// and no timer slots however long it is. Throws
+  /// std::invalid_argument on a null target; an empty run is a no-op.
+  void schedule_timer_run(TimerTarget* target,
+                          std::vector<TimerRunEntry> entries);
+
   [[nodiscard]] bool empty() const { return time_heap_.empty(); }
   [[nodiscard]] util::SimTime now() const { return now_; }
   [[nodiscard]] std::uint64_t executed() const { return executed_; }
 
   /// Pool introspection (tests): total slots ever allocated (across
-  /// the packet and timer slabs) and how many of them are currently
-  /// free. live events = pool_slots() - free_slots(); a drained queue
-  /// recycles all slots, so steady-state workloads keep pool_slots()
-  /// at their high-water mark.
+  /// the packet and timer slabs; timer runs take none) and how many of
+  /// them are currently free. live events = pool_slots() -
+  /// free_slots(); a drained queue recycles all slots, so steady-state
+  /// workloads keep pool_slots() at their high-water mark.
   [[nodiscard]] std::size_t pool_slots() const {
     return packet_pool_.size() + timer_pool_.size();
   }
@@ -126,11 +144,29 @@ class EventQueue {
     std::vector<std::uint32_t> items;  // packed (kind, slot)
   };
 
+  /// Timers of one target, stable-sorted by time; `head` fires next.
+  /// Entry i has sequence number seq_base + i, or seq_base + order[i]
+  /// when the batch had to be sorted (order[i] = its schedule index).
+  struct TimerRun {
+    TimerTarget* target = nullptr;
+    std::vector<TimerRunEntry> entries;
+    std::vector<std::uint32_t> order;
+    std::uint64_t seq_base = 0;
+    std::size_t head = 0;
+    std::uint32_t next_free = kNilIndex;
+
+    [[nodiscard]] std::uint64_t seq_of(std::size_t i) const {
+      return seq_base + (order.empty() ? i : order[i]);
+    }
+  };
+
   /// What the calendar heap orders: (timestamp, first event's seq).
   /// Several buckets may share a timestamp (cache eviction splits a
   /// cohort); appends only ever reach the *cached* bucket, so every
   /// event in an earlier bucket precedes every event in a later one
-  /// and the (at, seq) tie-break restores the exact global order.
+  /// and the (at, seq) tie-break restores the exact global order. A
+  /// timer run is keyed by its next entry's (at, seq) and tagged with
+  /// kRunRef in `bucket`.
   struct TimeRef {
     std::int64_t at = 0;
     std::uint64_t seq = 0;
@@ -144,6 +180,7 @@ class EventQueue {
   };
 
   static constexpr std::uint32_t kNilIndex = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kRunRef = 0x80000000u;
   /// Cache empty-slot marker; unreachable as a timestamp because
   /// schedule clamps to now() >= 0.
   static constexpr std::int64_t kEmptyKey = INT64_MIN;
@@ -181,6 +218,11 @@ class EventQueue {
   /// Runs the earliest event and advances the clock to its time.
   void step();
   void retire_top_bucket();
+  /// step() for a run at the top: fires its head entry, then re-keys
+  /// the run to its next entry or frees it.
+  void step_run(TimeRef top);
+  /// Restores the heap order after the front ref moved later.
+  void sift_down_front();
 
   std::vector<PacketEvent> packet_pool_;
   std::uint32_t packet_free_head_ = kNilIndex;
@@ -192,6 +234,8 @@ class EventQueue {
   std::uint32_t free_bucket_head_ = kNilIndex;
   std::vector<TimeRef> time_heap_;  // via std::push_heap/pop_heap
   std::array<CacheEntry, kCacheSize> tcache_{};
+  std::vector<TimerRun> runs_;
+  std::uint32_t free_run_head_ = kNilIndex;
 
   PacketSink* sink_ = nullptr;
   util::SimTime now_ = util::SimTime::origin();

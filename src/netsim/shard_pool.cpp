@@ -1,7 +1,7 @@
 #include "netsim/shard_pool.hpp"
 
-#include <cassert>
 #include <chrono>
+#include <stdexcept>
 
 namespace odns::netsim {
 
@@ -31,9 +31,14 @@ inline void cpu_relax() {
 }  // namespace
 
 void ShardPool::ensure_started(std::uint32_t n) {
-  assert(n > 0);
+  if (n == 0) {
+    throw std::invalid_argument("ShardPool::ensure_started: zero shards");
+  }
   if (shards_ != 0) {
-    assert(shards_ == n && "shard count changed under a live pool");
+    if (shards_ != n) {
+      throw std::logic_error(
+          "ShardPool::ensure_started: shard count changed under a live pool");
+    }
     return;
   }
   shards_ = n;
@@ -51,7 +56,10 @@ void ShardPool::install_phase(const PhaseFn* phase) {
 }
 
 void ShardPool::run_phase() {
-  assert(shards_ != 0 && phase_ != nullptr);
+  if (shards_ == 0 || phase_ == nullptr) {
+    throw std::logic_error(
+        "ShardPool::run_phase: pool not started or no phase installed");
+  }
   done_.store(0, std::memory_order_relaxed);
   // Dekker pattern with the parking path: the coordinator writes
   // generation_ then reads sleepers_, a parking worker writes

@@ -43,6 +43,8 @@ class ShardPool {
 
   /// Sizes the pool for `n` shards: starts the n - 1 workers that run
   /// shards 1..n-1 if not already running (idempotent for equal n).
+  /// Throws std::invalid_argument for n == 0 and std::logic_error for
+  /// an n other than the running pool's.
   void ensure_started(std::uint32_t n);
   /// Installs the window-loop phase callable. The pointee must stay
   /// alive until the next install_phase() or shutdown(); nothing is
@@ -50,7 +52,8 @@ class ShardPool {
   void install_phase(const PhaseFn* phase);
   /// Runs the installed phase as fn(shard) for every shard — shard 0
   /// on the calling thread, the others on the workers — and returns
-  /// when all have finished.
+  /// when all have finished. Throws std::logic_error before
+  /// ensure_started() or install_phase().
   void run_phase();
   void shutdown();
 

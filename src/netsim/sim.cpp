@@ -65,6 +65,12 @@ void Simulator::schedule_timer_on(HostId affinity, util::Duration delay,
   sh.events.schedule_timer(sh.events.now() + delay, target, a, b);
 }
 
+void Simulator::schedule_timer_run_on(HostId affinity, TimerTarget* target,
+                                      std::vector<TimerRunEntry> entries) {
+  shards_[shard_of(affinity)]->events.schedule_timer_run(target,
+                                                         std::move(entries));
+}
+
 void Simulator::run() {
   if (single_shard()) {
     shards_[0]->events.run();

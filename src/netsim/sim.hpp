@@ -177,11 +177,19 @@ class Simulator {
                       std::uint64_t a, std::uint64_t b = 0);
   /// Shard-affine timer: schedules on the shard owning `affinity`, so
   /// the target fires on the thread that owns its host state. Required
-  /// for timers armed from outside the event loop (scanner pacing)
+  /// for timers armed from outside the event loop (stream connect)
   /// when shards > 1; equivalent to schedule_timer when shards == 1.
   void schedule_timer_on(HostId affinity, util::Duration delay,
                          TimerTarget* target, std::uint64_t a,
                          std::uint64_t b = 0);
+  /// Timer run on the shard owning `affinity`
+  /// (EventQueue::schedule_timer_run): the batch form of
+  /// schedule_timer_on for pacers that arm every probe before the run.
+  /// Entry times are absolute; outside a run every shard clock reads
+  /// now(). A run stands for single calls on one queue, so build one
+  /// per shard, in the order those calls would have been made.
+  void schedule_timer_run_on(HostId affinity, TimerTarget* target,
+                             std::vector<TimerRunEntry> entries);
   /// Runs until no events remain (or deadline passes).
   void run();
   void run_until(util::SimTime deadline);

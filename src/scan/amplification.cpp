@@ -4,8 +4,6 @@
 #include <tuple>
 
 #include "dnswire/arena_codec.hpp"
-#include "dnswire/codec.hpp"
-#include "dnswire/message.hpp"
 
 namespace odns::scan {
 
@@ -26,7 +24,7 @@ void VictimMeter::on_datagram(const netsim::Datagram& dgram) {
 
 AmplificationCampaign::AmplificationCampaign(netsim::Simulator& sim,
                                              AmplificationConfig cfg)
-    : sim_(&sim), cfg_(std::move(cfg)) {}
+    : sim_(&sim), cfg_(std::move(cfg)), query_(cfg_.qname, cfg_.qtype) {}
 
 void AmplificationCampaign::add_attacker(netsim::HostId host) {
   attackers_.push_back(host);
@@ -47,8 +45,7 @@ void AmplificationCampaign::start(const std::vector<util::Ipv4>& reflectors) {
   }
   // Every query is the same question, so the wire size (txid is always
   // two octets) is a constant of the campaign.
-  const std::uint64_t query_bytes =
-      dnswire::encode(dnswire::make_query(0, cfg_.qname, cfg_.qtype)).size();
+  const std::uint64_t query_bytes = query_.size();
   const std::uint64_t gap_ns =
       cfg_.probes_per_second == 0
           ? 0
@@ -58,6 +55,14 @@ void AmplificationCampaign::start(const std::vector<util::Ipv4>& reflectors) {
 
   const util::SimTime t0 = sim_->now();
   injections_.reserve(victims_.size() * reflectors.size());
+  // Injections fire on the shard owning their attacker; start() runs
+  // outside the event loop, so they are paced shard-affine: one timer
+  // run per attacker shard, in injection order (the order single
+  // timers would have been armed in, which keeps same-instant ties
+  // exact when probes_per_second == 0).
+  const std::uint32_t shards = sim_->shard_count();
+  std::vector<std::vector<netsim::TimerRunEntry>> runs(shards);
+  std::vector<netsim::HostId> shard_attacker(shards, netsim::kInvalidHost);
   std::size_t i = 0;
   for (const auto& slot : victims_) {
     for (const util::Ipv4 reflector : reflectors) {
@@ -74,12 +79,15 @@ void AmplificationCampaign::start(const std::vector<util::Ipv4>& reflectors) {
           static_cast<std::int64_t>(gap_ns * i));
       inj.at = t0 + delay;
       injections_.push_back(inj);
-      // Injections fire on the shard owning their attacker; start()
-      // runs outside the event loop, so the timers must be placed
-      // shard-affine (exactly the scanner's pacing pattern).
-      sim_->schedule_timer_on(inj.attacker, delay, this, i);
+      const std::uint32_t shard = sim_->shard_of(inj.attacker);
+      runs[shard].push_back(netsim::TimerRunEntry{inj.at, i, 0});
+      shard_attacker[shard] = inj.attacker;
       ++i;
     }
+  }
+  for (std::uint32_t s = 0; s < shards; ++s) {
+    if (runs[s].empty()) continue;
+    sim_->schedule_timer_run_on(shard_attacker[s], this, std::move(runs[s]));
   }
   last_send_at_ = injections_.back().at;
 }
@@ -94,8 +102,7 @@ void AmplificationCampaign::on_timer(std::uint64_t injection_index,
   opts.src_port = inj.src_port;
   opts.dst_port = 53;
   opts.spoof_src = inj.victim;
-  opts.payload = dnswire::encode(
-      dnswire::make_query(inj.txid, cfg_.qname, cfg_.qtype));
+  opts.payload = query_.with_id(inj.txid);
   sim_->send_udp(inj.attacker, std::move(opts));
 }
 

@@ -9,17 +9,19 @@
 // amplification tables.
 //
 // Determinism contract: the injection schedule is materialized up
-// front and paced by shard-affine timers; on_timer only encodes and
-// sends (no shared mutable state), so multiple attackers on different
-// shards never race. Each victim's meter is touched only by the shard
-// owning the victim host; merged_reflections() orders the union by
-// (time, content), which is invariant across shard counts.
+// front and paced by shard-affine timer runs; on_timer only stamps the
+// txid into the encoded query and sends (no shared mutable state), so
+// multiple attackers on different shards never race. Each victim's
+// meter is touched only by the shard owning the victim host;
+// merged_reflections() orders the union by (time, content), which is
+// invariant across shard counts.
 
 #include <cstdint>
 #include <memory>
 #include <vector>
 
 #include "dnswire/arena.hpp"
+#include "dnswire/arena_codec.hpp"
 #include "dnswire/name.hpp"
 #include "dnswire/types.hpp"
 #include "netsim/sim.hpp"
@@ -120,6 +122,8 @@ class AmplificationCampaign : public netsim::TimerTarget {
 
   netsim::Simulator* sim_;
   AmplificationConfig cfg_;
+  /// cfg_'s query, encoded once; each injection stamps its txid.
+  dnswire::QueryTemplate query_;
   std::vector<netsim::HostId> attackers_;
   std::vector<VictimSlot> victims_;
   std::vector<Injection> injections_;

@@ -13,7 +13,13 @@ std::string to_string(CampaignKind k) {
 
 StatelessCampaign::StatelessCampaign(netsim::Simulator& sim,
                                      netsim::HostId host, CampaignConfig cfg)
-    : sim_(&sim), host_(host), cfg_(std::move(cfg)),
+    : sim_(&sim),
+      host_(host),
+      cfg_(std::move(cfg)),
+      query_(cfg_.qname, cfg_.qtype),
+      target_by_port_(cfg_.port_limit >= cfg_.port_base
+                          ? cfg_.port_limit - cfg_.port_base + 1u
+                          : 1u),
       next_port_(cfg_.port_base) {
   sim_->bind_udp_wildcard(host_, this);
 }
@@ -21,12 +27,15 @@ StatelessCampaign::StatelessCampaign(netsim::Simulator& sim,
 void StatelessCampaign::run(const std::vector<util::Ipv4>& targets) {
   const auto gap = util::Duration::nanos(static_cast<std::int64_t>(
       1e9 / static_cast<double>(cfg_.probes_per_second)));
-  util::Duration at = util::Duration::nanos(0);
+  std::vector<netsim::TimerRunEntry> pacing;
+  pacing.reserve(targets.size());
+  util::SimTime at = sim_->now();
   for (auto target : targets) {
-    // Shard-affine pacing (run() is called from outside the event loop).
-    sim_->schedule_timer_on(host_, at, this, target.value());
+    pacing.push_back(netsim::TimerRunEntry{at, target.value(), 0});
     at = at + gap;
   }
+  // Shard-affine pacing (run() is called from outside the event loop).
+  sim_->schedule_timer_run_on(host_, this, std::move(pacing));
   sim_->run();
   sim_->run_until(last_send_at_ + cfg_.settle);
   sim_->run();
@@ -41,13 +50,12 @@ void StatelessCampaign::send_probe(util::Ipv4 target) {
   next_port_ = next_port_ >= cfg_.port_limit
                    ? cfg_.port_base
                    : static_cast<std::uint16_t>(next_port_ + 1);
-  probe_target_by_port_[port] = target;
+  target_by_port_[port - cfg_.port_base] = target;
   netsim::SendOptions opts;
   opts.dst = target;
   opts.src_port = port;
   opts.dst_port = 53;
-  opts.payload = dnswire::encode(
-      dnswire::make_query(next_txid_++, cfg_.qname, cfg_.qtype));
+  opts.payload = query_.with_id(next_txid_++);
   last_send_at_ = sim_->now();
   sim_->send_udp(host_, std::move(opts));
 }
@@ -71,8 +79,9 @@ void StatelessCampaign::on_datagram(const netsim::Datagram& dgram) {
     case CampaignKind::shodan: {
       // Sanitizing step: the response must come from the address this
       // socket probed; off-target answers are scan artifacts.
-      auto it = probe_target_by_port_.find(dgram.dst_port);
-      if (it != probe_target_by_port_.end() && it->second == dgram.src) {
+      const std::size_t slot = dgram.dst_port - cfg_.port_base;
+      if (dgram.dst_port >= cfg_.port_base && slot < target_by_port_.size() &&
+          target_by_port_[slot] == dgram.src) {
         discovered_.insert(dgram.src);
       } else {
         ++dropped_sanitize_;

@@ -16,13 +16,12 @@
 // work's contrast.
 
 #include <cstdint>
+#include <optional>
 #include <string>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "dnswire/arena_codec.hpp"
-#include "dnswire/codec.hpp"
 #include "netsim/sim.hpp"
 
 namespace odns::scan {
@@ -74,10 +73,12 @@ class StatelessCampaign : public netsim::App, public netsim::TimerTarget {
   netsim::Simulator* sim_;
   netsim::HostId host_;
   CampaignConfig cfg_;
-  /// Ephemeral source port → probed target. Censys/Shodan-style
-  /// sanitization compares a response's source with the target probed
-  /// from that socket.
-  std::unordered_map<std::uint16_t, util::Ipv4> probe_target_by_port_;
+  /// cfg_'s query, encoded once; each probe stamps its txid.
+  dnswire::QueryTemplate query_;
+  /// Last target probed from each pool port (index port - port_base).
+  /// Censys/Shodan-style sanitization compares a response's source
+  /// with the target probed from that socket.
+  std::vector<std::optional<util::Ipv4>> target_by_port_;
   std::unordered_set<util::Ipv4> discovered_;
   std::uint64_t responses_ = 0;
   std::uint64_t dropped_sanitize_ = 0;

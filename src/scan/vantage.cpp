@@ -33,9 +33,6 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
       ++stats_.probes_retried;
     }
     const ScanConfig& cfg = owner_->cfg_;
-    const dnswire::Name qname = cfg.qname_for_target
-                                    ? cfg.qname_for_target(probe.target)
-                                    : cfg.qname;
     netsim::SendOptions opts;
     opts.dst = probe.target;
     opts.src_port = probe.src_port;
@@ -46,7 +43,11 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
     // sends it.
     opts.spoof_src = owner_->capture_addr_;
     opts.payload =
-        dnswire::encode(dnswire::make_query(probe.txid, qname, cfg.qtype));
+        cfg.qname_for_target
+            ? dnswire::QueryTemplate(cfg.qname_for_target(probe.target),
+                                     cfg.qtype)
+                  .with_id(probe.txid)
+            : owner_->query_.with_id(probe.txid);
     sim.send_udp(host_, std::move(opts));
   }
 
@@ -107,7 +108,10 @@ class CaptureVantage final : public netsim::App, public netsim::TimerTarget {
 VantageSet::VantageSet(netsim::Simulator& sim, ScanConfig cfg,
                        util::Ipv4 capture_addr,
                        std::vector<netsim::HostId> member_hosts)
-    : sim_(&sim), cfg_(std::move(cfg)), capture_addr_(capture_addr) {
+    : sim_(&sim),
+      cfg_(std::move(cfg)),
+      capture_addr_(capture_addr),
+      query_(cfg_.qname, cfg_.qtype) {
   sim_->set_vantage_capture(capture_addr_, member_hosts);
   members_.reserve(member_hosts.size());
   for (std::size_t j = 0; j < member_hosts.size(); ++j) {
@@ -128,6 +132,9 @@ void VantageSet::start(const std::vector<util::Ipv4>& targets) {
   const auto& net = sim_->net();
   probes_.reserve(probes_.size() + plan_.original_count());
   sender_.reserve(sender_.size() + plan_.original_count());
+  // One timer run per pacing member (each paces from its own shard),
+  // in plan order: the order single timers would have been armed in.
+  std::vector<std::vector<netsim::TimerRunEntry>> runs(members_.size());
   for (std::size_t i = 0; i < plan_.probes().size(); ++i) {
     const PlannedProbe& p = plan_.probes()[i];
     // Retransmission entries (attempt > 0) reuse their original's
@@ -147,7 +154,12 @@ void VantageSet::start(const std::vector<util::Ipv4>& targets) {
     const netsim::HostId member_host = sim_->vantage_member_for_shard(shard);
     const std::uint32_t member = member_of_host.at(member_host);
     if (p.attempt == 0) sender_.push_back(member);
-    sim_->schedule_timer_on(member_host, p.at, members_[member].get(), i);
+    runs[member].push_back(netsim::TimerRunEntry{t0 + p.at, i, 0});
+  }
+  for (std::size_t j = 0; j < members_.size(); ++j) {
+    if (runs[j].empty()) continue;
+    sim_->schedule_timer_run_on(members_[j]->host(), members_[j].get(),
+                                std::move(runs[j]));
   }
   // Timers fire at exactly their planned instants, so the last send
   // lands at the last plan offset (start time for an empty plan).

@@ -29,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "dnswire/arena_codec.hpp"
 #include "netsim/sim.hpp"
 #include "scan/plan.hpp"
 #include "scan/types.hpp"
@@ -133,6 +134,8 @@ class VantageSet {
   /// the shard count through the target's owning shard).
   std::vector<std::uint32_t> sender_;
   std::vector<std::unique_ptr<CaptureVantage>> members_;
+  /// cfg_'s query, encoded once; members stamp each probe's txid.
+  dnswire::QueryTemplate query_;
   ScannerStats correlate_stats_;
   util::SimTime last_send_at_;
 };

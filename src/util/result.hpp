@@ -3,7 +3,7 @@
 // the wrong tool (hot parsing paths). Modeled after std::expected, which
 // is not yet available on the toolchain's C++20 mode.
 
-#include <cassert>
+#include <stdexcept>
 #include <utility>
 #include <variant>
 
@@ -18,21 +18,23 @@ class Result {
   [[nodiscard]] bool ok() const { return data_.index() == 0; }
   explicit operator bool() const { return ok(); }
 
+  /// value() on an error and error() on a value throw
+  /// std::logic_error (in every build type).
   [[nodiscard]] T& value() & {
-    assert(ok());
-    return std::get<0>(data_);
+    require(ok(), "Result::value() on an error");
+    return *std::get_if<0>(&data_);
   }
   [[nodiscard]] const T& value() const& {
-    assert(ok());
-    return std::get<0>(data_);
+    require(ok(), "Result::value() on an error");
+    return *std::get_if<0>(&data_);
   }
   [[nodiscard]] T&& value() && {
-    assert(ok());
-    return std::get<0>(std::move(data_));
+    require(ok(), "Result::value() on an error");
+    return std::move(*std::get_if<0>(&data_));
   }
   [[nodiscard]] const E& error() const {
-    assert(!ok());
-    return std::get<1>(data_);
+    require(!ok(), "Result::error() on a value");
+    return *std::get_if<1>(&data_);
   }
 
   [[nodiscard]] T value_or(T fallback) const {
@@ -40,6 +42,10 @@ class Result {
   }
 
  private:
+  static void require(bool holds, const char* what) {
+    if (!holds) throw std::logic_error(what);
+  }
+
   std::variant<T, E> data_;
 };
 

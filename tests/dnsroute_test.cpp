@@ -157,5 +157,51 @@ TEST_F(DnsrouteFixture, KnownCaidaEdgesNotCountedAsDiscoveries) {
   EXPECT_EQ(report.unknown_to_caida, 0u);
 }
 
+void expect_same_path(const TracePath& got, const TracePath& want,
+                      std::size_t index) {
+  SCOPED_TRACE("target index " + std::to_string(index));
+  EXPECT_EQ(got.target, want.target);
+  EXPECT_EQ(got.target_distance, want.target_distance);
+  EXPECT_EQ(got.got_answer, want.got_answer);
+  EXPECT_EQ(got.resolver, want.resolver);
+  EXPECT_EQ(got.answer_ttl, want.answer_ttl);
+  ASSERT_EQ(got.hops.size(), want.hops.size());
+  for (std::size_t t = 0; t < got.hops.size(); ++t) {
+    EXPECT_EQ(got.hops[t].responded, want.hops[t].responded) << "ttl " << t + 1;
+    EXPECT_EQ(got.hops[t].addr, want.hops[t].addr) << "ttl " << t + 1;
+  }
+}
+
+TEST_F(DnsrouteFixture, ProbesPastTheFirstTxidPlaneMatchTheirTargets) {
+  // 2,200 targets x 30 TTLs = 66,000 probes: probe k leaves from port
+  // 1024 + k % 64512 with txid 1 + k / 64512, so from target 2,150 on
+  // (k >= 64,512) every port is reused with txid 2.
+  const Ipv4 tf2_addr{20, 0, 9, 1};
+  TransparentForwarder tf2(world.sim, world.add_access_host(tf2_addr),
+                           test::kResolverAddr);
+  tf2.install();
+  const std::vector<Ipv4> kinds{tf_addr, tf2_addr, test::kResolverAddr};
+  std::vector<Ipv4> targets(2200);
+  for (std::size_t i = 0; i < targets.size(); ++i) {
+    targets[i] = kinds[i % kinds.size()];
+  }
+  const auto paths =
+      DnsroutePlusPlus(world.sim, world.scanner_host, config(30)).run(targets);
+  ASSERT_EQ(paths.size(), targets.size());
+
+  std::vector<TracePath> alone;
+  for (const auto target : kinds) {
+    alone.push_back(
+        DnsroutePlusPlus(world.sim, world.scanner_host, config(30))
+            .run({target})
+            .at(0));
+    EXPECT_TRUE(alone.back().got_answer);
+  }
+  EXPECT_TRUE(alone[0].complete());
+  for (std::size_t i = 2150; i < paths.size(); ++i) {
+    expect_same_path(paths[i], alone[i % kinds.size()], i);
+  }
+}
+
 }  // namespace
 }  // namespace odns::dnsroute

@@ -1,8 +1,9 @@
 // Contract suite for the typed event engine (docs/event-engine.md):
 // events execute in exact (time, seq) order across every kind —
-// deliveries, deferred ICMP and timers — including same-timestamp
-// bursts, handler reschedules and pool slot reuse. The Simulator-level
-// scenario this order feeds is pinned in tests/golden_test.cpp.
+// deliveries, deferred ICMP, timers and timer runs — including
+// same-timestamp bursts, handler reschedules and pool slot reuse. The
+// Simulator-level scenario this order feeds is pinned in
+// tests/golden_test.cpp.
 
 #include <gtest/gtest.h>
 
@@ -179,7 +180,87 @@ TEST(EventEngineTest, NullTimerTargetIsRejected) {
   EventQueue q;
   EXPECT_THROW(q.schedule_timer(SimTime::from_nanos(1), nullptr, 0, 0),
                std::invalid_argument);
+  EXPECT_THROW(q.schedule_timer_run(nullptr, {{SimTime::from_nanos(1), 0, 0}}),
+               std::invalid_argument);
   EXPECT_TRUE(q.empty());
+}
+
+/// One hand-mixed schedule, played with its timer batches armed either
+/// as timer runs or as the same timers one schedule_timer call each.
+std::vector<std::string> play_mixed_schedule(bool as_runs) {
+  EventQueue q;
+  Recorder rec;
+  q.bind_sink(&rec);
+  const auto arm = [&](std::vector<TimerRunEntry> entries) {
+    if (as_runs) {
+      q.schedule_timer_run(&rec, std::move(entries));
+      return;
+    }
+    for (const auto& e : entries) q.schedule_timer(e.at, &rec, e.a, e.b);
+  };
+  const auto t = [](std::int64_t ns) { return SimTime::from_nanos(ns); };
+  q.schedule_timer(t(5), &rec, 50, 0);
+  q.run(t(5));  // now() = 5: entries at 1 or 2 lie in the past
+  // Pending before the run, at instants its entries tie with; the
+  // buckets at 10 and 20 are still cached when the run arrives.
+  q.schedule_deliver(t(10), Packet{}, HostId{1});
+  q.schedule_timer(t(20), &rec, 60, 0);
+  q.schedule_icmp(t(30), IcmpType::ttl_exceeded, Packet{}, Ipv4{9, 9, 9, 9},
+                  Asn{7});
+  // Out of time order, as retries are; the entry at 2 clamps to 5.
+  arm({{t(20), 1, 0},
+       {t(10), 2, 0},
+       {t(30), 3, 0},
+       {t(2), 4, 0},
+       {t(10), 5, 0},
+       {t(5), 6, 0}});
+  // Scheduled after the run at its instants: these run behind it.
+  q.schedule_deliver(t(10), Packet{}, HostId{2});
+  q.schedule_timer(t(20), &rec, 70, 0);
+  q.schedule_timer(t(5), &rec, 71, 0);
+  arm({});
+  // Armed from inside a handler at 20: ties with the run above and with
+  // timer 70, one entry in the past.
+  rec.hook = [&](std::uint64_t a) {
+    if (a == 60) arm({{t(25), 8, 0}, {t(20), 9, 0}, {t(1), 10, 0},
+                      {t(30), 11, 0}});
+  };
+  q.run();
+  return rec.order;
+}
+
+TEST(EventEngineTest, TimerRunsExecuteInTheOrderOfSingleTimers) {
+  const auto singles = play_mixed_schedule(false);
+  EXPECT_EQ(play_mixed_schedule(true), singles);
+  EXPECT_EQ(singles,
+            (std::vector<std::string>{
+                "timer:50",                                        // t = 5
+                "timer:4", "timer:6", "timer:71",                  // t = 5
+                "deliver:1", "timer:2", "timer:5", "deliver:2",    // t = 10
+                "timer:60", "timer:1", "timer:70", "timer:9",      // t = 20
+                "timer:10",                                        // t = 20
+                "timer:8",                                         // t = 25
+                "icmp:7", "timer:3", "timer:11"}));                // t = 30
+}
+
+TEST(EventEngineTest, TimerRunTakesNoPoolSlots) {
+  EventQueue q;
+  Recorder rec;
+  constexpr std::uint64_t kEntries = 10'000;
+  for (int round = 0; round < 2; ++round) {
+    std::vector<TimerRunEntry> entries;
+    for (std::uint64_t i = 0; i < kEntries; ++i) {
+      entries.push_back(
+          {q.now() + Duration::nanos(static_cast<std::int64_t>(i)), i, 0});
+    }
+    q.schedule_timer_run(&rec, std::move(entries));
+    EXPECT_EQ(q.pool_slots(), 0u);
+    EXPECT_EQ(q.run(), kEntries);
+    EXPECT_TRUE(q.empty());
+  }
+  EXPECT_EQ(q.pool_slots(), 0u);
+  EXPECT_EQ(rec.fired.size(), 2 * kEntries);
+  EXPECT_EQ(rec.fired.back().first, kEntries - 1);
 }
 
 }  // namespace

@@ -17,12 +17,14 @@
 
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "classify/analysis.hpp"
 #include "core/census.hpp"
 #include "honeypot/lab.hpp"
+#include "netsim/shard_pool.hpp"
 #include "nodes/forwarder.hpp"
 #include "scan/vantage.hpp"
 #include "testutil.hpp"
@@ -31,6 +33,7 @@ namespace odns {
 namespace {
 
 using netsim::HostId;
+using netsim::ShardPool;
 using netsim::ShardStats;
 using netsim::SimConfig;
 using netsim::SimCounters;
@@ -409,6 +412,23 @@ TEST(ShardedDeterminism, MailInFlightAcrossARunBoundaryKeepsSingleShardOrder) {
     EXPECT_EQ(world.sim.now(), util::SimTime::origin() + arrive_at)
         << "shards=" << shards;
   }
+}
+
+TEST(ShardPoolShape, MisuseThrowsInEveryBuild) {
+  ShardPool idle;
+  EXPECT_THROW(idle.run_phase(), std::logic_error);  // never started
+  EXPECT_THROW(idle.ensure_started(0), std::invalid_argument);
+
+  ShardPool pool;
+  pool.ensure_started(2);
+  EXPECT_THROW(pool.run_phase(), std::logic_error);  // no phase installed
+  EXPECT_THROW(pool.ensure_started(3), std::logic_error);
+  pool.ensure_started(2);  // the same shape is idempotent
+  std::vector<int> ran(2, 0);
+  const ShardPool::PhaseFn phase = [&](std::uint32_t shard) { ++ran[shard]; };
+  pool.install_phase(&phase);
+  pool.run_phase();
+  EXPECT_EQ(ran, (std::vector<int>{1, 1}));
 }
 
 TEST(MultiVantage, MatchesSingleVantageSingleThreadByteForByte) {

@@ -2,9 +2,11 @@
 
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/ipv4.hpp"
+#include "util/result.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/strings.hpp"
@@ -152,6 +154,18 @@ TEST(RngTest, RejectsInvertedRangesAndEmptySets) {
   const double negative[] = {1.0, -0.5};
   EXPECT_THROW(rng.weighted(negative), std::invalid_argument);
   EXPECT_THROW(rng.pick(std::vector<int>{}), std::invalid_argument);
+}
+
+TEST(ResultTest, AccessOnTheWrongAlternativeThrows) {
+  Result<int, std::string> good{3};
+  Result<int, std::string> bad{std::string("e")};
+  EXPECT_EQ(good.value(), 3);
+  EXPECT_EQ(bad.error(), "e");
+  EXPECT_THROW((void)bad.value(), std::logic_error);
+  EXPECT_THROW((void)std::as_const(bad).value(), std::logic_error);
+  EXPECT_THROW((void)std::move(bad).value(), std::logic_error);
+  EXPECT_THROW((void)good.error(), std::logic_error);
+  EXPECT_EQ(bad.value_or(9), 9);
 }
 
 TEST(RngTest, ForkDecorrelates) {
