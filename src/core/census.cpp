@@ -48,7 +48,7 @@ CensusResult run_census(const CensusConfig& cfg) {
     // top of the delivery leg.
     std::vector<std::uint64_t> weights(netsim::Simulator::kVirtualShards, 0);
     for (const auto& gt : result.world->ground_truth()) {
-      weights[sim.virtual_shard_of(gt.addr)] +=
+      weights[sim.virtual_shard_of_as(gt.asn)] +=
           gt.kind == topo::OdnsKind::recursive_resolver ? 1 : 2;
     }
     sim.set_partition_load_hints(std::move(weights));

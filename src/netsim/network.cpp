@@ -1,8 +1,10 @@
 #include "netsim/network.hpp"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace odns::netsim {
 
@@ -22,9 +24,39 @@ constexpr std::uint32_t kUnvisited = 0xFFFFFFFEu;
 // (binary search of the frozen table + a linear tail scan) and lookups
 // scan the tail; above it — a bulk build in progress — both defer to
 // the sort in freeze_addr_plane(), which detects duplicates as sorted
-// neighbours. Bulk population therefore costs one O(n log n) sort
+// neighbours. Bulk population therefore costs one O(n) radix sort
 // total instead of a per-add structure update.
 constexpr std::size_t kAddrTailMerge = 1024;
+
+using AddrEntry = std::pair<util::Ipv4, HostId>;
+
+// Stable LSD radix sort of (addr, host) entries by address, one byte
+// per pass: four histograms from one read, then one scatter per byte
+// (skipped when every entry shares that byte). Equal addresses — the
+// duplicates the freeze rejects — end up adjacent.
+void radix_sort_by_addr(std::vector<AddrEntry>& entries) {
+  constexpr std::size_t kPasses = 4;
+  std::array<std::array<std::size_t, 256>, kPasses> count{};
+  for (const auto& e : entries) {
+    for (std::size_t p = 0; p < kPasses; ++p) {
+      ++count[p][(e.first.value() >> (8 * p)) & 0xFFu];
+    }
+  }
+  std::vector<AddrEntry> scratch(entries.size());
+  for (std::size_t p = 0; p < kPasses; ++p) {
+    auto& offset = count[p];
+    if (std::find(offset.begin(), offset.end(), entries.size()) !=
+        offset.end()) {
+      continue;
+    }
+    std::size_t sum = 0;
+    for (auto& c : offset) sum += std::exchange(c, sum);
+    for (const auto& e : entries) {
+      scratch[offset[(e.first.value() >> (8 * p)) & 0xFFu]++] = e;
+    }
+    entries.swap(scratch);
+  }
+}
 
 // Fibonacci-multiplicative hash for the open-addressed probe index;
 // the top bits index the power-of-2 slot array (shift = 64 - log2 cap).
@@ -193,7 +225,7 @@ void Network::freeze_addr_plane() const {
   addr_index_.insert(addr_index_.end(), addr_tail_.begin(), addr_tail_.end());
   addr_tail_.clear();
   addr_tail_.shrink_to_fit();
-  std::sort(addr_index_.begin(), addr_index_.end());
+  radix_sort_by_addr(addr_index_);
   for (std::size_t i = 1; i < addr_index_.size(); ++i) {
     if (addr_index_[i].first == addr_index_[i - 1].first) {
       // Bulk adds past the tail threshold defer their duplicate check

@@ -2,26 +2,47 @@
 
 namespace odns::scan {
 
-std::vector<util::Ipv4> interleave_by_virtual_shard(
-    const netsim::Simulator& sim, const std::vector<util::Ipv4>& targets) {
-  // Group by virtual shard (stable within each group), then emit
-  // round-robin across the non-empty groups. Keyed on the virtual
-  // partition, the order — and with it every (port, txid) assignment —
-  // is independent of the real shard count.
-  std::vector<std::vector<util::Ipv4>> groups(
-      netsim::Simulator::kVirtualShards);
-  for (auto target : targets) {
-    groups[sim.virtual_shard_of(target)].push_back(target);
+namespace {
+
+/// Round-robin interleave over the simulator's virtual shards (see
+/// ScanConfig::shard_interleave), keyed on each target's owner: returns
+/// target indices grouped by the owner AS's virtual shard (stable within
+/// a group, ownerless targets in group 0), emitted round-robin across
+/// the non-empty groups. Keyed on the virtual partition, the order —
+/// and with it every (port, txid) assignment — is independent of the
+/// real shard count.
+std::vector<std::uint32_t> interleave_by_virtual_shard(
+    const netsim::Simulator& sim, const std::vector<netsim::HostId>& owners) {
+  constexpr std::uint32_t kGroups = netsim::Simulator::kVirtualShards;
+  const auto& net = sim.net();
+  std::vector<std::uint8_t> group(owners.size());
+  std::vector<std::uint32_t> start(kGroups + 1, 0);
+  for (std::size_t i = 0; i < owners.size(); ++i) {
+    group[i] = owners[i] == netsim::kInvalidHost
+                   ? 0
+                   : static_cast<std::uint8_t>(
+                         sim.virtual_shard_of_as(net.host(owners[i]).asn));
+    ++start[group[i] + 1];
   }
-  std::vector<util::Ipv4> ordered;
-  ordered.reserve(targets.size());
-  for (std::size_t round = 0; ordered.size() < targets.size(); ++round) {
-    for (const auto& group : groups) {
-      if (round < group.size()) ordered.push_back(group[round]);
+  for (std::uint32_t g = 0; g < kGroups; ++g) start[g + 1] += start[g];
+  std::vector<std::uint32_t> grouped(owners.size());
+  std::vector<std::uint32_t> fill(start.begin(), start.end() - 1);
+  for (std::uint32_t i = 0; i < owners.size(); ++i) {
+    grouped[fill[group[i]]++] = i;
+  }
+  std::vector<std::uint32_t> ordered;
+  ordered.reserve(owners.size());
+  for (std::uint32_t round = 0; ordered.size() < owners.size(); ++round) {
+    for (std::uint32_t g = 0; g < kGroups; ++g) {
+      if (start[g] + round < start[g + 1]) {
+        ordered.push_back(grouped[start[g] + round]);
+      }
     }
   }
   return ordered;
 }
+
+}  // namespace
 
 VantagePlan VantagePlan::build(const netsim::Simulator& sim,
                                const ScanConfig& cfg,
@@ -29,23 +50,27 @@ VantagePlan VantagePlan::build(const netsim::Simulator& sim,
   VantagePlan plan;
   plan.gap_ = util::Duration::nanos(static_cast<std::int64_t>(
       1e9 / static_cast<double>(cfg.probes_per_second)));
-  const std::vector<util::Ipv4>* paced = &targets;
-  std::vector<util::Ipv4> interleaved;
-  if (cfg.shard_interleave) {
-    interleaved = interleave_by_virtual_shard(sim, targets);
-    paced = &interleaved;
+  // One owner lookup per target: the interleave groups by it and
+  // VantageSet::start paces from its shard.
+  const std::size_t n = targets.size();
+  std::vector<netsim::HostId> owners(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    owners[i] = sim.net().unicast_owner(targets[i]);
   }
+  std::vector<std::uint32_t> order;
+  if (cfg.shard_interleave) order = interleave_by_virtual_shard(sim, owners);
   TupleSequencer tuples(cfg.port_base, cfg.port_limit);
-  const std::size_t n = paced->size();
   plan.originals_ = n;
   plan.probes_.reserve(n * (1 + cfg.max_retries));
+  plan.owners_.reserve(n);
   util::Duration at = util::Duration::nanos(0);
-  std::uint32_t index = 0;
-  for (auto target : *paced) {
+  for (std::uint32_t index = 0; index < n; ++index) {
+    const std::uint32_t k = order.empty() ? index : order[index];
     const auto [port, txid] = tuples.next();
-    plan.probes_.push_back(PlannedProbe{target, at, port, txid, index, 0});
+    plan.probes_.push_back(
+        PlannedProbe{targets[k], at, port, txid, index, 0});
+    plan.owners_.push_back(owners[k]);
     at = at + plan.gap_;
-    ++index;
   }
   plan.last_at_ = n == 0 ? util::Duration::nanos(0) : at - plan.gap_;
   // Retransmissions: every original is re-sent unconditionally at

@@ -59,13 +59,6 @@ class TupleSequencer {
   std::uint16_t next_txid_ = 1;
 };
 
-/// Round-robin interleave of `targets` over the simulator's virtual
-/// shards (see ScanConfig::shard_interleave). Grouping is stable and
-/// keyed on the shard-count-independent virtual partition, so the
-/// result is identical for any real shard count.
-[[nodiscard]] std::vector<util::Ipv4> interleave_by_virtual_shard(
-    const netsim::Simulator& sim, const std::vector<util::Ipv4>& targets);
-
 class VantagePlan {
  public:
   VantagePlan() = default;
@@ -87,9 +80,17 @@ class VantagePlan {
   [[nodiscard]] util::Duration last_at() const { return last_at_; }
   /// Number of attempt-0 entries (the probe-table prefix of probes()).
   [[nodiscard]] std::size_t original_count() const { return originals_; }
+  /// Hands over the unicast owner of each original's target, in plan
+  /// order (kInvalidHost for a target without one), and leaves the
+  /// plan without it. build() resolves each owner once; VantageSet::
+  /// start reads them to pick each probe's pacing member.
+  [[nodiscard]] std::vector<netsim::HostId> take_owners() {
+    return std::exchange(owners_, {});
+  }
 
  private:
   std::vector<PlannedProbe> probes_;
+  std::vector<netsim::HostId> owners_;
   util::Duration gap_ = util::Duration::nanos(0);
   util::Duration last_at_ = util::Duration::nanos(0);
   std::size_t originals_ = 0;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
 
 #include "dnswire/arena_codec.hpp"
 #include "scan/stream.hpp"
@@ -125,36 +124,48 @@ VantageSet::~VantageSet() { sim_->clear_vantage_capture(); }
 void VantageSet::start(const std::vector<util::Ipv4>& targets) {
   plan_ = VantagePlan::build(*sim_, cfg_, targets);
   const util::SimTime t0 = sim_->now();
-  std::unordered_map<netsim::HostId, std::uint32_t> member_of_host;
-  for (std::uint32_t j = 0; j < members_.size(); ++j) {
-    member_of_host.emplace(members_[j]->host(), j);
-  }
-  const auto& net = sim_->net();
-  probes_.reserve(probes_.size() + plan_.original_count());
-  sender_.reserve(sender_.size() + plan_.original_count());
-  // One timer run per pacing member (each paces from its own shard),
-  // in plan order: the order single timers would have been armed in.
-  std::vector<std::vector<netsim::TimerRunEntry>> runs(members_.size());
-  for (std::size_t i = 0; i < plan_.probes().size(); ++i) {
-    const PlannedProbe& p = plan_.probes()[i];
-    // Retransmission entries (attempt > 0) reuse their original's
-    // (port, txid) tuple and target, so they add sends but no probe
-    // rows: the original row represents the transaction.
-    if (p.attempt == 0) {
-      probes_.push_back(SentProbe{p.target, p.src_port, p.txid, t0 + p.at});
+  const auto member_of_host = [&](netsim::HostId host) {
+    for (std::uint32_t j = 0; j < members_.size(); ++j) {
+      if (members_[j]->host() == host) return j;
     }
+    throw std::out_of_range("VantageSet::start: foreign capture member");
+  };
+  const std::size_t first_sender = sender_.size();
+  const std::size_t originals = plan_.original_count();
+  probes_.reserve(probes_.size() + originals);
+  sender_.reserve(sender_.size() + originals);
+  std::vector<std::size_t> paced(members_.size(), 0);
+  {
     // Shard-local pacing: the member pinned to the shard that owns the
     // probed target paces and injects the probe, so the probe leg and
-    // its direct response never cross the shard fabric. Targets without
-    // a unicast owner (anycast groups) pace from the shard-0 member.
-    // Retries share the original's target, hence the same member.
-    const netsim::HostId owner_host = net.unicast_owner(p.target);
-    const std::uint32_t shard =
-        owner_host == netsim::kInvalidHost ? 0 : sim_->shard_of(owner_host);
-    const netsim::HostId member_host = sim_->vantage_member_for_shard(shard);
-    const std::uint32_t member = member_of_host.at(member_host);
-    if (p.attempt == 0) sender_.push_back(member);
-    runs[member].push_back(netsim::TimerRunEntry{t0 + p.at, i, 0});
+    // its direct response never cross the shard fabric. Targets
+    // without a unicast owner (anycast groups) pace from the shard-0
+    // member. The plan resolved every owner; they are dropped here.
+    const std::vector<netsim::HostId> owners = plan_.take_owners();
+    for (std::size_t i = 0; i < originals; ++i) {
+      const PlannedProbe& p = plan_.probes()[i];
+      probes_.push_back(SentProbe{p.target, p.src_port, p.txid, t0 + p.at});
+      const std::uint32_t shard = owners[i] == netsim::kInvalidHost
+                                      ? 0
+                                      : sim_->shard_of(owners[i]);
+      sender_.push_back(
+          member_of_host(sim_->vantage_member_for_shard(shard)));
+      ++paced[sender_.back()];
+    }
+  }
+  // One timer run per pacing member (each paces from its own shard),
+  // in plan order: the order single timers would have been armed in.
+  // Retransmission entries (attempt > 0) reuse their original's target
+  // and (port, txid) tuple, so they add sends but no probe rows, and
+  // their original's member paces them.
+  std::vector<std::vector<netsim::TimerRunEntry>> runs(members_.size());
+  for (std::size_t j = 0; j < members_.size(); ++j) {
+    runs[j].reserve(paced[j] * (1 + cfg_.max_retries));
+  }
+  for (std::size_t i = 0; i < plan_.probes().size(); ++i) {
+    const PlannedProbe& p = plan_.probes()[i];
+    runs[sender_[first_sender + p.origin]].push_back(
+        netsim::TimerRunEntry{t0 + p.at, i, 0});
   }
   for (std::size_t j = 0; j < members_.size(); ++j) {
     if (runs[j].empty()) continue;

@@ -582,11 +582,13 @@ std::unique_ptr<Deployment> TopologyBuilder::build(const TopologyConfig& cfg) {
 
     auto& net = st.sim->net();
 
-    // Zipf weights over the country's eyeball ASes.
-    std::vector<double> zipf(ctx.eyeball.size());
-    for (std::size_t i = 0; i < zipf.size(); ++i) {
-      zipf[i] = 1.0 / std::pow(static_cast<double>(i + 1), 0.85);
+    // Zipf weights over the country's eyeball ASes, prepared once for
+    // the country's draws.
+    std::vector<double> zipf_weights(ctx.eyeball.size());
+    for (std::size_t i = 0; i < zipf_weights.size(); ++i) {
+      zipf_weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), 0.85);
     }
+    const util::WeightTable zipf(zipf_weights);
 
     // ---- recursive resolvers (open, unicast) ------------------------
     std::unordered_map<Asn, int> used_rr;

@@ -14,6 +14,42 @@
 
 namespace odns::util {
 
+/// The linear weighted draw every Rng::weighted shares: subtracts the
+/// weights from `x` in order and returns the first index whose residual
+/// reaches zero. When rounding leaves a positive residual past the last
+/// weight (x at or near the total), returns the last index with a
+/// positive weight, never a zero-weight one.
+[[nodiscard]] std::size_t weighted_index(std::span<const double> weights,
+                                         double x);
+
+/// A fixed weight vector prepared for repeated draws: validated once,
+/// with its prefix sums, so Rng::weighted(table) binary-searches instead
+/// of scanning. Draws are exact: the index and the engine state equal
+/// Rng::weighted(span) over the same weights, draw for draw.
+class WeightTable {
+ public:
+  /// Throws std::invalid_argument on a negative or NaN weight. An empty
+  /// table is legal; drawing from it throws.
+  explicit WeightTable(std::span<const double> weights);
+
+  [[nodiscard]] std::size_t size() const { return weights_.size(); }
+  /// Sum of the weights, added in index order (the bound of the draw).
+  [[nodiscard]] double total() const { return total_; }
+  /// weighted_index(weights, x), found by binary search whenever `x`
+  /// lies further than the rounding bound from both neighbouring prefix
+  /// sums, and by weighted_index itself otherwise.
+  [[nodiscard]] std::size_t index(double x) const;
+
+ private:
+  std::vector<double> weights_;
+  /// prefix_[i] = weights_[0] + … + weights_[i], summed left to right.
+  std::vector<double> prefix_;
+  double total_ = 0.0;
+  /// Bound on how far the linear residual and a prefix sum can disagree
+  /// through rounding: about 4(n+1)·ε·total.
+  double slack_ = 0.0;
+};
+
 class Rng {
  public:
   explicit Rng(std::uint64_t seed) : engine_(seed) {}
@@ -51,6 +87,9 @@ class Rng {
   /// Picks an index according to the given non-negative weights;
   /// throws std::invalid_argument on an empty set or a negative weight.
   std::size_t weighted(std::span<const double> weights);
+  /// The same draw over a prepared table (O(log n) per draw); throws
+  /// std::invalid_argument on an empty table.
+  std::size_t weighted(const WeightTable& table);
 
   /// Throws std::invalid_argument on an empty vector.
   template <typename T>

@@ -12,10 +12,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <malloc.h>
 #include <new>
+#include <random>
+#include <stdexcept>
 #include <unordered_map>
 #include <vector>
 
@@ -197,6 +200,68 @@ TEST(AddrPlane, PostFreezeTailKeepsLookupsExactAndRejectsDuplicates) {
   EXPECT_EQ(net.unicast_owner(Ipv4{10, 1, 0, 2}), late);
   EXPECT_EQ(net.host_addrs(late).size(), 2u);
   EXPECT_EQ(net.primary_addr(late), (Ipv4{10, 1, 0, 1}));
+}
+
+TEST(AddrPlane, DuplicatePastTheEagerTailThrowsAtFreeze) {
+  // Past kAddrTailMerge (1,024) unfrozen adds, the duplicate check
+  // moves to the freeze-time sort, which must bring a duplicate next to
+  // its original. Per byte position: 256 addresses that differ only in
+  // that byte arrive shuffled, then a duplicate of an early one — so
+  // only a sort that orders that byte makes the pair adjacent.
+  for (std::uint32_t byte = 0; byte < 4; ++byte) {
+    Network net;
+    netsim::AsConfig ac;
+    ac.asn = 64500;
+    net.add_as(ac);
+    for (std::uint32_t i = 0; i < 1024; ++i) {
+      net.add_host(64500, {Ipv4{(20u << 24) | i}});
+    }
+    std::vector<std::uint32_t> varied(256);
+    for (std::uint32_t v = 0; v < 256; ++v) {
+      varied[v] = (0x0A0A0A0Au & ~(0xFFu << (8 * byte))) | v << (8 * byte);
+    }
+    std::mt19937_64 gen(byte);
+    std::shuffle(varied.begin(), varied.end(), gen);
+    for (const std::uint32_t a : varied) net.add_host(64500, {Ipv4{a}});
+    EXPECT_NO_THROW(net.add_host(64500, {Ipv4{varied[3]}})) << byte;
+    EXPECT_THROW(net.freeze_addr_plane(), std::invalid_argument) << byte;
+  }
+}
+
+TEST(AddrPlane, BulkShuffledAddsResolveExactlyAfterTheFreeze) {
+  // Addresses differ in every byte and arrive in shuffled order, so
+  // every pass of the freeze-time radix sort moves entries; each must
+  // still resolve to its own host, and space nobody owns to no host.
+  Network net;
+  netsim::AsConfig ac;
+  ac.asn = 64500;
+  net.add_as(ac);
+  std::mt19937_64 gen(2021);
+  std::unordered_map<std::uint32_t, HostId> owner;
+  std::vector<std::uint32_t> addrs;
+  while (addrs.size() < 50000) {
+    const auto a = static_cast<std::uint32_t>(gen());
+    if (owner.emplace(a, kInvalidHost).second) addrs.push_back(a);
+  }
+  std::shuffle(addrs.begin(), addrs.end(), gen);
+  for (std::size_t i = 0; i < addrs.size(); i += 2) {
+    // Two addresses per host: the plane indexes addresses, not hosts.
+    const HostId h = net.add_host(64500, {Ipv4{addrs[i]}, Ipv4{addrs[i + 1]}});
+    owner[addrs[i]] = h;
+    owner[addrs[i + 1]] = h;
+  }
+  net.freeze_addr_plane();
+  for (const auto& [a, h] : owner) {
+    ASSERT_EQ(net.unicast_owner(Ipv4{a}), h) << Ipv4{a}.to_string();
+  }
+  std::size_t absent = 0;
+  for (int k = 0; k < 10000; ++k) {
+    const auto a = static_cast<std::uint32_t>(gen());
+    if (owner.contains(a)) continue;
+    EXPECT_EQ(net.unicast_owner(Ipv4{a}), kInvalidHost) << Ipv4{a}.to_string();
+    ++absent;
+  }
+  EXPECT_GT(absent, 9000u);
 }
 
 TEST(AddrPlane, WorldConstructionBytesPerHostStaysUnderCeiling) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -144,6 +146,91 @@ TEST(RngTest, WeightedRoughlyProportional) {
   int counts[2] = {0, 0};
   for (int i = 0; i < 10000; ++i) ++counts[rng.weighted(weights)];
   EXPECT_NEAR(static_cast<double>(counts[1]) / 10000.0, 0.75, 0.03);
+}
+
+TEST(RngTest, WeightedNeverReturnsAZeroWeightTail) {
+  // 0.1 + 0.2 rounds up, so x = total leaves +2.8e-17 after the last
+  // positive weight; the draw must land on that weight, not the zero
+  // after it.
+  const double weights[] = {0.1, 0.2, 0.0};
+  const double total = 0.1 + 0.2;
+  ASSERT_GT(total - 0.1 - 0.2, 0.0);
+  EXPECT_EQ(weighted_index(weights, total), 1u);
+  EXPECT_EQ(WeightTable(weights).index(total), 1u);
+  const double zeros_after[] = {0.1, 0.2, 0.0, 0.0};
+  EXPECT_EQ(weighted_index(zeros_after, total), 1u);
+}
+
+/// Log-uniform weights in [1e-12, 1], with every third one zero.
+std::vector<double> spread_weights(std::size_t n, std::uint64_t seed) {
+  Rng gen{seed};
+  std::vector<double> w(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    w[i] = i % 3 == 1 ? 0.0 : std::pow(10.0, -12.0 * gen.uniform_real());
+  }
+  return w;
+}
+
+TEST(RngTest, WeightTableDrawsEqualTheLinearDrawsAndEngineState) {
+  // n -> draws; 10^6 draws in all.
+  const std::pair<std::size_t, int> cases[] = {
+      {1, 300000}, {2, 300000}, {7, 300000}, {1000, 80000}, {5000, 20000}};
+  int drawn = 0;
+  for (const auto& [n, draws] : cases) {
+    const std::vector<double> w = spread_weights(n, 11 + n);
+    const WeightTable table(w);
+    Rng by_table{2021 + n};
+    Rng by_span{2021 + n};
+    for (int k = 0; k < draws; ++k, ++drawn) {
+      ASSERT_EQ(by_table.weighted(table), by_span.weighted(w))
+          << "n=" << n << " draw " << k;
+      ASSERT_TRUE(by_table.engine() == by_span.engine())
+          << "n=" << n << " draw " << k;
+    }
+  }
+  EXPECT_GE(drawn, 1000000);
+}
+
+TEST(RngTest, WeightTableIndexAgreesOnAndAroundEveryPrefixSum) {
+  // Exactly on each prefix sum, one ulp to either side, and then
+  // 2^j ulps out, across the binary search's rounding bound (about
+  // 4(n+1) ulps of the total) into the region it trusts.
+  for (const std::size_t n : {1u, 2u, 7u, 1000u, 5000u}) {
+    const std::vector<double> w = spread_weights(n, 11 + n);
+    const WeightTable table(w);
+    const double total = table.total();
+    const double ulp = std::nextafter(total, 2 * total) - total;
+    double prefix = 0.0;
+    std::vector<double> xs = {0.0, total};
+    for (const double wi : w) {
+      prefix += wi;
+      xs.push_back(prefix);
+      xs.push_back(std::nextafter(prefix, -1.0));
+      xs.push_back(std::nextafter(prefix, 2.0));
+      if (n > 1000) continue;
+      for (double m = 2; m < 64.0 * static_cast<double>(n + 1); m *= 2) {
+        xs.push_back(prefix - m * ulp);
+        xs.push_back(prefix + m * ulp);
+      }
+    }
+    for (const double x : xs) {
+      if (x < 0.0 || x > total) continue;
+      ASSERT_EQ(table.index(x), weighted_index(w, x))
+          << "n=" << n << " x=" << x;
+    }
+  }
+}
+
+TEST(RngTest, WeightTableRejectsNegativeAndNaNWeights) {
+  const double negative[] = {1.0, -0.5};
+  EXPECT_THROW(WeightTable{negative}, std::invalid_argument);
+  const double nan[] = {1.0, std::nan("")};
+  EXPECT_THROW(WeightTable{nan}, std::invalid_argument);
+  Rng rng{7};
+  EXPECT_THROW(rng.weighted(WeightTable{std::span<const double>{}}),
+               std::invalid_argument);
+  const double zeros[] = {0.0, 0.0};
+  EXPECT_EQ(rng.weighted(WeightTable{zeros}), 0u);
 }
 
 TEST(RngTest, RejectsInvertedRangesAndEmptySets) {
